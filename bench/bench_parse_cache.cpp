@@ -11,7 +11,8 @@
 //    on, asserting the medians stay bitwise identical — the cache must
 //    be invisible in results, visible only in wall-clock.
 //
-// Results go to stdout and BENCH_parse_cache.json.
+// Results go to stdout and BENCH_parse_cache.json. Exits 1 when the scan
+// workload's hit rate is zero or the cache changes end-to-end results.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -49,7 +50,7 @@ std::size_t scan_page_once(const web::WebPage& page, bool cached) {
                                                          obj->content);
           for (const web::HtmlToken& t : *tokens) {
             if (t.kind == web::HtmlToken::Kind::kInlineScript) {
-              (void)web::ParseCache::instance().js(t.script, obj->content);
+              (void)web::ParseCache::instance().js(t.script, tokens.pin);
               ++scans;
             }
           }
@@ -242,5 +243,9 @@ int main(int argc, char** argv) {
   std::fclose(json);
   std::printf("\nwrote BENCH_parse_cache.json\n");
 
+  if (ws.hit_rate() <= 0.0) {
+    std::fprintf(stderr, "error: scan-workload parse cache hit rate is zero\n");
+    return 1;
+  }
   return identical ? 0 : 1;
 }

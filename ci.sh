@@ -115,11 +115,9 @@ fi
 echo "energy gate correctly rejects a doctored joules baseline (exit 1)"
 
 echo "==> Parse cache smoke (2-page corpus, hit rate must be > 0)"
+# bench_parse_cache exits nonzero when the scan-workload hit rate is zero
+# or the cache changes end-to-end results.
 (cd build-ci/bench && ./bench_parse_cache --pages 2 --rounds 1)
-awk -F': ' '/"hit_rate"/ { rate = $2 + 0.0 }
-            END { if (rate > 0) { print "parse cache hit rate OK:", rate }
-                  else { print "parse cache hit rate is zero"; exit 1 } }' \
-  build-ci/bench/BENCH_parse_cache.json
 
 echo "==> Faulted smoke (fixed seed: must complete and exercise fallback)"
 (cd build-ci/bench && PARCEL_FAULT_SEED=7 ./bench_fault_recovery --quick)

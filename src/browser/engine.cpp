@@ -169,8 +169,9 @@ void BrowserEngine::start_parse(const FetchResult& html) {
     throw std::logic_error(name_ + ": main HTML without content");
   }
   ParseJob job;
-  job.tokens = web::ParseCache::instance().html(*html.content, html.content);
-  job.content = html.content;
+  auto parsed = web::ParseCache::instance().html(*html.content, html.content);
+  job.tokens = std::move(parsed.artifact);
+  job.content = std::move(parsed.pin);
   job.base = html.url;
   double total_parse =
       static_cast<double>(html.size) / config_.parse_bytes_per_sec;
@@ -214,8 +215,8 @@ void BrowserEngine::parser_step() {
         break;
       }
       case web::HtmlToken::Kind::kInlineScript: {
-        // The inline body is a view into the document; the document
-        // string is its pin.
+        // The inline body is a view into the string the tokens were
+        // scanned from: the pin the html() lookup returned.
         execute_script(token.script, parse_->content, parse_->base,
                        /*blocking=*/true, [this] { parser_step(); });
         break;
@@ -224,19 +225,19 @@ void BrowserEngine::parser_step() {
   });
 }
 
-void BrowserEngine::execute_script(std::string_view code,
-                                   std::shared_ptr<const std::string> pin,
-                                   const net::Url& base, bool blocking,
-                                   std::function<void()> after) {
+void BrowserEngine::execute_script(
+    std::string_view code, const std::shared_ptr<const std::string>& pin,
+    const net::Url& base, bool blocking, std::function<void()> after) {
   auto prog = web::ParseCache::instance().js(code, pin);
   Duration cost =
       Duration::seconds(prog->work_units / config_.js_units_per_sec);
-  // The posted closure holds both the artifact and the pin: with the
-  // cache disabled the artifact's views borrow straight from `pin`'s
-  // string, so it must outlive the execution.
+  // The posted closure holds the artifact together with the pin the
+  // lookup returned: the artifact's views borrow from that string (the
+  // cache entry's on a hit, `pin`'s own with the cache disabled), so it
+  // must outlive the execution.
   main_thread_.post(
       cost, blocking,
-      [this, prog = std::move(prog), pin = std::move(pin), base, blocking,
+      [this, prog = std::move(prog), base, blocking,
        after = std::move(after)] {
         for (const auto& handler : prog->click_handlers) {
           click_handlers_[handler.click_index] = base.resolve(handler.target);

@@ -14,9 +14,9 @@
 // Fetcher behind it and its device speed (EngineConfig).
 //
 // All tokenization goes through web::ParseCache: scan artifacts are
-// memoized per distinct content across every engine, run and worker
-// thread, and their string_views borrow from the immutable content
-// strings (zero copies on the hot path). Simulated parse/exec *cost* is
+// memoized per distinct content bytes across every engine, run and worker
+// thread, and their string_views borrow from the immutable string the
+// cache returns as the pin (zero copies on the hot path). Simulated parse/exec *cost* is
 // unaffected — the cache only removes real host CPU.
 #pragma once
 
@@ -111,7 +111,9 @@ class BrowserEngine {
   struct ParseJob {
     /// Shared scan artifact (from the parse cache, or freshly scanned).
     std::shared_ptr<const std::vector<web::HtmlToken>> tokens;
-    /// Pins the document string every token's views borrow from.
+    /// Pins the string every token's views borrow from: the pin the parse
+    /// cache returned, which on a hit is the entry's own copy of the
+    /// document, not necessarily the fetched one.
     std::shared_ptr<const std::string> content;
     std::size_t next = 0;
     Duration per_token = Duration::zero();
@@ -125,10 +127,10 @@ class BrowserEngine {
   void start_parse(const FetchResult& html);
   void parser_step();
   /// Execute a script body. `code` borrows from the string `pin` keeps
-  /// alive (the whole script file, or the surrounding document for
-  /// inline scripts).
+  /// alive (the whole script file, or for inline scripts the document pin
+  /// the parse cache returned).
   void execute_script(std::string_view code,
-                      std::shared_ptr<const std::string> pin,
+                      const std::shared_ptr<const std::string>& pin,
                       const net::Url& base, bool blocking,
                       std::function<void()> after);
   void schedule_async_exec(FetchResult script);

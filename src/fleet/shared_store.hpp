@@ -9,12 +9,13 @@
 // web::ParseCache exploits within one process, lifted to the fleet model
 // as a first-class simulated resource with hit/miss/byte-saved accounting.
 //
-// Keying follows ParseCache's content identity: replayed corpus snapshots
-// hold their text bodies in immutable shared strings created once, so the
-// (data pointer, length) of an object's content names its bytes uniquely;
-// the entry retains the owning shared_ptr so the keyed address can never
-// be recycled while the entry lives. Opaque bodies (images, media — no
-// content string in the model) are keyed by interned URL id + size.
+// Keying is by pointer identity (ParseCache, by contrast, keys on the
+// bytes): replayed corpus snapshots hold their text bodies in immutable
+// shared strings created once, so the (data pointer, length) of an
+// object's content names its bytes uniquely; the entry retains the owning
+// shared_ptr so the keyed address can never be recycled while the entry
+// lives. Opaque bodies (images, media — no content string in the model)
+// are keyed by interned URL id + size.
 //
 // Capacity is optional (capacity_bytes = 0 means unbounded); a bounded
 // store evicts in strict insertion (FIFO) order, so eviction — like every
@@ -95,8 +96,8 @@ class SharedObjectStore {
   [[nodiscard]] bool contents_equal(const SharedObjectStore& other) const;
 
  private:
-  // Content identity: text bodies key on (data pointer, length) — the
-  // ParseCache identity — and opaque bodies on (url id, length) with a
+  // Content identity: text bodies key on (data pointer, length) and
+  // opaque bodies on (url id, length) with a
   // null pointer. The two spaces cannot collide (live pointers are
   // non-null and never equal a hash value reinterpreted as an address
   // because the pointer field disambiguates via `opaque`).

@@ -1,10 +1,27 @@
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
 
 namespace parcel::util {
+
+namespace {
+
+// Case folding for the ASCII letters only: the scanners match ASCII
+// keywords, and every other byte compares as itself (what std::tolower
+// does in the "C" locale, without the locale lookup per byte).
+constexpr char ascii_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+constexpr char ascii_upper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
+}  // namespace
 
 std::string_view trim(std::string_view s) {
   std::size_t b = 0;
@@ -37,10 +54,7 @@ bool starts_with_ignore_case(std::string_view s, std::string_view prefix) {
 bool iequals(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (ascii_lower(a[i]) != ascii_lower(b[i])) return false;
   }
   return true;
 }
@@ -53,12 +67,39 @@ std::string to_lower(std::string_view s) {
 
 std::size_t ifind(std::string_view hay, std::string_view needle,
                   std::size_t pos) {
-  if (needle.empty()) return pos <= hay.size() ? pos : std::string_view::npos;
-  if (hay.size() < needle.size()) return std::string_view::npos;
-  for (std::size_t i = pos; i + needle.size() <= hay.size(); ++i) {
-    if (iequals(hay.substr(i, needle.size()), needle)) return i;
+  constexpr std::size_t npos = std::string_view::npos;
+  if (needle.empty()) return pos <= hay.size() ? pos : npos;
+  if (hay.size() < needle.size() || pos > hay.size() - needle.size()) {
+    return npos;
   }
-  return std::string_view::npos;
+  // Candidates are the offsets holding either case of the needle's first
+  // byte; memchr jumps between them, and only they pay for a compare.
+  // Each case keeps its own next-occurrence cursor, so every byte of the
+  // haystack is searched at most once per case.
+  const std::size_t last = hay.size() - needle.size();  // last viable start
+  const std::string_view rest = needle.substr(1);
+  const char lo = ascii_lower(needle[0]);
+  const char up = ascii_upper(needle[0]);
+  auto next = [&](char c, std::size_t from) -> std::size_t {
+    if (from > last) return npos;
+    const void* hit = std::memchr(hay.data() + from, c, last + 1 - from);
+    return hit == nullptr
+               ? npos
+               : static_cast<std::size_t>(static_cast<const char*>(hit) -
+                                          hay.data());
+  };
+  std::size_t next_lo = next(lo, pos);
+  std::size_t next_up = lo == up ? npos : next(up, pos);
+  for (;;) {
+    const std::size_t i = std::min(next_lo, next_up);
+    if (i == npos) return npos;
+    if (iequals(hay.substr(i + 1, rest.size()), rest)) return i;
+    if (i == next_lo) {
+      next_lo = next(lo, i + 1);
+    } else {
+      next_up = next(up, i + 1);
+    }
+  }
 }
 
 std::string format_bytes(long long bytes) {

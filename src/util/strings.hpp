@@ -14,11 +14,13 @@ namespace parcel::util {
                                                   char delim);
 [[nodiscard]] bool starts_with_ignore_case(std::string_view s,
                                            std::string_view prefix);
+/// Equality ignoring the case of ASCII letters.
 [[nodiscard]] bool iequals(std::string_view a, std::string_view b);
 [[nodiscard]] std::string to_lower(std::string_view s);
 
 /// Find the next occurrence of `needle` in `hay` at or after `pos`,
-/// case-insensitively. Returns npos if absent.
+/// ignoring the case of ASCII letters (as iequals). Returns npos if absent
+/// or if `pos` > hay.size(); an empty needle matches at `pos`.
 [[nodiscard]] std::size_t ifind(std::string_view hay, std::string_view needle,
                                 std::size_t pos = 0);
 

@@ -1,25 +1,21 @@
 #include "web/parse_cache.hpp"
 
-#include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
+#include "util/env.hpp"
 #include "web/css.hpp"
 
 namespace parcel::web {
 
 namespace {
 
-bool initial_enabled() {
-  // parcel-lint: allow(nondet-getenv) kill-switch read once at startup; cache on/off is bitwise-identical by test, so replay is unaffected
-  const char* env = std::getenv("PARCEL_PARSE_CACHE");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{initial_enabled()};
+  // parcel-lint: allow(nondet-transitive) PARCEL_PARSE_CACHE kill switch read once at startup; cache on/off is bitwise-identical by test, so the env read cannot reach results
+  static std::atomic<bool> flag{util::env_flag("PARCEL_PARSE_CACHE", true)};
   return flag;
 }
 
@@ -39,41 +35,52 @@ bool ParseCache::enabled() {
 }
 
 template <typename T, typename Scan>
-std::shared_ptr<const T> ParseCache::lookup(
-    Table<T> Shard::*table, std::string_view text,
-    const std::shared_ptr<const std::string>& pin,
-    std::atomic<std::uint64_t>& hits, std::atomic<std::uint64_t>& misses,
-    Scan scan) {
+Parsed<T> ParseCache::lookup(Table<T> Shard::*table, std::string_view text,
+                             const std::shared_ptr<const std::string>& pin,
+                             std::atomic<std::uint64_t>& hits,
+                             std::atomic<std::uint64_t>& misses, Scan scan) {
+  if (pin != nullptr) {
+    // The entry's key must view bytes its pin owns; std::less gives the
+    // total pointer order the raw operators do not promise.
+    const std::less_equal<const char*> le;
+    if (!le(pin->data(), text.data()) ||
+        !le(text.data() + text.size(), pin->data() + pin->size())) {
+      throw std::logic_error("ParseCache: scanned text lies outside its pin");
+    }
+  }
   if (!enabled() || pin == nullptr) {
     // Uncached scan: the artifact still borrows from `text`; the caller
     // keeps the backing string alive.
     misses.fetch_add(1, std::memory_order_relaxed);
-    return std::make_shared<const T>(scan(text));
+    return {std::make_shared<const T>(scan(text)), pin};
   }
 
-  Key key{text.data(), text.size()};
-  Shard& shard = shard_for(key);
+  Shard& shard = shard_for(text);
   std::shared_ptr<Slot<T>> slot;
   bool inserted = false;
   {
     util::MutexLock lock(shard.mutex);
     auto& slots = (shard.*table).slots;
-    auto it = slots.find(key);
+    auto it = slots.find(text);
     if (it == slots.end()) {
-      it = slots.emplace(key, std::make_shared<Slot<T>>()).first;
-      it->second->pin = pin;  // pins the keyed bytes for the entry's life
+      auto fresh = std::make_shared<Slot<T>>();
+      fresh->pin = pin;  // pins the keyed bytes for the entry's life
+      fresh->text = text;
+      it = slots.emplace(text, std::move(fresh)).first;
       inserted = true;
     }
     slot = it->second;
   }
   // Parse outside the shard lock; call_once makes concurrent requesters
   // for the *same* content wait for one scan instead of racing duplicates.
-  // The finished artifact is published under the shard mutex: concurrent
-  // requesters already synchronize through the once-flag, but
-  // sweep_transient() inspects artifact handles while holding every shard
-  // lock, so the store must happen under that lock too.
+  // The scan reads the slot's own view, so the artifact borrows from the
+  // entry's pin whichever requester runs it. The finished artifact is
+  // published under the shard mutex: concurrent requesters already
+  // synchronize through the once-flag, but sweep_transient() inspects
+  // artifact handles while holding every shard lock, so the store must
+  // happen under that lock too.
   std::call_once(slot->once, [&] {
-    auto artifact = std::make_shared<const T>(scan(text));
+    auto artifact = std::make_shared<const T>(scan(slot->text));
     util::MutexLock lock(shard.mutex);
     slot->artifact = std::move(artifact);
   });
@@ -82,23 +89,23 @@ std::shared_ptr<const T> ParseCache::lookup(
   } else {
     hits.fetch_add(1, std::memory_order_relaxed);
   }
-  return slot->artifact;
+  return {slot->artifact, slot->pin};
 }
 
-std::shared_ptr<const std::vector<HtmlToken>> ParseCache::html(
+Parsed<std::vector<HtmlToken>> ParseCache::html(
     std::string_view doc, const std::shared_ptr<const std::string>& pin) {
   return lookup(&Shard::html, doc, pin, html_hits_, html_misses_,
                 [](std::string_view text) { return MiniHtml::scan(text); });
 }
 
-std::shared_ptr<const std::vector<Reference>> ParseCache::css(
+Parsed<std::vector<Reference>> ParseCache::css(
     std::string_view sheet, const std::shared_ptr<const std::string>& pin) {
   return lookup(&Shard::css, sheet, pin, css_hits_, css_misses_,
                 [](std::string_view text) { return MiniCss::scan(text); });
 }
 
-std::shared_ptr<const JsProgram> ParseCache::js(
-    std::string_view code, const std::shared_ptr<const std::string>& pin) {
+Parsed<JsProgram> ParseCache::js(std::string_view code,
+                                 const std::shared_ptr<const std::string>& pin) {
   return lookup(&Shard::js, code, pin, js_hits_, js_misses_,
                 [](std::string_view text) { return MiniJs::run(text); });
 }

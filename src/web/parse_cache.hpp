@@ -8,16 +8,22 @@
 // shares the artifact read-only across every run and every
 // ParallelRunner worker.
 //
-// Keying. An entry is addressed by the *content identity* of the scanned
-// text: the (data pointer, length) of the string_view handed to the
-// scanner. Corpus content lives in immutable std::shared_ptr<const
-// std::string>s created once (generator / replay store), so a stable
-// data pointer uniquely names the bytes; inline <script> bodies — views
-// into the middle of a document — get distinct keys the same way. Every
-// entry stores the owning shared_ptr ("pin"), which both keeps the
-// borrowed string_views inside the artifact valid and guarantees the
-// keyed address can never be recycled for different bytes while the
-// entry exists.
+// Keying. An entry is addressed by the scanned *bytes*: each table maps
+// a string_view key to its slot, hashed with std::hash<std::string_view>
+// and compared byte for byte, so a lookup hits whenever the same bytes
+// are cached, whichever string holds them. That matters for PARCEL: the
+// client scans objects unpacked from an MHTML bundle, which are fresh
+// copies of corpus strings the proxy engine already scanned. The key view
+// points into the entry's own content pin (the shared string it was first
+// scanned from), so it lives exactly as long as the entry. Inline
+// <script> bodies, views into the middle of a document, key on their own
+// bytes the same way.
+//
+// Pins. A hit returns views into the entry's pin, not into the caller's
+// string, so every lookup returns the pin together with the artifact
+// (Parsed<T>). Callers keep the returned pin while they use the artifact,
+// and pass it on as the pin of any nested lookup (an inline script's view
+// lies inside the returned document pin, not the caller's copy).
 //
 // Concurrency. A fixed array of shards, each a mutex-guarded map of
 // once-init slots: the first requester parses (outside the shard lock,
@@ -45,6 +51,18 @@
 
 namespace parcel::web {
 
+/// A scan artifact together with the string its views borrow from. On a
+/// cache hit `pin` is the entry's pin, which may be a different string
+/// (with equal bytes) from the one the caller passed in.
+template <typename T>
+struct Parsed {
+  std::shared_ptr<const T> artifact;
+  std::shared_ptr<const std::string> pin;
+
+  const T& operator*() const { return *artifact; }
+  const T* operator->() const { return artifact.get(); }
+};
+
 class ParseCache {
  public:
   /// Process-wide cache instance shared by every engine.
@@ -56,23 +74,25 @@ class ParseCache {
   static void set_enabled(bool enabled);
   [[nodiscard]] static bool enabled();
 
-  /// Memoized MiniHtml::scan. `pin` is the shared string the scanned view
-  /// borrows from (usually the whole string); it is retained by the cache
-  /// entry so token views stay valid. With a null pin or the cache
-  /// disabled, the text is scanned fresh and the caller must keep the
-  /// backing string alive while the artifact is in use.
-  std::shared_ptr<const std::vector<HtmlToken>> html(
+  /// Memoized MiniHtml::scan. `doc` must lie inside `pin`'s bytes
+  /// (std::logic_error otherwise); `pin` is usually the whole string. A
+  /// miss retains `pin` in the new entry; a hit returns the entry's pin.
+  /// With a null pin or the cache disabled, the text is scanned fresh and
+  /// the returned pin is the caller's (null pin: the caller must keep the
+  /// backing string alive while the artifact is in use).
+  Parsed<std::vector<HtmlToken>> html(
       std::string_view doc, const std::shared_ptr<const std::string>& pin);
 
   /// Memoized MiniCss::scan (same pinning contract as html()).
-  std::shared_ptr<const std::vector<Reference>> css(
+  Parsed<std::vector<Reference>> css(
       std::string_view sheet, const std::shared_ptr<const std::string>& pin);
 
   /// Memoized MiniJs::run reference-extraction (same pinning contract).
   /// Also serves inline <script> bodies: the view into the surrounding
-  /// document is the key, the document string is the pin.
-  std::shared_ptr<const JsProgram> js(
-      std::string_view code, const std::shared_ptr<const std::string>& pin);
+  /// document is the text, and the pin returned by the document's html()
+  /// lookup is the pin.
+  Parsed<JsProgram> js(std::string_view code,
+                       const std::shared_ptr<const std::string>& pin);
 
   struct Stats {
     std::uint64_t html_hits = 0, html_misses = 0;
@@ -98,18 +118,16 @@ class ParseCache {
   void clear();
 
   /// Drop dead entries: those where this cache holds the *only* reference
-  /// to the slot, the artifact, and the content pin. Such an entry can
-  /// never hit again — its backing string is unreachable to any future
-  /// caller, kept alive solely by the pin — so it is pure retained memory.
-  /// Transient per-session content (bundle-unpacked objects, generated
-  /// documents) lands here the moment its session ends; corpus content
-  /// stays cached because its generator/replay-store owner still pins it.
-  /// Releasing the pin may let the allocator recycle the keyed address,
-  /// which is safe exactly because the entry is erased in the same step: a
-  /// recycled address misses and re-inserts. Streaming fleet runs sweep
-  /// once per epoch to keep memory bounded in K (DESIGN.md §12). Returns
-  /// the number of entries dropped. Thread-safe; concurrent lookups hold
-  /// slot/pin references and are skipped.
+  /// to the slot, the artifact, and the content pin. No caller owns those
+  /// bytes any more, so the entry is retained memory that would hit only
+  /// if the same bytes were produced again. Bundle-unpacked copies of live
+  /// corpus content hit the corpus entry and add none; transient entries
+  /// come only from content that is actually new, and land here once the
+  /// session that produced it ends. Corpus content stays cached because
+  /// its generator/replay-store owner still pins it. Streaming fleet runs
+  /// sweep once per epoch to keep memory bounded in K (DESIGN.md §12).
+  /// Returns the number of entries dropped. Thread-safe; concurrent
+  /// lookups hold slot/pin references and are skipped.
   /// Locks every shard through a std::unique_lock vector, a pattern the
   /// static lock analysis cannot express — hence the opt-out.
   std::size_t sweep_transient() PARCEL_NO_THREAD_SAFETY_ANALYSIS;
@@ -120,32 +138,20 @@ class ParseCache {
  private:
   ParseCache() = default;
 
-  struct Key {
-    const char* data = nullptr;
-    std::size_t size = 0;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      // Pointer identity already distributes well; fold in the length so
-      // nested views starting at the same byte separate.
-      return std::hash<const void*>{}(k.data) ^ (k.size * 0x9e3779b97f4a7c15ULL);
-    }
-  };
-
   /// One once-init slot per distinct content. `artifact` is written
-  /// exactly once under `once`; `pin` keeps the scanned bytes (and the
-  /// keyed address) alive for the entry's lifetime.
+  /// exactly once under `once`; `pin` keeps the scanned bytes alive for
+  /// the entry's lifetime, and `text` (also the table key) views them.
   template <typename T>
   struct Slot {
     std::once_flag once;
     std::shared_ptr<const T> artifact;
     std::shared_ptr<const std::string> pin;
+    std::string_view text;
   };
 
   template <typename T>
   struct Table {
-    std::unordered_map<Key, std::shared_ptr<Slot<T>>, KeyHash> slots;
+    std::unordered_map<std::string_view, std::shared_ptr<Slot<T>>> slots;
   };
 
   struct Shard {
@@ -157,16 +163,17 @@ class ParseCache {
 
   static constexpr std::size_t kShards = 16;
 
-  [[nodiscard]] Shard& shard_for(const Key& key) {
-    return shards_[KeyHash{}(key) % kShards];
+  /// Shard choice only spreads lock contention, so it reads the length
+  /// alone (Fibonacci-hashed) instead of hashing the bytes a second time.
+  [[nodiscard]] Shard& shard_for(std::string_view text) {
+    return shards_[((text.size() * 0x9e3779b97f4a7c15ULL) >> 32) % kShards];
   }
 
   template <typename T, typename Scan>
-  std::shared_ptr<const T> lookup(Table<T> Shard::*table, std::string_view text,
-                                  const std::shared_ptr<const std::string>& pin,
-                                  std::atomic<std::uint64_t>& hits,
-                                  std::atomic<std::uint64_t>& misses,
-                                  Scan scan);
+  Parsed<T> lookup(Table<T> Shard::*table, std::string_view text,
+                   const std::shared_ptr<const std::string>& pin,
+                   std::atomic<std::uint64_t>& hits,
+                   std::atomic<std::uint64_t>& misses, Scan scan);
 
   Shard shards_[kShards];
   std::atomic<std::uint64_t> html_hits_{0}, html_misses_{0};

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "net/url.hpp"
+#include "replay/replay_store.hpp"
 #include "web/css.hpp"
+#include "web/generator.hpp"
 #include "web/html.hpp"
 #include "web/js.hpp"
+#include "web/mhtml.hpp"
 #include "web/parse_cache.hpp"
 
 namespace parcel::web {
@@ -38,7 +43,7 @@ TEST_F(ParseCacheTest, SecondScanOfSameContentIsAHit) {
   auto doc = shared("<img src=\"/a.png\"><script src=\"/a.js\"></script>");
   auto first = ParseCache::instance().html(*doc, doc);
   auto second = ParseCache::instance().html(*doc, doc);
-  EXPECT_EQ(first.get(), second.get());  // shared artifact, not a copy
+  EXPECT_EQ(first.artifact.get(), second.artifact.get());  // shared, not a copy
   ParseCache::Stats s = ParseCache::instance().stats();
   EXPECT_EQ(s.html_misses, 1u);
   EXPECT_EQ(s.html_hits, 1u);
@@ -65,7 +70,7 @@ TEST_F(ParseCacheTest, DistinctContentGetsDistinctEntries) {
   auto b = shared("<img src=\"/b.png\">");
   auto ta = ParseCache::instance().html(*a, a);
   auto tb = ParseCache::instance().html(*b, b);
-  EXPECT_NE(ta.get(), tb.get());
+  EXPECT_NE(ta.artifact.get(), tb.artifact.get());
   EXPECT_EQ(ParseCache::instance().size(), 2u);
   EXPECT_EQ(ParseCache::instance().stats().html_misses, 2u);
 }
@@ -75,7 +80,8 @@ TEST_F(ParseCacheTest, DisabledCacheScansFreshAndStoresNothing) {
   auto doc = shared("<img src=\"/a.png\">");
   auto first = ParseCache::instance().html(*doc, doc);
   auto second = ParseCache::instance().html(*doc, doc);
-  EXPECT_NE(first.get(), second.get());
+  EXPECT_NE(first.artifact.get(), second.artifact.get());
+  EXPECT_EQ(first.pin, doc);  // disabled: the caller's own pin comes back
   EXPECT_EQ(ParseCache::instance().size(), 0u);
   ParseCache::Stats s = ParseCache::instance().stats();
   EXPECT_EQ(s.html_hits, 0u);
@@ -98,16 +104,16 @@ TEST_F(ParseCacheTest, InlineScriptViewsKeyIndependentlyOfDocument) {
   auto tokens = ParseCache::instance().html(*doc, doc);
   ASSERT_EQ(tokens->size(), 2u);
   // Each inline body is a view into the middle of the document; both get
-  // their own cache entry keyed by (pointer, length).
-  auto p1 = ParseCache::instance().js((*tokens)[0].script, doc);
-  auto p2 = ParseCache::instance().js((*tokens)[1].script, doc);
+  // their own cache entry keyed by their own bytes.
+  auto p1 = ParseCache::instance().js((*tokens)[0].script, tokens.pin);
+  auto p2 = ParseCache::instance().js((*tokens)[1].script, tokens.pin);
   ASSERT_EQ(p1->references.size(), 1u);
   ASSERT_EQ(p2->references.size(), 1u);
   EXPECT_EQ(p1->references[0].target, "/one.json");
   EXPECT_EQ(p2->references[0].target, "/two.json");
   // Re-requesting the first body hits.
-  auto again = ParseCache::instance().js((*tokens)[0].script, doc);
-  EXPECT_EQ(again.get(), p1.get());
+  auto again = ParseCache::instance().js((*tokens)[0].script, tokens.pin);
+  EXPECT_EQ(again.artifact.get(), p1.artifact.get());
   EXPECT_EQ(ParseCache::instance().stats().js_hits, 1u);
 }
 
@@ -160,7 +166,7 @@ TEST_F(ParseCacheTest, SweepKeepsEntriesWhoseArtifactIsStillBorrowed) {
   EXPECT_EQ(ParseCache::instance().sweep_transient(), 0u);
   ASSERT_EQ(prog->references.size(), 1u);
   EXPECT_EQ(prog->references[0].target, "/borrowed.json");
-  prog.reset();
+  prog = {};
   EXPECT_EQ(ParseCache::instance().sweep_transient(), 1u);
   EXPECT_EQ(ParseCache::instance().size(), 0u);
 }
@@ -171,8 +177,8 @@ TEST_F(ParseCacheTest, SweepTreatsDocumentAndInlineScriptsAsOneGroup) {
       "<script>fetch(\"/two.json\");</script>");
   {
     auto tokens = ParseCache::instance().html(*doc, doc);
-    ParseCache::instance().js((*tokens)[0].script, doc);
-    ParseCache::instance().js((*tokens)[1].script, doc);
+    ParseCache::instance().js((*tokens)[0].script, tokens.pin);
+    ParseCache::instance().js((*tokens)[1].script, tokens.pin);
   }
   ASSERT_EQ(ParseCache::instance().size(), 3u);
   // The three entries pin the same string. While the document is owned
@@ -206,7 +212,7 @@ TEST_F(ParseCacheTest, ConcurrentRequestsShareOneScan) {
       "<img src=\"/a.png\"><script src=\"/s.js\"></script>"
       "<link rel=\"stylesheet\" href=\"/s.css\">");
   constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const std::vector<HtmlToken>>> results(kThreads);
+  std::vector<Parsed<std::vector<HtmlToken>>> results(kThreads);
   {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
@@ -219,11 +225,149 @@ TEST_F(ParseCacheTest, ConcurrentRequestsShareOneScan) {
     for (auto& t : threads) t.join();
   }
   for (int i = 1; i < kThreads; ++i) {
-    EXPECT_EQ(results[0].get(), results[static_cast<std::size_t>(i)].get());
+    EXPECT_EQ(results[0].artifact.get(),
+              results[static_cast<std::size_t>(i)].artifact.get());
   }
   ParseCache::Stats s = ParseCache::instance().stats();
   EXPECT_EQ(s.html_misses, 1u);
   EXPECT_EQ(s.html_hits, static_cast<std::uint64_t>(kThreads - 1));
+}
+
+// --- Content keying -----------------------------------------------------
+
+/// True when every byte of `view` lies inside `owner`.
+bool lies_in(std::string_view view, const std::string& owner) {
+  return view.data() >= owner.data() &&
+         view.data() + view.size() <= owner.data() + owner.size();
+}
+
+TEST_F(ParseCacheTest, EqualBytesInDistinctStringsShareOneEntry) {
+  auto a = shared(
+      "<img src=\"/a.png\"><script>fetch(\"/x.json\");</script>");
+  auto b = shared(*a);  // same bytes, different address
+  ASSERT_NE(a->data(), b->data());
+  auto first = ParseCache::instance().html(*a, a);
+  auto second = ParseCache::instance().html(*b, b);
+  EXPECT_EQ(ParseCache::instance().size(), 1u);
+  ParseCache::Stats s = ParseCache::instance().stats();
+  EXPECT_EQ(s.html_misses, 1u);
+  EXPECT_EQ(s.html_hits, 1u);
+  // The hit hands back the entry's pin, the first string, and views into
+  // it rather than into the caller's copy.
+  EXPECT_EQ(second.pin, a);
+  EXPECT_EQ(second.artifact.get(), first.artifact.get());
+  ASSERT_EQ(second->size(), 2u);
+  EXPECT_TRUE(lies_in((*second)[0].ref.target, *a));
+  EXPECT_TRUE(lies_in((*second)[1].script, *a));
+
+  // The returned pin alone keeps the views valid once the caller drops
+  // both strings and the cache lets go of its entry.
+  first = {};
+  a.reset();
+  b.reset();
+  ParseCache::instance().clear();
+  EXPECT_EQ((*second)[0].ref.target, "/a.png");
+  EXPECT_EQ((*second)[1].script, "fetch(\"/x.json\");");
+  EXPECT_TRUE(lies_in((*second)[1].script, *second.pin));
+}
+
+TEST_F(ParseCacheTest, InlineScriptLookupsOnACopyUseTheReturnedPin) {
+  auto corpus = shared(
+      "<script>fetch(\"/one.json\");</script>"
+      "<script>fetch(\"/two.json\");</script>");
+  (void)ParseCache::instance().html(*corpus, corpus);
+  {
+    auto copy = shared(*corpus);
+    auto doc = ParseCache::instance().html(*copy, copy);
+    ASSERT_EQ(doc.pin, corpus);
+    ASSERT_EQ(doc->size(), 2u);
+    // The token views point into the corpus string, so the copy is the
+    // wrong pin for them; the returned one is right.
+    EXPECT_THROW((void)ParseCache::instance().js((*doc)[0].script, copy),
+                 std::logic_error);
+    auto p1 = ParseCache::instance().js((*doc)[0].script, doc.pin);
+    auto p2 = ParseCache::instance().js((*doc)[1].script, doc.pin);
+    EXPECT_EQ(p1->references[0].target, "/one.json");
+    EXPECT_EQ(p2->references[0].target, "/two.json");
+  }
+  // The copy is gone; the entries pin the corpus string, which we still
+  // own, so the sweep keeps all three and they keep hitting.
+  ASSERT_EQ(ParseCache::instance().size(), 3u);
+  EXPECT_EQ(ParseCache::instance().sweep_transient(), 0u);
+  EXPECT_EQ(ParseCache::instance().size(), 3u);
+  ParseCache::instance().reset_stats();
+  auto doc = ParseCache::instance().html(*corpus, corpus);
+  (void)ParseCache::instance().js((*doc)[0].script, doc.pin);
+  (void)ParseCache::instance().js((*doc)[1].script, doc.pin);
+  EXPECT_EQ(ParseCache::instance().stats().hits(), 3u);
+  EXPECT_EQ(ParseCache::instance().stats().misses(), 0u);
+}
+
+TEST_F(ParseCacheTest, ViewOutsideItsPinThrows) {
+  auto a = shared("fetch(\"/a.js\");");
+  auto b = shared(*a);
+  EXPECT_THROW((void)ParseCache::instance().js(*b, a), std::logic_error);
+  // One byte past the end of the pin is outside too.
+  EXPECT_THROW((void)ParseCache::instance().js(
+                   std::string_view(a->data() + 1, a->size()), a),
+               std::logic_error);
+  EXPECT_EQ(ParseCache::instance().size(), 0u);
+  // A proper sub-view is fine.
+  EXPECT_NO_THROW((void)ParseCache::instance().js(
+      std::string_view(*a).substr(1), a));
+}
+
+TEST_F(ParseCacheTest, BundleUnpackedDuplicateOfCorpusContentAddsNoEntry) {
+  auto corpus = shared("body { background: url(\"/bg.png\"); }");
+  (void)ParseCache::instance().css(*corpus, corpus);
+  ASSERT_EQ(ParseCache::instance().size(), 1u);
+
+  // Proxy side: the stylesheet crosses the radio inside an MHTML bundle;
+  // client side: the reader hands back a fresh copy of the bytes.
+  MhtmlWriter writer;
+  writer.add_raw(net::Url::parse("http://site.example/s.css"), "text/css",
+                 static_cast<Bytes>(corpus->size()), corpus);
+  std::vector<MhtmlPart> parts = MhtmlReader::parse(writer.serialize());
+  ASSERT_EQ(parts.size(), 1u);
+  ASSERT_TRUE(parts[0].content);
+  ASSERT_NE(parts[0].content.get(), corpus.get());
+  ASSERT_EQ(*parts[0].content, *corpus);
+
+  auto refs = ParseCache::instance().css(*parts[0].content, parts[0].content);
+  EXPECT_EQ(ParseCache::instance().size(), 1u);
+  EXPECT_EQ(ParseCache::instance().stats().css_hits, 1u);
+  EXPECT_EQ(refs.pin, corpus);
+  ASSERT_EQ(refs->size(), 1u);
+  EXPECT_EQ((*refs)[0].target, "/bg.png");
+}
+
+TEST_F(ParseCacheTest, WarmParcelIndReloadRecordsNoMisses) {
+  web::PageSpec spec;
+  spec.site = "warm.example.com";
+  spec.object_count = 30;
+  spec.total_bytes = util::kib(400);
+  spec.seed = 31;
+  replay::ReplayStore store;
+  store.record(PageGenerator::generate(spec));
+  const WebPage* page = store.find("http://warm.example.com/");
+  ASSERT_NE(page, nullptr);
+
+  core::RunConfig cfg;
+  cfg.seed = 3;
+  core::RunResult cold =
+      core::ExperimentRunner::run(core::Scheme::kParcelInd, *page, cfg);
+  ASSERT_TRUE(cold.ok);
+  ASSERT_GT(ParseCache::instance().stats().misses(), 0u);
+
+  // Second load: the proxy scans the corpus strings and the client scans
+  // bundle-unpacked copies of them; both find the bytes already cached.
+  ParseCache::instance().reset_stats();
+  core::RunResult warm =
+      core::ExperimentRunner::run(core::Scheme::kParcelInd, *page, cfg);
+  ASSERT_TRUE(warm.ok);
+  EXPECT_GT(ParseCache::instance().stats().hits(), 0u);
+  EXPECT_EQ(ParseCache::instance().stats().misses(), 0u);
+  EXPECT_EQ(warm.olt.sec(), cold.olt.sec());
 }
 
 // --- URL interning ----------------------------------------------------

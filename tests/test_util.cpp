@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -160,7 +163,84 @@ TEST(Strings, CaseInsensitiveHelpers) {
   EXPECT_TRUE(starts_with_ignore_case("<SCRIPT src>", "<script"));
   EXPECT_EQ(ifind("xxFooBar", "foobar"), 2u);
   EXPECT_EQ(ifind("abc", "zzz"), std::string_view::npos);
+  EXPECT_EQ(ifind("abc", "", 3), 3u);
+  EXPECT_EQ(ifind("abc", "", 4), std::string_view::npos);
+  EXPECT_EQ(ifind("abc", "b", 4), std::string_view::npos);
+  EXPECT_EQ(ifind("ab", "abc"), std::string_view::npos);
+  EXPECT_EQ(ifind("x</SCRIPT>y</script>", "</script>", 2), 11u);
   EXPECT_EQ(to_lower("AbC"), "abc");
+}
+
+/// Reference ifind: a std::tolower compare at every offset from `pos`.
+/// The candidate-jumping ifind must agree with it on every input.
+std::size_t ifind_brute_force(std::string_view hay, std::string_view needle,
+                              std::size_t pos) {
+  if (needle.empty()) return pos <= hay.size() ? pos : std::string_view::npos;
+  for (std::size_t i = pos; i <= hay.size() && hay.size() - i >= needle.size();
+       ++i) {
+    bool match = true;
+    for (std::size_t j = 0; j < needle.size() && match; ++j) {
+      match = std::tolower(static_cast<unsigned char>(hay[i + j])) ==
+              std::tolower(static_cast<unsigned char>(needle[j]));
+    }
+    if (match) return i;
+  }
+  return std::string_view::npos;
+}
+
+TEST(Strings, IfindMatchesBruteForce) {
+  // A small alphabet (both cases, markup bytes, non-ASCII) makes partial
+  // and full matches frequent.
+  const std::string alphabet = "aAbBsScC<>/= \x80\xC1";
+  Rng rng(2014);
+  auto random_string = [&](std::size_t len) {
+    std::string out;
+    for (std::size_t i = 0; i < len; ++i) {
+      out += alphabet[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+    }
+    return out;
+  };
+  auto flip_case = [&](std::string s) {
+    for (char& c : s) {
+      if (rng.bernoulli(0.5)) {
+        c = static_cast<char>(std::isupper(static_cast<unsigned char>(c))
+                                  ? std::tolower(static_cast<unsigned char>(c))
+                                  : std::toupper(static_cast<unsigned char>(c)));
+      }
+    }
+    return s;
+  };
+  for (int trial = 0; trial < 4000; ++trial) {
+    const std::string hay =
+        random_string(static_cast<std::size_t>(rng.uniform_int(0, 40)));
+    std::string needle;
+    switch (trial % 4) {
+      case 0:  // a case-flipped slice of the haystack: a match exists
+        if (!hay.empty()) {
+          const auto from = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(hay.size()) - 1));
+          const auto len = static_cast<std::size_t>(rng.uniform_int(
+              1, static_cast<std::int64_t>(hay.size() - from)));
+          needle = flip_case(hay.substr(from, len));
+        }
+        break;
+      case 1:  // short random needle
+        needle = random_string(static_cast<std::size_t>(rng.uniform_int(1, 3)));
+        break;
+      case 2:  // longer than the haystack
+        needle = random_string(hay.size() + 1 +
+                               static_cast<std::size_t>(rng.uniform_int(0, 3)));
+        break;
+      default:  // empty needle
+        break;
+    }
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, 3 + static_cast<std::int64_t>(hay.size())));
+    SCOPED_TRACE("hay='" + hay + "' needle='" + needle +
+                 "' pos=" + std::to_string(pos));
+    EXPECT_EQ(ifind(hay, needle, pos), ifind_brute_force(hay, needle, pos));
+  }
 }
 
 TEST(Strings, FormatBytes) {
