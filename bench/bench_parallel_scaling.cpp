@@ -1,21 +1,16 @@
-// Parallel-harness scaling + simulation-kernel fast-path benchmark.
+// Parallel-harness scaling benchmark.
 //
-// Measures (1) corpus wall-clock under the experiment fan-out at jobs ∈
+// Measures corpus wall-clock under the experiment fan-out at jobs ∈
 // {1, 2, hardware}, asserting the parallel medians stay bitwise identical
-// to the serial ones, and (2) scheduler throughput of the vector-heap
-// kernel against a std::priority_queue replica of the pre-rewrite kernel.
-// Results go to stdout and to BENCH_parallel.json so the perf trajectory
-// is machine-trackable across PRs.
+// to the serial ones. Results go to stdout and to BENCH_parallel.json so
+// the perf trajectory is machine-trackable. Scheduler throughput is
+// measured and gated by bench_kernel_throughput.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
-#include <queue>
-#include <string>
 #include <vector>
 
 #include "bench/common.hpp"
-#include "sim/scheduler.hpp"
 #include "web/parse_cache.hpp"
 
 namespace {
@@ -26,85 +21,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-// ---- Scheduler baseline: the pre-rewrite std::priority_queue kernel ----
-// (copy-out of top(), one shared_ptr allocation per event), kept here so
-// the fast-path win is measured against the real former implementation.
-class LegacyScheduler {
- public:
-  void schedule_after(util::Duration delay, std::function<void()> fn) {
-    util::TimePoint when = now_ + delay;
-    auto state = std::make_shared<bool>(false);
-    queue_.push(Entry{when, next_seq_++, std::move(fn), std::move(state)});
-  }
-  void run() {
-    while (!queue_.empty()) {
-      Entry e = queue_.top();  // the per-event copy the rewrite removes
-      queue_.pop();
-      now_ = e.when;
-      ++executed_;
-      e.fn();
-    }
-  }
-  [[nodiscard]] std::uint64_t executed() const { return executed_; }
-
- private:
-  struct Entry {
-    util::TimePoint when;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<bool> state;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  util::TimePoint now_ = util::TimePoint::origin();
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-};
-
-constexpr int kChainEvents = 200'000;
-constexpr int kChainReps = 5;
-
-double legacy_events_per_sec() {
-  auto start = Clock::now();
-  std::uint64_t total = 0;
-  for (int rep = 0; rep < kChainReps; ++rep) {
-    LegacyScheduler sched;
-    int remaining = kChainEvents;
-    std::function<void()> tick = [&] {
-      if (--remaining > 0) {
-        sched.schedule_after(util::Duration::micros(10), tick);
-      }
-    };
-    sched.schedule_after(util::Duration::zero(), tick);
-    sched.run();
-    total += sched.executed();
-  }
-  return static_cast<double>(total) / seconds_since(start);
-}
-
-double kernel_events_per_sec() {
-  auto start = Clock::now();
-  std::uint64_t total = 0;
-  for (int rep = 0; rep < kChainReps; ++rep) {
-    sim::Scheduler sched;
-    int remaining = kChainEvents;
-    std::function<void()> tick = [&] {
-      if (--remaining > 0) {
-        sched.schedule_after(util::Duration::micros(10), tick);
-      }
-    };
-    sched.schedule_after(util::Duration::zero(), tick);
-    sched.run();
-    total += sched.events_executed();
-  }
-  return static_cast<double>(total) / seconds_since(start);
 }
 
 bool medians_identical(const bench::PageMedians& a,
@@ -126,7 +42,7 @@ bool medians_identical(const bench::PageMedians& a,
 int main(int argc, char** argv) {
   bench::BenchOptions opts = bench::parse_options(argc, argv);
   bench::print_header("Parallel scaling",
-                      "experiment fan-out wall-clock + kernel events/sec");
+                      "experiment fan-out wall-clock by jobs");
 
   // jobs ∈ {1, 2, N}: even on a single-core host the 2- and N-thread
   // levels run with real worker threads, so the determinism check always
@@ -190,14 +106,6 @@ int main(int argc, char** argv) {
   std::printf("parallel medians bitwise-identical to serial: %s\n",
               identical ? "yes" : "NO — DETERMINISM BROKEN");
 
-  std::printf("\nscheduler kernel (%d-event timer chains):\n", kChainEvents);
-  double legacy = legacy_events_per_sec();
-  double kernel = kernel_events_per_sec();
-  std::printf("  std::priority_queue baseline: %.2fM events/s\n",
-              legacy / 1e6);
-  std::printf("  vector-heap kernel:           %.2fM events/s  (%.2fx)\n",
-              kernel / 1e6, kernel / legacy);
-
   FILE* json = std::fopen("BENCH_parallel.json", "w");
   if (json == nullptr) {
     std::fprintf(stderr, "error: cannot write BENCH_parallel.json\n");
@@ -239,13 +147,8 @@ int main(int argc, char** argv) {
     first = false;
   }
   std::fprintf(json, "},\n");
-  std::fprintf(json, "  \"deterministic_across_jobs\": %s,\n",
+  std::fprintf(json, "  \"deterministic_across_jobs\": %s\n",
                identical ? "true" : "false");
-  std::fprintf(json, "  \"scheduler_events_per_sec\": {\n");
-  std::fprintf(json, "    \"priority_queue_baseline\": %.0f,\n", legacy);
-  std::fprintf(json, "    \"vector_heap\": %.0f,\n", kernel);
-  std::fprintf(json, "    \"improvement\": %.3f\n", kernel / legacy);
-  std::fprintf(json, "  }\n");
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("\nwrote BENCH_parallel.json\n");

@@ -152,25 +152,6 @@ ClientColumns derive_client_columns(const FleetConfig& config,
   return cols;
 }
 
-std::vector<ClientSpec> derive_clients(const FleetConfig& config,
-                                       std::size_t corpus_pages) {
-  ClientColumns cols = derive_client_columns(config, corpus_pages);
-  std::vector<ClientSpec> specs;
-  specs.reserve(cols.size());
-  for (std::size_t k = 0; k < cols.size(); ++k) {
-    ClientSpec spec;
-    spec.client = static_cast<int>(k);
-    spec.page_index = cols.page_index[k];
-    spec.scheme = config.scheme;
-    spec.arrival = util::TimePoint::at_seconds(cols.arrival_sec[k]);
-    spec.config = config.base;
-    spec.config.seed = cols.seed[k];
-    spec.config.testbed.fade_seed = cols.fade_seed[k];
-    specs.push_back(std::move(spec));
-  }
-  return specs;
-}
-
 namespace {
 
 /// Sum src's flow counters into dst. bytes_stored is a point-in-time
@@ -193,7 +174,7 @@ void fold_compute(ProxyCompute::Stats& dst, const ProxyCompute::Stats& src) {
   dst.last_finish = std::max(dst.last_finish, src.last_finish);
 }
 
-/// Per-epoch streaming aggregate: everything a finished epoch contributes
+/// Per-epoch aggregate: everything a finished epoch contributes
 /// to FleetMetrics, plus the state the boundary invariant check needs.
 struct EpochAgg {
   explicit EpochAgg(const core::LogHistogram::Layout& layout)
@@ -216,7 +197,9 @@ struct EpochAgg {
   double recovery_sec_total = 0.0;
   double recovery_sec_max = 0.0;
   ShardedFleetStats fleet;
-  ShardSnapshot end_snap;  // store tiers at epoch end (counters zero)
+  /// The epoch's ending store tiers equal the next epoch's starting
+  /// snapshot (vacuously true for the last epoch).
+  bool ends_at_next_start = true;
 };
 
 /// Fold one admitted session's RunResult into the epoch aggregate.
@@ -244,20 +227,62 @@ void fold_handoffs(EpochAgg& agg, const MacroOut& out) {
   }
 }
 
-/// Simulate one epoch end-to-end on the calling thread: macro timeline
-/// from the starting store snapshot, then every admitted micro-sim in
-/// client order, folding each result into the sketches the moment it
-/// completes — the RunResult is dropped before the next session runs.
+/// Clients per parse-cache sweep; also the block a fanned-out epoch hands
+/// to the parallel runner at once.
+constexpr std::size_t kSweepEvery = 256;
+
+/// The sink record for global client i (epoch-local slot j): the numbers
+/// the folds count, kept per client. `session` is null for a shed client.
+FleetClientResult client_result(const ClientColumns& cols, std::size_t i,
+                                const MacroOut& out, std::size_t j,
+                                core::RunResult* session) {
+  FleetClientResult r;
+  r.client = static_cast<int>(i);
+  r.page_index = cols.page_index[i];
+  r.arrival = util::TimePoint::at_seconds(cols.arrival_sec[i]);
+  r.shed = out.shed[j] != 0;
+  if (session == nullptr) return r;
+  r.queue_wait = util::Duration::seconds(out.max_wait_sec[j]);
+  r.proxy_done = util::TimePoint::at_seconds(out.done_sec[j]);
+  r.session = std::move(*session);
+  // Fleet-adjusted timeline: the contention the session sim cannot see is
+  // exactly the time this client's work sat waiting at the proxy.
+  r.olt = r.session.olt + r.queue_wait;
+  r.tlt = r.session.tlt + r.queue_wait;
+  // Crash-handoff accounting, mirrored onto the session result so the
+  // per-session surface carries its own recovery story.
+  r.handoffs = out.handoffs[j];
+  r.recovery = util::Duration::seconds(out.recovery_sec[j]);
+  r.redo_sec = out.redo_sec[j];
+  r.redo_bytes = out.redo_bytes[j];
+  r.session.shard_handoffs = r.handoffs;
+  r.session.handoff_recovery = r.recovery;
+  r.session.redo_service_sec = r.redo_sec;
+  r.session.redo_bytes = r.redo_bytes;
+  return r;
+}
+
+/// Simulate one epoch on the calling thread: the macro timeline from
+/// `start` (null = cold tiers), its ending tiers compared with `next` (the
+/// next epoch's start; null for the last), then every admitted micro-sim in
+/// client order, `jobs` at a time. Each RunResult is folded as soon as its
+/// batch completes and then dropped, or moved into `sink` (indexed by
+/// global client id) when the caller keeps per-client results. At width 1 a
+/// session's result is gone before the next session runs.
 EpochAgg run_epoch(const std::vector<const web::WebPage*>& corpus,
                    const ClientColumns& cols, EpochPlan::Epoch epoch,
-                   const ShardSnapshot& start, const FleetConfig& config) {
+                   const ShardSnapshot* start, const ShardSnapshot* next,
+                   const FleetConfig& config, int jobs,
+                   FleetClientResult* sink) {
   EpochAgg agg(config.sketch);
   const std::size_t n = epoch.end - epoch.begin;
 
+  // The macro scheduler heap bumps out of the epoch's arena; micro-runs
+  // install per-run arenas of their own inside ExperimentRunner::run.
   core::Arena arena;
   core::ArenaScope scope(arena);
   sim::Scheduler sched;
-  ShardedFleet fleet(sched, config, &start);
+  ShardedFleet fleet(sched, config, start);
 
   MacroColumns mc;
   mc.arrival_sec =
@@ -267,31 +292,54 @@ EpochAgg run_epoch(const std::vector<const web::WebPage*>& corpus,
   mc.base = epoch.begin;  // global client identity survives partitioning
   MacroOut out(n);
   fleet.run(corpus, mc, out);
+  agg.fleet = fleet.stats();
+  if (next != nullptr) agg.ends_at_next_start = fleet.snapshot_equal(*next);
 
-  for (std::size_t j = 0; j < n; ++j) {
-    if (out.shed[j] != 0) {
+  core::ParallelRunner runner(jobs);
+  const std::size_t width = runner.jobs() == 1 ? 1 : kSweepEvery;
+  std::vector<std::size_t> admitted;
+  for (std::size_t b = 0; b < n; b += kSweepEvery) {
+    admitted.clear();
+    for (std::size_t j = b; j < std::min(n, b + kSweepEvery); ++j) {
+      if (out.shed[j] == 0) {
+        admitted.push_back(j);
+        continue;
+      }
       ++agg.shed;
-      continue;
+      if (sink != nullptr) {
+        sink[epoch.begin + j] =
+            client_result(cols, epoch.begin + j, out, j, nullptr);
+      }
     }
-    ++agg.admitted;
-    std::size_t i = epoch.begin + j;
-    core::RunConfig cfg = config.base;
-    cfg.seed = cols.seed[i];
-    cfg.testbed.fade_seed = cols.fade_seed[i];
-    core::RunResult r = core::ExperimentRunner::run(
-        config.scheme, *corpus[cols.page_index[i]], cfg);
-    fold_session(agg, r, out.max_wait_sec[j]);
+    agg.admitted += static_cast<int>(admitted.size());
+    for (std::size_t s = 0; s < admitted.size(); s += width) {
+      std::vector<core::RunResult> results(
+          std::min(width, admitted.size() - s));
+      runner.for_each_index(results.size(), [&](std::size_t t) {
+        const std::size_t i = epoch.begin + admitted[s + t];
+        core::RunConfig cfg = config.base;
+        cfg.seed = cols.seed[i];
+        cfg.testbed.fade_seed = cols.fade_seed[i];
+        results[t] = core::ExperimentRunner::run(
+            config.scheme, *corpus[cols.page_index[i]], cfg);
+      });
+      for (std::size_t t = 0; t < results.size(); ++t) {
+        const std::size_t j = admitted[s + t];
+        fold_session(agg, results[t], out.max_wait_sec[j]);
+        if (sink != nullptr) {
+          sink[epoch.begin + j] =
+              client_result(cols, epoch.begin + j, out, j, &results[t]);
+        }
+      }
+    }
+    // Per-session content (bundle-unpacked objects) pins parse-cache
+    // entries that can never hit again; without this sweep the cache
+    // footprint grows linearly in K and memory is no longer bounded.
+    // Corpus artifacts survive (their owners still pin them), so
+    // warm-cache behavior is unchanged.
+    web::ParseCache::instance().sweep_transient();
   }
   fold_handoffs(agg, out);
-
-  agg.fleet = fleet.stats();
-  agg.end_snap = fleet.snapshot();
-  // Per-session content (bundle-unpacked objects) pins parse-cache
-  // entries that can never hit again; without this per-epoch sweep the
-  // cache footprint grows linearly in K and the bounded-memory claim of
-  // streaming mode is void. Corpus artifacts survive (their owners still
-  // pin them), so warm-cache behavior is unchanged.
-  web::ParseCache::instance().sweep_transient();
   return agg;
 }
 
@@ -336,300 +384,121 @@ void stamp_resident_bytes(FleetMetrics& m, const ShardedFleetStats& last) {
   m.l2.bytes_stored = last.l2.bytes_stored;
 }
 
-bool snapshots_equal(const ShardSnapshot& a, const ShardSnapshot& b) {
-  if (a.l1.size() != b.l1.size()) return false;
-  for (std::size_t s = 0; s < a.l1.size(); ++s) {
-    if (!a.l1[s].contents_equal(b.l1[s])) return false;
+ShardSnapshot fork_snapshot(const ShardSnapshot& snap) {
+  ShardSnapshot copy;
+  copy.l1.reserve(snap.l1.size());
+  for (const SharedObjectStore& l1 : snap.l1) {
+    copy.l1.push_back(l1.fork_contents());
   }
-  return a.l2.contents_equal(b.l2);
-}
-
-FleetMetrics run_fleet_streaming(const std::vector<const web::WebPage*>& corpus,
-                                 const FleetConfig& config) {
-  ClientColumns cols = derive_client_columns(config, corpus.size());
-  EpochPlan plan = plan_epochs(corpus, cols, config);
-
-  FleetMetrics m;
-  m.streaming = true;
-  m.shards = config.shards;
-  if (config.shards > 1) {
-    m.l1_shards.resize(static_cast<std::size_t>(config.shards));
-  }
-  m.epochs = static_cast<int>(plan.epochs.size());
-  m.epoch_parallel = plan.parallel && plan.epochs.size() > 1;
-  m.epoch_degrade_reason = plan.degrade_reason;
-  m.olt_stats = core::StreamingStats(config.sketch);
-  m.tlt_stats = core::StreamingStats(config.sketch);
-  m.wait_stats = core::StreamingStats(config.sketch);
-  m.energy_stats = core::StreamingStats(config.sketch);
-  m.recovery_stats = core::StreamingStats(config.sketch);
-
-  if (m.epoch_parallel) {
-    // Serial pre-pass: the tiers' evolution is a pure function of the
-    // request sequence here (no shedding and no crash possible —
-    // plan_epochs degrades otherwise), so replaying only the routing and
-    // store requests yields every epoch's starting snapshot without
-    // simulating anything else.
-    std::vector<ShardSnapshot> starts;
-    starts.reserve(plan.epochs.size());
-    ShardSnapshot replay = make_cold_snapshot(config);
-    for (const EpochPlan::Epoch& epoch : plan.epochs) {
-      ShardSnapshot at_start;
-      at_start.l1.reserve(replay.l1.size());
-      for (const SharedObjectStore& l1 : replay.l1) {
-        at_start.l1.push_back(l1.fork_contents());
-      }
-      at_start.l2 = replay.l2.fork_contents();
-      starts.push_back(std::move(at_start));
-      replay_store_requests(corpus, cols, epoch.begin, epoch.end, config,
-                            replay);
-    }
-
-    std::vector<EpochAgg> aggs(plan.epochs.size(), EpochAgg(config.sketch));
-    core::ParallelRunner runner(config.jobs);
-    runner.for_each_index(plan.epochs.size(), [&](std::size_t e) {
-      aggs[e] = run_epoch(corpus, cols, plan.epochs[e], starts[e], config);
-    });
-
-    // The non-interaction argument is checked, not assumed: every epoch's
-    // pools must have drained strictly before the next epoch's first
-    // arrival, and its ending tiers must be the snapshot the next epoch
-    // started from. A violation is a planner bug, not a data error.
-    for (std::size_t e = 0; e + 1 < plan.epochs.size(); ++e) {
-      double next_arrival = cols.arrival_sec[plan.epochs[e + 1].begin];
-      if (aggs[e].fleet.compute.completed != 0 &&
-          aggs[e].fleet.compute.last_finish.sec() >= next_arrival) {
-        throw std::logic_error(
-            "fleet epoch invariant violated: epoch " + std::to_string(e) +
-            " finished work at t=" +
-            std::to_string(aggs[e].fleet.compute.last_finish.sec()) +
-            " >= next epoch arrival t=" + std::to_string(next_arrival));
-      }
-      if (!snapshots_equal(aggs[e].end_snap, starts[e + 1])) {
-        throw std::logic_error(
-            "fleet epoch invariant violated: epoch " + std::to_string(e) +
-            " ending store tiers differ from the next epoch's snapshot");
-      }
-    }
-
-    for (const EpochAgg& agg : aggs) fold_epoch(m, agg);
-    if (!aggs.empty()) stamp_resident_bytes(m, aggs.back().fleet);
-  } else {
-    // One serial timeline (admission bounds, blackouts, a shard crash, or
-    // a fleet too small to split): the macro phase is the exact-mode
-    // loop, but the micro phase still streams — sessions fan out in
-    // bounded blocks and fold in client order, so memory is O(block),
-    // not O(K).
-    core::Arena macro_arena;
-    core::ArenaScope macro_scope(macro_arena);
-    sim::Scheduler sched;
-    ShardedFleet fleet(sched, config);
-    MacroColumns mc;
-    mc.arrival_sec = cols.arrival_sec;
-    mc.page_index = cols.page_index;
-    MacroOut out(cols.size());
-    fleet.run(corpus, mc, out);
-
-    EpochAgg agg(config.sketch);
-    std::vector<std::size_t> admitted;
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      if (out.shed[i] != 0) {
-        ++agg.shed;
-      } else {
-        admitted.push_back(i);
-      }
-    }
-    agg.admitted = static_cast<int>(admitted.size());
-    constexpr std::size_t kBlock = 256;
-    for (std::size_t b = 0; b < admitted.size(); b += kBlock) {
-      std::size_t block_end = std::min(admitted.size(), b + kBlock);
-      std::vector<core::ExperimentTask> tasks;
-      tasks.reserve(block_end - b);
-      for (std::size_t s = b; s < block_end; ++s) {
-        std::size_t i = admitted[s];
-        core::RunConfig cfg = config.base;
-        cfg.seed = cols.seed[i];
-        cfg.testbed.fade_seed = cols.fade_seed[i];
-        tasks.push_back(core::ExperimentTask{
-            config.scheme, corpus[cols.page_index[i]], cfg});
-      }
-      std::vector<core::RunResult> results =
-          core::run_experiments(tasks, config.jobs);
-      for (std::size_t s = b; s < block_end; ++s) {
-        fold_session(agg, results[s - b], out.max_wait_sec[admitted[s]]);
-      }
-      // Same bounded-memory discipline as run_epoch: the block's sessions
-      // are done, so their transient parse-cache pins are dead weight.
-      web::ParseCache::instance().sweep_transient();
-    }
-    fold_handoffs(agg, out);
-    agg.fleet = fleet.stats();
-    fold_epoch(m, agg);
-    stamp_resident_bytes(m, agg.fleet);
-  }
-
-  m.olt_p50 = m.olt_stats.quantile(50.0);
-  m.olt_p95 = m.olt_stats.quantile(95.0);
-  m.olt_p99 = m.olt_stats.quantile(99.0);
-  m.wait_p50 = m.wait_stats.quantile(50.0);
-  m.wait_p95 = m.wait_stats.quantile(95.0);
-  m.wait_p99 = m.wait_stats.quantile(99.0);
-  m.energy_j_total = m.energy_stats.sum();
-  m.proxy_busy_sec = m.compute.busy_sec();
-  m.fetch_parse_sec = m.compute.fetch_parse_sec();
-  return m;
+  copy.l2 = snap.l2.fork_contents();
+  return copy;
 }
 
 }  // namespace
 
 FleetMetrics run_fleet(const std::vector<const web::WebPage*>& corpus,
                        const FleetConfig& config) {
-  if (config.streaming) {
-    config.validate();
-    if (corpus.empty()) {
-      throw std::invalid_argument("run_fleet: corpus is empty");
+  const ClientColumns cols = derive_client_columns(config, corpus.size());
+  const EpochPlan plan = plan_epochs(corpus, cols, config);
+  const std::size_t epochs = plan.epochs.size();
+
+  FleetMetrics m;
+  m.streaming = config.streaming;
+  m.shards = config.shards;
+  if (config.shards > 1) {
+    m.l1_shards.resize(static_cast<std::size_t>(config.shards));
+  }
+  m.epochs = static_cast<int>(epochs);
+  m.epoch_parallel = epochs > 1;
+  m.epoch_degrade_reason = plan.degrade_reason;
+  m.olt_stats = core::StreamingStats(config.sketch);
+  m.tlt_stats = core::StreamingStats(config.sketch);
+  m.wait_stats = core::StreamingStats(config.sketch);
+  m.energy_stats = core::StreamingStats(config.sketch);
+  m.recovery_stats = core::StreamingStats(config.sketch);
+  if (!config.streaming) m.clients.resize(cols.size());
+  FleetClientResult* sink = config.streaming ? nullptr : m.clients.data();
+
+  // Epoch 0 starts cold. A multi-epoch plan admits no shedding and no
+  // crash, so the tiers' evolution is a pure function of the request
+  // sequence: replaying only the routing and store requests of epochs
+  // 0..n-2 yields every later epoch's starting snapshot without
+  // simulating anything else.
+  std::vector<ShardSnapshot> starts(epochs);
+  if (epochs > 1) {
+    ShardSnapshot replay = make_cold_snapshot(config);
+    for (std::size_t e = 0; e + 1 < epochs; ++e) {
+      replay_store_requests(corpus, cols, plan.epochs[e].begin,
+                            plan.epochs[e].end, config, replay);
+      starts[e + 1] = fork_snapshot(replay);
     }
-    return run_fleet_streaming(corpus, config);
   }
-  return run_fleet(corpus, derive_clients(config, corpus.size()), config);
-}
 
-FleetMetrics run_fleet(const std::vector<const web::WebPage*>& corpus,
-                       const std::vector<ClientSpec>& specs,
-                       const FleetConfig& config) {
-  config.validate();
-  if (config.streaming) {
-    throw std::invalid_argument(
-        "run_fleet: streaming mode derives its own clients; use the "
-        "corpus-only overload");
-  }
-  if (corpus.empty()) {
-    throw std::invalid_argument("run_fleet: corpus is empty");
-  }
-  for (const ClientSpec& spec : specs) {
-    if (spec.page_index >= corpus.size()) {
-      throw std::invalid_argument(
-          "run_fleet: client page_index out of range: " +
-          std::to_string(spec.page_index));
+  // Two or more epochs spread across the runner, each running its
+  // micro-sims inline; a single epoch spreads its micro-sims instead.
+  std::vector<EpochAgg> aggs(epochs, EpochAgg(config.sketch));
+  const int inner_jobs = epochs > 1 ? 1 : config.jobs;
+  core::ParallelRunner(config.jobs).for_each_index(epochs, [&](std::size_t e) {
+    aggs[e] = run_epoch(corpus, cols, plan.epochs[e],
+                        e == 0 ? nullptr : &starts[e],
+                        e + 1 == epochs ? nullptr : &starts[e + 1], config,
+                        inner_jobs, sink);
+  });
+
+  // The non-interaction argument is checked, not assumed: every epoch's
+  // pools must have drained strictly before the next epoch's first
+  // arrival, and its ending tiers must be the snapshot the next epoch
+  // started from. A violation is a planner bug, not a data error.
+  for (std::size_t e = 0; e + 1 < epochs; ++e) {
+    double next_arrival = cols.arrival_sec[plan.epochs[e + 1].begin];
+    if (aggs[e].fleet.compute.completed != 0 &&
+        aggs[e].fleet.compute.last_finish.sec() >= next_arrival) {
+      throw std::logic_error(
+          "fleet epoch invariant violated: epoch " + std::to_string(e) +
+          " finished work at t=" +
+          std::to_string(aggs[e].fleet.compute.last_finish.sec()) +
+          " >= next epoch arrival t=" + std::to_string(next_arrival));
+    }
+    if (!aggs[e].ends_at_next_start) {
+      throw std::logic_error(
+          "fleet epoch invariant violated: epoch " + std::to_string(e) +
+          " ending store tiers differ from the next epoch's snapshot");
     }
   }
 
-  // ---- Macro phase: one shared timeline for arrivals, the routing
-  // front, the store tiers, and every shard's compute pool. Serial by
-  // construction; depends only on the corpus pages and the specs, never
-  // on micro-run outputs. The macro scheduler heap bumps out of its own
-  // arena; micro-runs install per-run arenas of their own inside
-  // ExperimentRunner::run (worker threads, nested fine). Explicit specs
-  // may carry arbitrary client ids/weights, so those two columns are
-  // materialized from the AoS records here.
-  core::Arena macro_arena;
-  core::ArenaScope macro_scope(macro_arena);
-  sim::Scheduler sched;
-  ShardedFleet fleet(sched, config);
+  for (const EpochAgg& agg : aggs) fold_epoch(m, agg);
+  stamp_resident_bytes(m, aggs.back().fleet);
 
-  std::vector<double> arrival_sec;
-  std::vector<std::uint32_t> page_index;
-  std::vector<int> client;
-  std::vector<double> weight;
-  arrival_sec.reserve(specs.size());
-  page_index.reserve(specs.size());
-  client.reserve(specs.size());
-  weight.reserve(specs.size());
-  for (const ClientSpec& spec : specs) {
-    arrival_sec.push_back(spec.arrival.sec());
-    page_index.push_back(static_cast<std::uint32_t>(spec.page_index));
-    client.push_back(spec.client);
-    weight.push_back(spec.weight);
-  }
-  MacroColumns mc{arrival_sec, page_index, client, weight, 0};
-  MacroOut out(specs.size());
-  fleet.run(corpus, mc, out);
-
-  // ---- Micro phase: one independent session simulation per admitted
-  // client, fanned out across the parallel runner (slot-indexed, so any
-  // jobs value is bitwise identical).
-  std::vector<std::size_t> admitted;
-  std::vector<core::ExperimentTask> tasks;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (out.shed[i] != 0) continue;
-    admitted.push_back(i);
-    tasks.push_back(core::ExperimentTask{specs[i].scheme,
-                                         corpus[specs[i].page_index],
-                                         specs[i].config});
-  }
-  std::vector<core::RunResult> sessions =
-      core::run_experiments(tasks, config.jobs);
-
-  // ---- Merge.
-  FleetMetrics metrics;
-  metrics.shards = config.shards;
-  metrics.clients.resize(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    FleetClientResult& r = metrics.clients[i];
-    r.client = specs[i].client;
-    r.page_index = specs[i].page_index;
-    r.arrival = specs[i].arrival;
-    r.shed = out.shed[i] != 0;
-  }
-  std::vector<double> olts, waits;
-  olts.reserve(admitted.size());
-  waits.reserve(admitted.size());
-  for (std::size_t s = 0; s < admitted.size(); ++s) {
-    std::size_t i = admitted[s];
-    FleetClientResult& r = metrics.clients[i];
-    r.queue_wait = util::Duration::seconds(out.max_wait_sec[i]);
-    r.proxy_done = util::TimePoint::at_seconds(out.done_sec[i]);
-    r.session = std::move(sessions[s]);
-    // Fleet-adjusted timeline: the contention the session sim cannot see
-    // is exactly the time this client's work sat waiting at the proxy.
-    r.olt = r.session.olt + r.queue_wait;
-    r.tlt = r.session.tlt + r.queue_wait;
-    // Crash-handoff accounting, mirrored onto the session result so the
-    // per-session surface carries its own recovery story (ISSUE 8).
-    r.handoffs = out.handoffs[i];
-    r.recovery = util::Duration::seconds(out.recovery_sec[i]);
-    r.redo_sec = out.redo_sec[i];
-    r.redo_bytes = out.redo_bytes[i];
-    r.session.shard_handoffs = out.handoffs[i];
-    r.session.handoff_recovery = r.recovery;
-    r.session.redo_service_sec = r.redo_sec;
-    r.session.redo_bytes = r.redo_bytes;
-    if (r.handoffs > 0) {
-      metrics.recovery_sec_total += out.recovery_sec[i];
-      metrics.recovery_sec_max =
-          std::max(metrics.recovery_sec_max, out.recovery_sec[i]);
+  if (sink != nullptr) {
+    // Exact nearest-rank percentiles over the kept per-client results.
+    std::vector<double> olts, waits;
+    olts.reserve(static_cast<std::size_t>(m.admitted));
+    waits.reserve(static_cast<std::size_t>(m.admitted));
+    for (const FleetClientResult& r : m.clients) {
+      if (r.shed) continue;
+      olts.push_back(r.olt.sec());
+      waits.push_back(r.queue_wait.sec());
     }
-    olts.push_back(r.olt.sec());
-    waits.push_back(r.queue_wait.sec());
-    metrics.energy_j_total += r.session.radio.total.j();
-    metrics.fault_retransmits += r.session.retransmits;
-    metrics.fault_drops += r.session.fault_drops;
-    metrics.fault_deferrals += r.session.fault_deferrals;
-    metrics.direct_fetches += r.session.direct_fetches;
-    if (r.session.degraded) ++metrics.degraded_sessions;
+    if (!olts.empty()) {
+      m.olt_p50 = util::percentile(olts, 50.0);
+      m.olt_p95 = util::percentile(olts, 95.0);
+      m.olt_p99 = util::percentile(olts, 99.0);
+      m.wait_p50 = util::percentile(waits, 50.0);
+      m.wait_p95 = util::percentile(waits, 95.0);
+      m.wait_p99 = util::percentile(waits, 99.0);
+    }
+  } else {
+    m.olt_p50 = m.olt_stats.quantile(50.0);
+    m.olt_p95 = m.olt_stats.quantile(95.0);
+    m.olt_p99 = m.olt_stats.quantile(99.0);
+    m.wait_p50 = m.wait_stats.quantile(50.0);
+    m.wait_p95 = m.wait_stats.quantile(95.0);
+    m.wait_p99 = m.wait_stats.quantile(99.0);
   }
-  metrics.admitted = static_cast<int>(admitted.size());
-  metrics.shed = static_cast<int>(specs.size() - admitted.size());
-  if (!olts.empty()) {
-    metrics.olt_p50 = util::percentile(olts, 50.0);
-    metrics.olt_p95 = util::percentile(olts, 95.0);
-    metrics.olt_p99 = util::percentile(olts, 99.0);
-    metrics.wait_p50 = util::percentile(waits, 50.0);
-    metrics.wait_p95 = util::percentile(waits, 95.0);
-    metrics.wait_p99 = util::percentile(waits, 99.0);
-  }
-  ShardedFleetStats st = fleet.stats();
-  metrics.store = st.l1_total();
-  if (config.shards > 1) metrics.l1_shards = st.l1;
-  metrics.l2 = st.l2;
-  metrics.compute = st.compute;
-  metrics.crash_handoffs = st.crash_handoffs;
-  metrics.crash_killed_tasks = st.crash_killed_tasks;
-  metrics.redo_sec_total = st.redo_sec_total;
-  metrics.redo_bytes_total = st.redo_bytes_total;
-  metrics.proxy_busy_sec = metrics.compute.busy_sec();
-  metrics.fetch_parse_sec = metrics.compute.fetch_parse_sec();
-  return metrics;
+  m.energy_j_total = m.energy_stats.sum();
+  m.proxy_busy_sec = m.compute.busy_sec();
+  m.fetch_parse_sec = m.compute.fetch_parse_sec();
+  return m;
 }
 
 }  // namespace parcel::fleet

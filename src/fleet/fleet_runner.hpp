@@ -12,23 +12,25 @@
 //
 //  * The per-session micro-simulations — one core::ExperimentRunner run
 //    per admitted client (own Testbed, own seeds), fanned out across
-//    core::ParallelRunner workers. Results land in per-client slots, so
-//    every aggregate below is bitwise identical for any --jobs value.
+//    core::ParallelRunner workers and folded in client order, so every
+//    aggregate below is bitwise identical for any --jobs value.
 //
-// The macro layer depends only on the corpus and the specs (not on
-// micro-run outputs), and the micro layer only on the specs, so the two
-// compose without feedback and the whole fleet run is a pure function of
-// (corpus, FleetConfig). A client's fleet-adjusted OLT/TLT is its
-// session-level value plus its queueing delay — service time is already
-// inside the session simulation and is deliberately not added twice
-// (DESIGN.md §10).
+// The macro layer depends only on the corpus and the derived client
+// columns (not on micro-run outputs), and the micro layer only on the
+// columns, so the two compose without feedback and the whole fleet run is
+// a pure function of (corpus, FleetConfig). A client's fleet-adjusted
+// OLT/TLT is its session-level value plus its queueing delay — service
+// time is already inside the session simulation and is deliberately not
+// added twice (DESIGN.md §10).
 //
-// ISSUE 7 adds a streaming mode for million-session fleets: per-session
-// results are folded into core::StreamingStats sketches the moment each
-// micro-simulation completes (never stored), and the macro timeline is
-// partitioned into provably non-interacting epochs (epoch_plan.hpp) that
-// run concurrently on ParallelRunner — with fleet metrics still bitwise
-// identical for any --jobs value.
+// Every run takes one path, sized for million-session fleets: derive the
+// client columns, partition the macro timeline into provably
+// non-interacting epochs (epoch_plan.hpp), run the epochs (concurrently
+// on ParallelRunner when there are two or more; a single epoch fans its
+// micro-sims out instead), and fold every session into
+// core::StreamingStats sketches and exact sums in client order. Keeping
+// per-client results is an optional sink on top of those folds
+// (FleetConfig::streaming = false); it only observes.
 #pragma once
 
 #include <cstdint>
@@ -43,20 +45,6 @@
 #include "web/page.hpp"
 
 namespace parcel::fleet {
-
-/// One client of the fleet, fully described by value. Normally derived by
-/// derive_clients(); the low-level overload of run_fleet accepts explicit
-/// specs so regression tests can mirror the single-client harness's exact
-/// seed derivation.
-struct ClientSpec {
-  int client = 0;
-  std::size_t page_index = 0;
-  core::Scheme scheme = core::Scheme::kParcelInd;
-  util::TimePoint arrival;
-  /// Weighted-fair share under QueuePolicy::kWeightedFair.
-  double weight = 1.0;
-  core::RunConfig config;
-};
 
 /// Arrival-process families (ISSUE 10): how the fleet's K clients land
 /// on the timeline. All are seeded rate-modulated renewal processes —
@@ -127,17 +115,18 @@ struct FleetConfig {
   /// requires shards > 1 (validate()).
   sim::FaultPlan shard_faults;
 
-  /// Streaming aggregation (ISSUE 7): fold every admitted session into
-  /// sketches and running sums as it completes instead of materializing
-  /// per-client results — FleetMetrics.clients stays empty, memory stays
-  /// bounded in K, and the macro timeline runs epoch-parallel whenever
-  /// the config is provably interaction-free (epoch_plan.hpp). The
-  /// percentile fields are then sketch-backed with the documented
-  /// LogHistogram relative-error bound; integer counters and store/
-  /// compute stats remain exact.
+  /// Whether the per-client sink is dropped. Every run folds each
+  /// admitted session into sketches and running sums as it completes and
+  /// runs the macro timeline epoch-parallel whenever the config is
+  /// provably interaction-free (epoch_plan.hpp). false additionally keeps
+  /// one FleetClientResult per client in FleetMetrics.clients and takes
+  /// the percentile fields exactly from them; true keeps nothing per
+  /// client — memory stays bounded in K — and the percentile fields are
+  /// sketch-backed with the documented LogHistogram relative-error bound.
+  /// Integer counters and store/compute stats are exact either way.
   bool streaming = false;
-  /// Minimum sessions per epoch in streaming mode (the planner also
-  /// enforces >= K/1024 so epoch-merge state is O(1) in K).
+  /// Minimum sessions per epoch (the planner also enforces >= K/1024 so
+  /// epoch-merge state is O(1) in K).
   int epoch_min_sessions = 512;
   /// Bin geometry for the streaming sketches.
   core::LogHistogram::Layout sketch;
@@ -147,12 +136,10 @@ struct FleetConfig {
   void validate() const;
 };
 
-/// SoA columns for the fleet's per-client bookkeeping (ISSUE 7
-/// satellite): the macro epoch loop walks parallel arrays instead of
-/// ClientSpec records — 36 bytes per client instead of a full embedded
-/// RunConfig, and each column scans linearly. Derived fleets are uniform
-/// in scheme/weight (config.scheme, weight 1.0), so only the per-client
-/// varying fields get columns; index k is the client id.
+/// SoA columns for the fleet's per-client bookkeeping: 28 bytes per
+/// client, each column scanned linearly by the macro epoch loop. Fleets
+/// are uniform in scheme/weight (config.scheme, weight 1.0), so only the
+/// per-client varying fields get columns; index k is the client id.
 struct ClientColumns {
   std::vector<double> arrival_sec;
   std::vector<std::uint32_t> page_index;
@@ -161,8 +148,10 @@ struct ClientColumns {
   [[nodiscard]] std::size_t size() const { return arrival_sec.size(); }
 };
 
-/// Column-form equivalent of derive_clients: identical arrival process
-/// and seed derivation, ~30x smaller per client.
+/// Derive the K clients from the config: arrival times from the seeded
+/// arrival process, pages round-robin over the corpus (the repeated-corpus
+/// warming pattern), per-client seeds from base.seed and the client index.
+/// Throws std::invalid_argument on an invalid config or an empty corpus.
 [[nodiscard]] ClientColumns derive_client_columns(const FleetConfig& config,
                                                   std::size_t corpus_pages);
 
@@ -191,7 +180,8 @@ struct FleetClientResult {
 };
 
 struct FleetMetrics {
-  std::vector<FleetClientResult> clients;  // indexed by client id
+  /// The per-client sink, indexed by client id (empty when streaming).
+  std::vector<FleetClientResult> clients;
   int admitted = 0;
   int shed = 0;
   [[nodiscard]] double shed_rate() const {
@@ -201,7 +191,8 @@ struct FleetMetrics {
   }
 
   /// Distributions over admitted clients (fleet-adjusted OLT, queueing
-  /// delay), in seconds.
+  /// delay), in seconds: exact over the sink, or from the sketches below
+  /// when streaming.
   double olt_p50 = 0.0, olt_p95 = 0.0, olt_p99 = 0.0;
   double wait_p50 = 0.0, wait_p95 = 0.0, wait_p99 = 0.0;
 
@@ -230,8 +221,7 @@ struct FleetMetrics {
   std::vector<SharedObjectStore::Stats> l1_shards;
   /// Shared L2 tier stats (all-zero when shards == 1).
   SharedObjectStore::Stats l2;
-  /// Crash-driven handoff accounting — exact integer/double sums in both
-  /// exact and streaming modes.
+  /// Crash-driven handoff accounting — exact integer/double sums.
   std::uint64_t crash_handoffs = 0;      // session migrations executed
   std::uint64_t crash_killed_tasks = 0;  // tasks destroyed by the crash
   double redo_sec_total = 0.0;           // proxy service re-executed, s
@@ -239,21 +229,19 @@ struct FleetMetrics {
   double recovery_sec_total = 0.0;       // sum over migrated sessions
   double recovery_sec_max = 0.0;         // slowest migrated session
 
-  // ---- Fleet fault/degradation counters (ISSUE 8 satellite 1): exact
-  // integer sums over admitted sessions' RunResults, folded identically
-  // in exact and streaming modes (sketches never replace these).
+  // ---- Fleet fault/degradation counters: exact integer sums over
+  // admitted sessions' RunResults (sketches never replace these).
   std::uint64_t fault_retransmits = 0;
   std::uint64_t fault_drops = 0;
   std::uint64_t fault_deferrals = 0;
   std::uint64_t direct_fetches = 0;
   std::uint64_t degraded_sessions = 0;
 
-  // ---- Streaming-mode surface (FleetConfig::streaming; zeroed in exact
-  // mode). The percentile fields above are filled from these sketches
-  // (nearest-rank, within LogHistogram::relative_error_bound()); clients
-  // stays empty by design.
-  bool streaming = false;
-  /// Epoch decomposition actually used (1 when degraded or exact).
+  // ---- Fold surface, filled on every run. When streaming, the percentile
+  // fields above come from these sketches (nearest-rank, within
+  // LogHistogram::relative_error_bound()) and clients stays empty.
+  bool streaming = false;  // FleetConfig::streaming of the run
+  /// Epoch decomposition actually used (1 when degraded).
   int epochs = 0;
   bool epoch_parallel = false;
   /// Why the epoch planner degraded to one serial epoch ("" otherwise).
@@ -265,24 +253,14 @@ struct FleetMetrics {
   core::StreamingStats wait_stats;    // per-client worst queue wait, s
   core::StreamingStats energy_stats;  // per-session radio energy, joules
   /// Per-migrated-session recovery time, seconds (empty unless a sharded
-  /// streaming run crashed — which also degrades the plan to serial).
+  /// run crashed — which also degrades the plan to serial).
   core::StreamingStats recovery_stats;
 };
 
-/// Derive the K client specs from the config: arrival times from the
-/// seeded exponential process, pages round-robin over the corpus (the
-/// repeated-corpus warming pattern), per-client seeds from base.seed.
-[[nodiscard]] std::vector<ClientSpec> derive_clients(
-    const FleetConfig& config, std::size_t corpus_pages);
-
-/// Run the fleet: macro-simulate admission/store/queueing, micro-simulate
-/// every admitted session (fanned across `config.jobs` workers), merge.
+/// Run the fleet: derive the clients, plan epochs, macro-simulate
+/// admission/store/queueing and micro-simulate every admitted session per
+/// epoch (fanned across `config.jobs` workers), fold in client order.
 [[nodiscard]] FleetMetrics run_fleet(
     const std::vector<const web::WebPage*>& corpus, const FleetConfig& config);
-
-/// Low-level entry: explicit specs (page_index must be < corpus.size()).
-[[nodiscard]] FleetMetrics run_fleet(
-    const std::vector<const web::WebPage*>& corpus,
-    const std::vector<ClientSpec>& specs, const FleetConfig& config);
 
 }  // namespace parcel::fleet

@@ -109,9 +109,7 @@ void ShardedFleet::on_arrival(const std::vector<const web::WebPage*>& corpus,
                               const MacroColumns& cols, std::size_t i,
                               MacroOut& out) {
   const web::WebPage& page = *corpus[cols.page_index[i]];
-  int client = cols.client.empty() ? static_cast<int>(cols.base + i)
-                                   : cols.client[i];
-  double weight = cols.weight.empty() ? 1.0 : cols.weight[i];
+  const int client = static_cast<int>(cols.base + i);
   int s = router_.route(ShardRouter::client_key(client));
   ProxyShard& node = *nodes_[static_cast<std::size_t>(s)];
 
@@ -141,12 +139,11 @@ void ShardedFleet::on_arrival(const std::vector<const web::WebPage*>& corpus,
     return;
   }
   shard_of_[i] = s;
-  submit_batch(i, s, page, client, weight, out, /*redo=*/false);
+  submit_batch(i, s, page, client, out, /*redo=*/false);
 }
 
 void ShardedFleet::submit_batch(std::size_t i, int s, const web::WebPage& page,
-                                int client, double weight, MacroOut& out,
-                                bool redo) {
+                                int client, MacroOut& out, bool redo) {
   ProxyShard& node = *nodes_[static_cast<std::size_t>(s)];
   auto on_done = [this, &out, i](util::TimePoint finished,
                                  util::Duration waited) {
@@ -167,7 +164,7 @@ void ShardedFleet::submit_batch(std::size_t i, int s, const web::WebPage& page,
       }
     }
     ++outstanding_[i];
-    node.compute.submit(client, weight, kind, bytes, on_done);
+    node.compute.submit(client, /*weight=*/1.0, kind, bytes, on_done);
   };
   for (const web::WebObject* object : page.objects()) {
     SharedObjectStore::Outcome o1 = node.l1.request(*object);
@@ -208,14 +205,12 @@ void ShardedFleet::on_crash(const std::vector<const web::WebPage*>& corpus,
     if (shard_of_[i] != victim_ || outstanding_[i] <= 0) continue;
     outstanding_[i] = 0;  // every pending completion was voided
     const web::WebPage& page = *corpus[cols.page_index[i]];
-    int client = cols.client.empty() ? static_cast<int>(cols.base + i)
-                                     : cols.client[i];
-    double weight = cols.weight.empty() ? 1.0 : cols.weight[i];
+    const int client = static_cast<int>(cols.base + i);
     int target = router_.route(ShardRouter::client_key(client));
     shard_of_[i] = target;
     ++out.handoffs[i];
     ++crash_handoffs_;
-    submit_batch(i, target, page, client, weight, out, /*redo=*/true);
+    submit_batch(i, target, page, client, out, /*redo=*/true);
   }
 }
 

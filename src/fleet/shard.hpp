@@ -51,16 +51,13 @@
 
 namespace parcel::fleet {
 
-/// SoA view of the macro timeline's inputs. `client` and `weight` may be
-/// empty: element i's id then defaults to base + i and its weight to 1.0.
-/// `base` is the global index of element 0 — epoch subspans set it so a
-/// client keeps one identity (for routing and WFQ) no matter how the
-/// timeline was partitioned.
+/// SoA view of the macro timeline's inputs. Element i is client base + i
+/// with weight 1.0; `base` is the global index of element 0, so epoch
+/// subspans keep one client identity (for routing and WFQ) no matter how
+/// the timeline was partitioned.
 struct MacroColumns {
   std::span<const double> arrival_sec;
   std::span<const std::uint32_t> page_index;
-  std::span<const int> client;
-  std::span<const double> weight;
   std::size_t base = 0;
 };
 
@@ -90,8 +87,8 @@ struct MacroOut {
 };
 
 /// Store contents of a sharded fleet at an instant: one L1 per shard plus
-/// the shared L2. The epoch-parallel streaming runner forks these at
-/// epoch boundaries and checks them after (DESIGN.md §12 invariant).
+/// the shared L2. The fleet runner forks these at epoch boundaries and
+/// checks them after (DESIGN.md §12 invariant).
 struct ShardSnapshot {
   std::vector<SharedObjectStore> l1;
   SharedObjectStore l2;
@@ -169,7 +166,7 @@ class ShardedFleet {
   /// on shard `s`; when `redo` is set, accumulate handoff redo accounting
   /// into `out`.
   void submit_batch(std::size_t i, int s, const web::WebPage& page,
-                    int client, double weight, MacroOut& out, bool redo);
+                    int client, MacroOut& out, bool redo);
 
   sim::Scheduler& sched_;
   const FleetConfig& config_;

@@ -82,19 +82,31 @@ void expect_identical(const core::RunResult& a, const core::RunResult& b) {
   EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);
 }
 
-void expect_fleet_identical(const FleetMetrics& a, const FleetMetrics& b) {
+// Per-client sink records plus the exact percentiles taken from them.
+void expect_clients_identical(const FleetMetrics& a, const FleetMetrics& b) {
   ASSERT_EQ(a.clients.size(), b.clients.size());
   EXPECT_EQ(a.admitted, b.admitted);
   EXPECT_EQ(a.shed, b.shed);
   for (std::size_t i = 0; i < a.clients.size(); ++i) {
     SCOPED_TRACE("client " + std::to_string(i));
+    EXPECT_EQ(a.clients[i].client, b.clients[i].client);
     EXPECT_EQ(a.clients[i].shed, b.clients[i].shed);
     EXPECT_EQ(a.clients[i].queue_wait.sec(), b.clients[i].queue_wait.sec());
+    EXPECT_EQ(a.clients[i].proxy_done.sec(), b.clients[i].proxy_done.sec());
     EXPECT_EQ(a.clients[i].olt.sec(), b.clients[i].olt.sec());
     EXPECT_EQ(a.clients[i].tlt.sec(), b.clients[i].tlt.sec());
     expect_identical(a.clients[i].session, b.clients[i].session);
   }
   EXPECT_EQ(a.olt_p50, b.olt_p50);
+  EXPECT_EQ(a.olt_p95, b.olt_p95);
+  EXPECT_EQ(a.olt_p99, b.olt_p99);
+  EXPECT_EQ(a.wait_p50, b.wait_p50);
+  EXPECT_EQ(a.wait_p95, b.wait_p95);
+  EXPECT_EQ(a.wait_p99, b.wait_p99);
+}
+
+void expect_fleet_identical(const FleetMetrics& a, const FleetMetrics& b) {
+  expect_clients_identical(a, b);
   EXPECT_EQ(a.olt_p95, b.olt_p95);
   EXPECT_EQ(a.olt_p99, b.olt_p99);
   EXPECT_EQ(a.wait_p95, b.wait_p95);
@@ -336,25 +348,27 @@ TEST(FleetRunner, DeriveClientsIsDeterministicAndRoundRobin) {
   FleetConfig cfg;
   cfg.clients = 6;
   cfg.arrival_seed = 99;
-  std::vector<ClientSpec> a = derive_clients(cfg, 2);
-  std::vector<ClientSpec> b = derive_clients(cfg, 2);
+  ClientColumns a = derive_client_columns(cfg, 2);
+  ClientColumns b = derive_client_columns(cfg, 2);
   ASSERT_EQ(a.size(), 6u);
-  EXPECT_EQ(a[0].arrival.sec(), 0.0);
+  EXPECT_EQ(a.arrival_sec[0], 0.0);
   for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a[k].arrival.sec(), b[k].arrival.sec());
-    EXPECT_EQ(a[k].config.seed, b[k].config.seed);
-    EXPECT_EQ(a[k].page_index, k % 2);
+    EXPECT_EQ(a.arrival_sec[k], b.arrival_sec[k]);
+    EXPECT_EQ(a.seed[k], b.seed[k]);
+    EXPECT_EQ(a.fade_seed[k], b.fade_seed[k]);
+    EXPECT_EQ(a.page_index[k], k % 2);
     if (k > 0) {
-      EXPECT_GE(a[k].arrival.sec(), a[k - 1].arrival.sec());
+      EXPECT_GE(a.arrival_sec[k], a.arrival_sec[k - 1]);
     }
   }
   // Distinct per-client seeds (pure function of the client index).
-  EXPECT_NE(a[0].config.seed, a[1].config.seed);
+  EXPECT_NE(a.seed[0], a.seed[1]);
+  EXPECT_NE(a.fade_seed[0], a.fade_seed[1]);
 
   FleetConfig bad = cfg;
   bad.clients = 0;
-  EXPECT_THROW(derive_clients(bad, 2), std::invalid_argument);
-  EXPECT_THROW(derive_clients(cfg, 0), std::invalid_argument);
+  EXPECT_THROW((void)derive_client_columns(bad, 2), std::invalid_argument);
+  EXPECT_THROW((void)derive_client_columns(cfg, 0), std::invalid_argument);
 }
 
 TEST(FleetRunner, SingleClientIdleComputeReproducesExperimentRunner) {
@@ -369,11 +383,14 @@ TEST(FleetRunner, SingleClientIdleComputeReproducesExperimentRunner) {
 
   ASSERT_EQ(metrics.admitted, 1);
   EXPECT_EQ(metrics.shed, 0);
+  // The sink-keeping run fills the fold surface too.
+  EXPECT_EQ(metrics.sessions_ok, 1u);
+  EXPECT_EQ(metrics.epochs, 1);
   const FleetClientResult& r = metrics.clients[0];
   EXPECT_EQ(r.queue_wait.sec(), 0.0);
 
   core::RunConfig expected_cfg = cfg.base;
-  expected_cfg.seed = cfg.base.seed + 1;  // derive_clients, k = 0
+  expected_cfg.seed = cfg.base.seed + 1;  // derive_client_columns, k = 0
   expected_cfg.testbed.fade_seed = cfg.base.testbed.fade_seed + 1;
   core::RunResult expected = core::ExperimentRunner::run(
       core::Scheme::kParcelInd, test_page(), expected_cfg);
@@ -384,8 +401,10 @@ TEST(FleetRunner, SingleClientIdleComputeReproducesExperimentRunner) {
 }
 
 TEST(FleetRunner, ExplicitSpecsMirrorRunRoundsByteForByte) {
-  // Same grid, two harnesses: run_rounds' (round x scheme) sweep vs a
-  // fleet of explicit specs using run_rounds' exact seed derivation.
+  // Same grid, two harnesses: run_rounds' (round x scheme) sweep vs one
+  // derived fleet per scheme i. Client k's seeds are base.seed +
+  // 1000003 k + 1 and base.fade_seed + 7919 k + 1; offsetting the bases
+  // by 97 i - 1 and 31 i gives exactly run_rounds' seeds for round k.
   std::vector<core::Scheme> schemes{core::Scheme::kDir,
                                     core::Scheme::kParcelInd};
   core::RoundsConfig rounds_cfg;
@@ -396,43 +415,24 @@ TEST(FleetRunner, ExplicitSpecsMirrorRunRoundsByteForByte) {
       core::run_rounds(test_page(), schemes, rounds_cfg);
   ASSERT_EQ(rounds.rounds_kept, 2);
 
-  FleetConfig cfg;
-  cfg.compute = ProxyComputeConfig::idle();
-  cfg.base = rounds_cfg.base;
-  std::vector<ClientSpec> specs;
-  for (int round = 0; round < rounds_cfg.rounds; ++round) {
-    for (std::size_t i = 0; i < schemes.size(); ++i) {
-      ClientSpec spec;
-      spec.client = static_cast<int>(specs.size());
-      spec.page_index = 0;
-      spec.scheme = schemes[i];
-      spec.arrival = util::TimePoint::origin() +
-                     util::Duration::seconds(static_cast<double>(round));
-      spec.config = rounds_cfg.base;
-      spec.config.seed = rounds_cfg.base.seed +
-                         1000003ULL * static_cast<std::uint64_t>(round) +
-                         97ULL * i;
-      spec.config.testbed.fade_seed =
-          rounds_cfg.base.testbed.fade_seed +
-          7919ULL * static_cast<std::uint64_t>(round) + 31ULL * i + 1;
-      specs.push_back(std::move(spec));
-    }
-  }
   std::vector<const web::WebPage*> corpus{&test_page()};
-  FleetMetrics metrics = run_fleet(corpus, specs, cfg);
-  ASSERT_EQ(metrics.admitted, 4);
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    FleetConfig cfg;
+    cfg.clients = rounds_cfg.rounds;
+    cfg.scheme = schemes[i];
+    cfg.compute = ProxyComputeConfig::idle();
+    cfg.base = rounds_cfg.base;
+    cfg.base.seed = rounds_cfg.base.seed + 97ULL * i - 1;
+    cfg.base.testbed.fade_seed = rounds_cfg.base.testbed.fade_seed + 31ULL * i;
+    FleetMetrics metrics = run_fleet(corpus, cfg);
+    ASSERT_EQ(metrics.admitted, rounds_cfg.rounds);
 
-  for (int round = 0; round < rounds_cfg.rounds; ++round) {
-    for (std::size_t i = 0; i < schemes.size(); ++i) {
+    for (int round = 0; round < rounds_cfg.rounds; ++round) {
       SCOPED_TRACE("round " + std::to_string(round) + " " +
                    core::to_string(schemes[i]));
-      const core::RunResult& expected =
-          rounds.series.at(schemes[i]).runs[static_cast<std::size_t>(round)];
-      const core::RunResult& actual =
-          metrics
-              .clients[static_cast<std::size_t>(round) * schemes.size() + i]
-              .session;
-      expect_identical(actual, expected);
+      const auto k = static_cast<std::size_t>(round);
+      expect_identical(metrics.clients[k].session,
+                       rounds.series.at(schemes[i]).runs[k]);
     }
   }
 }
@@ -533,14 +533,23 @@ double nearest_rank(std::vector<double> values, double pct) {
   return values[rank - 1];
 }
 
-// Full bitwise comparison of two streaming-mode runs: integer counters,
-// sketches (integer bin counts), and double sums — the fold order is
-// fixed by epoch index, so equality is exact, not approximate.
-void expect_streaming_identical(const FleetMetrics& a, const FleetMetrics& b) {
-  EXPECT_TRUE(a.streaming);
-  EXPECT_TRUE(b.streaming);
+void expect_store_identical(const SharedObjectStore::Stats& a,
+                            const SharedObjectStore::Stats& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.bytes_saved, b.bytes_saved);
+  EXPECT_EQ(a.bytes_stored, b.bytes_stored);
+}
+
+// Full bitwise comparison of everything the folds produce: integer
+// counters, tier and compute stats, sketches (integer bin counts), and
+// double sums — the fold order is fixed by client and epoch index, so
+// equality is exact, not approximate.
+void expect_folds_identical(const FleetMetrics& a, const FleetMetrics& b) {
   EXPECT_EQ(a.epochs, b.epochs);
   EXPECT_EQ(a.epoch_parallel, b.epoch_parallel);
+  EXPECT_EQ(a.epoch_degrade_reason, b.epoch_degrade_reason);
   EXPECT_EQ(a.admitted, b.admitted);
   EXPECT_EQ(a.shed, b.shed);
   EXPECT_EQ(a.sessions_ok, b.sessions_ok);
@@ -548,20 +557,45 @@ void expect_streaming_identical(const FleetMetrics& a, const FleetMetrics& b) {
   EXPECT_EQ(a.tlt_stats, b.tlt_stats);
   EXPECT_EQ(a.wait_stats, b.wait_stats);
   EXPECT_EQ(a.energy_stats, b.energy_stats);
+  EXPECT_EQ(a.recovery_stats, b.recovery_stats);
+  EXPECT_EQ(a.energy_j_total, b.energy_j_total);
+  EXPECT_EQ(a.proxy_busy_sec, b.proxy_busy_sec);
+  EXPECT_EQ(a.fetch_parse_sec, b.fetch_parse_sec);
+  expect_store_identical(a.store, b.store);
+  ASSERT_EQ(a.l1_shards.size(), b.l1_shards.size());
+  for (std::size_t s = 0; s < a.l1_shards.size(); ++s) {
+    expect_store_identical(a.l1_shards[s], b.l1_shards[s]);
+  }
+  expect_store_identical(a.l2, b.l2);
+  EXPECT_EQ(a.compute.completed, b.compute.completed);
+  EXPECT_EQ(a.compute.fetch_busy_sec, b.compute.fetch_busy_sec);
+  EXPECT_EQ(a.compute.parse_busy_sec, b.compute.parse_busy_sec);
+  EXPECT_EQ(a.compute.bundle_busy_sec, b.compute.bundle_busy_sec);
+  EXPECT_EQ(a.compute.transfer_busy_sec, b.compute.transfer_busy_sec);
+  EXPECT_EQ(a.compute.crash_killed, b.compute.crash_killed);
+  EXPECT_EQ(a.compute.last_finish.sec(), b.compute.last_finish.sec());
+  EXPECT_EQ(a.crash_handoffs, b.crash_handoffs);
+  EXPECT_EQ(a.crash_killed_tasks, b.crash_killed_tasks);
+  EXPECT_EQ(a.redo_sec_total, b.redo_sec_total);
+  EXPECT_EQ(a.redo_bytes_total, b.redo_bytes_total);
+  EXPECT_EQ(a.recovery_sec_total, b.recovery_sec_total);
+  EXPECT_EQ(a.recovery_sec_max, b.recovery_sec_max);
+  EXPECT_EQ(a.fault_retransmits, b.fault_retransmits);
+  EXPECT_EQ(a.fault_drops, b.fault_drops);
+  EXPECT_EQ(a.fault_deferrals, b.fault_deferrals);
+  EXPECT_EQ(a.direct_fetches, b.direct_fetches);
+  EXPECT_EQ(a.degraded_sessions, b.degraded_sessions);
+}
+
+// Two streaming runs: the folds plus the sketch-backed percentiles.
+void expect_streaming_identical(const FleetMetrics& a, const FleetMetrics& b) {
+  EXPECT_TRUE(a.streaming);
+  EXPECT_TRUE(b.streaming);
+  expect_folds_identical(a, b);
   EXPECT_EQ(a.olt_p50, b.olt_p50);
   EXPECT_EQ(a.olt_p95, b.olt_p95);
   EXPECT_EQ(a.olt_p99, b.olt_p99);
   EXPECT_EQ(a.wait_p95, b.wait_p95);
-  EXPECT_EQ(a.energy_j_total, b.energy_j_total);
-  EXPECT_EQ(a.proxy_busy_sec, b.proxy_busy_sec);
-  EXPECT_EQ(a.fetch_parse_sec, b.fetch_parse_sec);
-  EXPECT_EQ(a.store.hits, b.store.hits);
-  EXPECT_EQ(a.store.misses, b.store.misses);
-  EXPECT_EQ(a.store.evictions, b.store.evictions);
-  EXPECT_EQ(a.store.bytes_saved, b.store.bytes_saved);
-  EXPECT_EQ(a.store.bytes_stored, b.store.bytes_stored);
-  EXPECT_EQ(a.compute.completed, b.compute.completed);
-  EXPECT_EQ(a.compute.last_finish.sec(), b.compute.last_finish.sec());
 }
 
 TEST(FleetStreaming, MatchesExactModeWithinDocumentedBound) {
@@ -737,14 +771,69 @@ TEST(FleetStreaming, EpochPartitionPropertyAcrossArrivalRates) {
   }
 }
 
-TEST(FleetStreaming, StreamingRejectsExplicitSpecs) {
+TEST(FleetStreaming, SinkOnlyObservesAMultiEpochRun) {
+  // Keeping per-client results must not change a single fold: the same
+  // epoch-parallel config with and without the sink is bitwise equal.
   FleetConfig cfg;
+  cfg.clients = 10;
+  cfg.arrival_seed = 7;
+  cfg.mean_interarrival = util::Duration::seconds(5);  // drained between
+  cfg.base.seed = 13;
+  cfg.epoch_min_sessions = 2;
+  cfg.jobs = 2;
+
+  FleetMetrics sink = run_fleet(test_corpus(), cfg);
   cfg.streaming = true;
-  std::vector<ClientSpec> specs(1);
-  EXPECT_THROW(run_fleet(test_corpus(), specs, cfg), std::invalid_argument);
-  FleetConfig bad = cfg;
+  FleetMetrics stream = run_fleet(test_corpus(), cfg);
+
+  EXPECT_GT(sink.epochs, 1);  // non-vacuous: the plan split
+  EXPECT_FALSE(sink.streaming);
+  ASSERT_EQ(sink.clients.size(), 10u);
+  EXPECT_TRUE(stream.clients.empty());
+  expect_folds_identical(sink, stream);
+
+  // Nor do the kept results depend on the partition: one epoch holding
+  // all K clients yields the same per-client records.
+  cfg.streaming = false;
+  cfg.epoch_min_sessions = cfg.clients;
+  FleetMetrics one = run_fleet(test_corpus(), cfg);
+  EXPECT_EQ(one.epochs, 1);
+  expect_clients_identical(sink, one);
+  EXPECT_EQ(sink.sessions_ok, one.sessions_ok);
+  EXPECT_EQ(sink.olt_stats.histogram(), one.olt_stats.histogram());
+  expect_store_identical(sink.store, one.store);
+  EXPECT_EQ(sink.compute.completed, one.compute.completed);
+}
+
+TEST(FleetStreaming, SinkOnlyObservesAShardedCrashRun) {
+  // The degraded serial path with handoffs: the sink-keeping run and the
+  // streaming run fold to bitwise-equal metrics, crash accounting included.
+  FleetConfig cfg;
+  cfg.clients = 24;
+  cfg.arrival_seed = 5;
+  cfg.mean_interarrival = util::Duration::millis(2);
+  cfg.compute.workers = 2;
+  cfg.base.seed = 31;
+  cfg.shards = 4;
+  cfg.shard_faults = sim::FaultPlan::parse("crash=0.024,restart=0.05,seed=9");
+  cfg.epoch_min_sessions = 2;
+  cfg.jobs = 2;
+
+  FleetMetrics sink = run_fleet(test_corpus(), cfg);
+  cfg.streaming = true;
+  FleetMetrics stream = run_fleet(test_corpus(), cfg);
+
+  EXPECT_GT(sink.crash_handoffs, 0u);  // non-vacuous: sessions migrated
+  ASSERT_EQ(sink.clients.size(), 24u);
+  EXPECT_TRUE(stream.clients.empty());
+  expect_folds_identical(sink, stream);
+}
+
+TEST(FleetStreaming, StreamingRejectsExplicitSpecs) {
+  FleetConfig bad;
+  bad.streaming = true;
   bad.epoch_min_sessions = 0;
-  EXPECT_THROW(run_fleet(test_corpus(), bad), std::invalid_argument);
+  EXPECT_THROW((void)run_fleet(test_corpus(), bad), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
