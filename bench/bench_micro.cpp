@@ -3,10 +3,12 @@
 // event kernel, and the trace energy analyzer. Also hosts two allocation
 // regressions that run before the benchmarks under a counting
 // operator-new hook: the scheduler kernel must not allocate per event,
-// and a full page load with the arena on must divert a healthy share of
-// its heap allocations into the bump allocator (DESIGN.md §11).
+// and a full page load must divert a healthy share of its container
+// allocations into the per-run arena (DESIGN.md §11) while keeping its
+// global heap traffic within a per-event and per-load budget.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -179,9 +181,10 @@ void BM_SchedulerScheduleCancel(benchmark::State& state) {
 BENCHMARK(BM_SchedulerScheduleCancel);
 
 // Regression guard for the kernel fast path: a million fire-and-forget
-// events must not allocate per event (handles are lazy; entries live in
-// the heap vector, whose regrowth goes through pmr and is not visible to
-// this hook). The budget covers small constant noise only — any per-event
+// events must not allocate per event (handles are (seq, slot) pairs; keys
+// live in the heap vector and closures in the slot pool, whose regrowth
+// goes through pmr and is not visible to this hook). The budget covers
+// small constant noise only — any per-event
 // std::function or shared_ptr allocation blows it by four orders.
 void scheduler_allocation_regression() {
   constexpr std::size_t kEvents = 1'000'000;
@@ -248,14 +251,25 @@ class CountingResource final : public std::pmr::memory_resource {
   std::uint64_t bytes_ = 0;
 };
 
-// Regression guard for per-run arena routing: the same page load with the
-// arena enabled must divert materially more container allocations into
-// the bump allocator than reach the default resource with it disabled —
-// the scheduler heap, trace columns and browser bookkeeping all bump
-// instead of hitting the heap. If the saving collapses, some hot
-// container silently stopped drawing from run_resource().
+// Regression guard for per-load heap traffic, in two parts.
+//
+// Arena routing: the same page load with the arena enabled must divert
+// materially more container allocations into the bump allocator than
+// reach the default resource with it disabled — the scheduler heap, trace
+// columns and browser bookkeeping all bump instead of hitting the heap.
+// If the saving collapses, some hot container silently stopped drawing
+// from run_resource().
+//
+// Global budget: through the operator-new hook, a DIR and a PARCEL(IND)
+// load of bench_page() must each stay within kMaxAllocsPerEvent global
+// allocations per executed event, and the PARCEL(IND) load within
+// kMaxParcelBytes. Deep-copied burst callbacks or a bundle built as a
+// string and re-parsed on delivery blow these bounds.
 void load_allocation_regression() {
   constexpr std::uint64_t kMinSavedAllocs = 100;
+  constexpr double kMaxAllocsPerEvent = 6.0;
+  const std::uint64_t kMaxParcelBytes =
+      static_cast<std::uint64_t>(util::mib(1.5));
   core::RunConfig cfg = bench::replay_run_config(42);
   const web::WebPage& page = bench_page();
   const bool prev = core::arena_enabled();
@@ -307,6 +321,38 @@ void load_allocation_regression() {
               static_cast<unsigned long long>(heap_bytes_off),
               static_cast<unsigned long long>(served_on),
               static_cast<unsigned long long>(served_bytes_on));
+
+  bool over_budget = false;
+  for (core::Scheme scheme : {core::Scheme::kDir, core::Scheme::kParcelInd}) {
+    core::ExperimentRunner::run(scheme, page, cfg);  // warm, as above
+    const std::uint64_t allocs_before = g_allocations.load();
+    const std::uint64_t bytes_before = g_alloc_bytes.load();
+    const core::RunResult r = core::ExperimentRunner::run(scheme, page, cfg);
+    const std::uint64_t allocs = g_allocations.load() - allocs_before;
+    const std::uint64_t bytes = g_alloc_bytes.load() - bytes_before;
+    const double per_event =
+        static_cast<double>(allocs) /
+        static_cast<double>(std::max<std::uint64_t>(r.events_executed, 1));
+    const bool bytes_over =
+        scheme == core::Scheme::kParcelInd && bytes > kMaxParcelBytes;
+    const bool over = per_event > kMaxAllocsPerEvent || bytes_over;
+    over_budget = over_budget || over;
+    std::printf("load alloc budget %s: %s %llu global allocations for %llu "
+                "events (%.2f per event, budget %.1f), %llu bytes\n",
+                over ? "EXCEEDED" : "OK", core::to_string(scheme).c_str(),
+                static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(r.events_executed), per_event,
+                kMaxAllocsPerEvent, static_cast<unsigned long long>(bytes));
+  }
+  if (over_budget) {
+    std::fprintf(stderr,
+                 "load alloc regression: a page load exceeds its global "
+                 "allocation budget (%.1f per event; %llu bytes for "
+                 "PARCEL(IND)) — see the lines above\n",
+                 kMaxAllocsPerEvent,
+                 static_cast<unsigned long long>(kMaxParcelBytes));
+    std::exit(1);
+  }
 }
 
 void BM_EnergyAnalyzer(benchmark::State& state) {

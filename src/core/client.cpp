@@ -63,11 +63,8 @@ void ParcelClientFetcher::fetch(
   }
 }
 
-void ParcelClientFetcher::on_bundle_parts(
-    const std::vector<web::MhtmlPart>& parts) {
-  for (const auto& part : parts) {
-    cache_.emplace(part.location.id(), part);
-  }
+void ParcelClientFetcher::on_bundle_parts(std::vector<web::MhtmlPart> parts) {
+  for (auto& part : parts) cache_.emplace(part.location.id(), std::move(part));
   // Release any parked request the new parts satisfy.
   for (std::size_t i = 0; i < parked_.size();) {
     auto hit = cache_.find(parked_[i].url.id());

@@ -134,17 +134,19 @@ void ParcelSession::load(const net::Url& url, Callbacks callbacks) {
 }
 
 void ParcelSession::push_bundle(web::MhtmlWriter bundle) {
-  // Serialize to the actual MHTML wire format; the string's length is the
-  // exact byte count that crosses the radio.
-  auto text = std::make_shared<const std::string>(bundle.serialize());
-  auto wire_size = static_cast<util::Bytes>(text->size());
+  // The radio carries the bundle's exact MHTML wire size; the client then
+  // receives the parts parse(serialize()) would give it, without the
+  // round trip (web/mhtml.hpp).
+  auto wire_size = static_cast<util::Bytes>(bundle.wire_size());
   ++pushes_in_flight_;
   conn_.stream_to_client(
-      wire_size, next_push_id_++, [this, text, wire_size](util::TimePoint) {
+      wire_size, next_push_id_++,
+      [this, parts = std::move(bundle).take_parts(),
+       wire_size](util::TimePoint) mutable {
         note_progress();
         ++bundles_delivered_;
         bundle_bytes_ += wire_size;
-        fetcher_.on_bundle_parts(web::MhtmlReader::parse(*text));
+        fetcher_.on_bundle_parts(std::move(parts));
         for (std::size_t i = 0; i < post_waiters_.size();) {
           if (bundles_delivered_ >= post_waiters_[i].first) {
             auto cb = std::move(post_waiters_[i].second);

@@ -60,25 +60,28 @@ void HttpConnection::pump() {
   Pending p = std::move(queue_.front());
   queue_.pop_front();
 
+  // Each stage runs once, so the request, the response and the callback
+  // move down the chain instead of being copied or shared.
   Bytes req_bytes = p.request.wire_size();
   auto object_id = p.object_id;
-  auto request = std::make_shared<HttpRequest>(std::move(p.request));
-  auto on_response =
-      std::make_shared<ResponseCallback>(std::move(p.on_response));
-
-  tcp_.send_to_server(req_bytes, object_id, [this, request, object_id,
-                                             on_response](TimePoint) {
-    endpoint_.handle(*request, [this, object_id,
-                                on_response](HttpResponse response) {
-      auto resp = std::make_shared<HttpResponse>(std::move(response));
-      tcp_.stream_to_client(resp->wire_size(), object_id,
-                            [this, resp, on_response](TimePoint) {
-                              --in_flight_;
-                              (*on_response)(*resp);
-                              pump();
-                            });
-    });
-  });
+  tcp_.send_to_server(
+      req_bytes, object_id,
+      [this, request = std::move(p.request), object_id,
+       on_response = std::move(p.on_response)](TimePoint) mutable {
+        endpoint_.handle(request, [this, object_id,
+                                   on_response = std::move(on_response)](
+                                      HttpResponse response) mutable {
+          Bytes wire_size = response.wire_size();
+          tcp_.stream_to_client(
+              wire_size, object_id,
+              [this, response = std::move(response),
+               on_response = std::move(on_response)](TimePoint) {
+                --in_flight_;
+                on_response(response);
+                pump();
+              });
+        });
+      });
   // Multiplexed mode issues further requests without waiting.
   pump();
 }

@@ -41,9 +41,10 @@ bool Link::fault_drop(Bytes bytes, const BurstInfo& info) {
 
 void Link::finish_transmit(TimePoint delivery, Bytes bytes,
                            const BurstInfo& info,
-                           const DeliveryCallback& on_delivered) {
+                           DeliveryCallback on_delivered) {
   bytes_carried_ += bytes;
-  sched_.schedule_at(delivery, [this, delivery, bytes, info, on_delivered] {
+  sched_.schedule_at(delivery, [this, delivery, bytes, info,
+                                on_delivered = std::move(on_delivered)] {
     if (tap_) tap_(delivery, bytes, info);
     on_delivered(delivery);
   });
@@ -54,7 +55,7 @@ void Link::transmit(Bytes bytes, const BurstInfo& info,
   if (bytes < 0) throw std::invalid_argument("negative burst size");
   if (fault_drop(bytes, info)) return;
   TimePoint delivery = enqueue_burst(sched_.now(), bytes, info);
-  finish_transmit(delivery, bytes, info, on_delivered);
+  finish_transmit(delivery, bytes, info, std::move(on_delivered));
 }
 
 DuplexLink::DuplexLink(sim::Scheduler& sched, const std::string& name,

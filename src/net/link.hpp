@@ -83,8 +83,10 @@ class Link {
   /// the sender's job (TCP RTO).
   bool fault_drop(Bytes bytes, const BurstInfo& info);
 
+  /// Schedule the delivery. Takes the callback by value and moves it into
+  /// the event: it carries the burst's whole relay -> TCP -> HTTP chain.
   void finish_transmit(TimePoint delivery, Bytes bytes, const BurstInfo& info,
-                       const DeliveryCallback& on_delivered);
+                       DeliveryCallback on_delivered);
 
   sim::Scheduler& sched_;
 

@@ -34,10 +34,13 @@ void TcpConnection::connect(Callback on_established) {
   }
   connecting_ = true;
   BurstInfo syn{trace::PacketKind::kSyn, conn_id_, 0};
+  // Delivery callbacks fire at most once (the guard drops duplicates), so
+  // each stage moves its continuation on instead of copying it.
   send_guarded(true, params_.control_bytes, syn,
-               [this, cb = std::move(on_established)](TimePoint) {
+               [this, cb = std::move(on_established)](TimePoint) mutable {
     BurstInfo synack{trace::PacketKind::kSyn, conn_id_, 0};
-    send_guarded(false, params_.control_bytes, synack, [this, cb](TimePoint t) {
+    send_guarded(false, params_.control_bytes, synack,
+                 [this, cb = std::move(cb)](TimePoint t) {
       established_ = true;
       connecting_ = false;
       last_activity_ = t;
@@ -86,9 +89,9 @@ void TcpConnection::send_attempt(bool up, Bytes bytes, const BurstInfo& info,
     if (guard->on_delivered) guard->on_delivered(t);
   };
   if (up) {
-    path_.send_up(bytes, info, deliver);
+    path_.send_up(bytes, info, std::move(deliver));
   } else {
-    path_.send_down(bytes, info, deliver);
+    path_.send_down(bytes, info, std::move(deliver));
   }
 
   guard->timer =
@@ -203,10 +206,10 @@ void TcpConnection::close(Callback on_closed) {
   if (!established_) return;
   BurstInfo fin{trace::PacketKind::kFin, conn_id_, 0};
   send_guarded(true, params_.control_bytes, fin,
-               [this, cb = std::move(on_closed)](TimePoint) {
+               [this, cb = std::move(on_closed)](TimePoint) mutable {
                  BurstInfo finack{trace::PacketKind::kFin, conn_id_, 0};
                  send_guarded(false, params_.control_bytes, finack,
-                              [cb](TimePoint) {
+                              [cb = std::move(cb)](TimePoint) {
                                 if (cb) cb();
                               });
                });

@@ -7,21 +7,32 @@
 namespace parcel::sim {
 
 void EventHandle::cancel() {
-  if (auto owner = owner_.lock()) (*owner)->cancel_seq(seq_);
+  if (auto owner = owner_.lock()) (*owner)->cancel_event(seq_, slot_);
 }
 
 bool EventHandle::pending() const {
   auto owner = owner_.lock();
-  return owner && (*owner)->pending_seq(seq_);
+  return owner && (*owner)->pending_event(seq_, slot_);
 }
 
 EventHandle Scheduler::schedule_at(TimePoint when, std::function<void()> fn) {
   if (!fn) throw std::invalid_argument("schedule_at: empty callback");
   if (when < now_) when = now_;
   const std::uint64_t seq = next_seq_++;
-  heap_.push_back(Entry{when, seq, /*cancelled=*/false, std::move(fn)});
+  std::uint32_t slot = free_head_;
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    free_head_ = slots_[slot].next_free;
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.seq = seq;
+  s.cancelled = false;
+  heap_.push_back(Key{when, seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return EventHandle{self_, seq};
+  return EventHandle{self_, seq, slot};
 }
 
 EventHandle Scheduler::schedule_after(Duration delay,
@@ -29,33 +40,40 @@ EventHandle Scheduler::schedule_after(Duration delay,
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-void Scheduler::cancel_seq(std::uint64_t seq) {
-  // Cancellation is rare relative to scheduling; a linear scan over the
-  // (small) pending set beats paying an allocation on every schedule.
-  for (Entry& e : heap_) {
-    if (e.seq == seq) {
-      e.cancelled = true;
-      return;
-    }
-  }
+void Scheduler::cancel_event(std::uint64_t seq, std::uint32_t slot) {
+  // A slot reused by a later event carries a different seq, so a stale
+  // handle can neither cancel nor observe its successor.
+  if (slots_[slot].seq == seq) slots_[slot].cancelled = true;
 }
 
-bool Scheduler::pending_seq(std::uint64_t seq) const {
-  for (const Entry& e : heap_) {
-    if (e.seq == seq) return !e.cancelled;
-  }
-  return false;  // already fired (or cancelled and popped)
+bool Scheduler::pending_event(std::uint64_t seq, std::uint32_t slot) const {
+  return slots_[slot].seq == seq && !slots_[slot].cancelled;
+}
+
+std::function<void()> Scheduler::pop_front() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  // Move the closure out before it runs: it may schedule events, and a
+  // slots_ regrowth must not relocate a closure mid-call.
+  Slot& s = slots_[key.slot];
+  std::function<void()> fn = std::move(s.fn);
+  s.fn = nullptr;
+  const bool cancelled = s.cancelled;
+  s.seq = kFreeSeq;
+  s.next_free = free_head_;
+  free_head_ = key.slot;
+  if (cancelled) return {};  // the tombstone's closure dies here
+  now_ = key.when;
+  return fn;
 }
 
 bool Scheduler::step() {
   while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Entry e = std::move(heap_.back());
-    heap_.pop_back();
-    if (e.cancelled) continue;
-    now_ = e.when;
+    std::function<void()> fn = pop_front();
+    if (!fn) continue;
     ++executed_;
-    e.fn();
+    fn();
     return true;
   }
   return false;
@@ -74,9 +92,8 @@ void Scheduler::run_until(TimePoint deadline) {
     // with when <= deadline would pass the check, and step() — which
     // skips tombstones — would then execute a live event beyond the
     // deadline (and leave now_ past it).
-    if (heap_.front().cancelled) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
+    if (slots_[heap_.front().slot].cancelled) {
+      pop_front();
       continue;
     }
     if (heap_.front().when > deadline) break;

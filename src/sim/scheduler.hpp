@@ -6,15 +6,16 @@
 // same instant run in scheduling order (FIFO tie-break), which keeps runs
 // deterministic.
 //
-// Hot-path notes: the queue is a vector-backed binary heap so the top
-// entry is *moved* out on fire (std::priority_queue only exposes a const
-// top, forcing a copy of the std::function). Event handles are lazy —
-// scheduling allocates nothing; a handle resolves its event through the
-// scheduler by sequence number only when cancel()/pending() is actually
-// called, so the common fire-and-forget path does zero shared_ptr
-// allocations per event. The heap's backing store draws from the per-run
-// arena when one is in scope (core::ArenaScope; DESIGN.md §11), so even
-// the heap's geometric regrowth stops hitting the global allocator.
+// Hot-path notes: the heap holds only 24-byte {when, seq, slot} keys, so
+// sift moves touch no closures. Each event's std::function lives in a
+// slot of a pooled vector; slots freed by fired events are recycled
+// through an intrusive free list, so a run's closure storage stops
+// growing once it reaches the peak pending count. Scheduling allocates
+// nothing beyond the closure itself: an EventHandle names its event by
+// (seq, slot), which makes cancel()/pending() O(1) — the slot still holds
+// the event iff its seq matches. Both vectors draw from the per-run arena
+// when one is in scope (core::ArenaScope; DESIGN.md §11), so even their
+// geometric regrowth stops hitting the global allocator.
 #pragma once
 
 #include <cstdint>
@@ -47,12 +48,15 @@ class EventHandle {
 
  private:
   friend class Scheduler;
-  EventHandle(std::weak_ptr<Scheduler*> owner, std::uint64_t seq)
-      : owner_(std::move(owner)), seq_(seq) {}
+  EventHandle(std::weak_ptr<Scheduler*> owner, std::uint64_t seq,
+              std::uint32_t slot)
+      : owner_(std::move(owner)), seq_(seq), slot_(slot) {}
   // Weak reference to the owning scheduler's liveness token (one token per
-  // scheduler, not per event); the seq identifies the event.
+  // scheduler, not per event); (seq, slot) identifies the event. The seq
+  // disambiguates a slot reused by a later event.
   std::weak_ptr<Scheduler*> owner_;
   std::uint64_t seq_ = 0;
+  std::uint32_t slot_ = 0;
 };
 
 class Scheduler {
@@ -62,7 +66,8 @@ class Scheduler {
   Scheduler() : Scheduler(core::run_resource()) {}
   /// Explicit resource, for callers that manage arenas directly. The
   /// resource must outlive the scheduler.
-  explicit Scheduler(std::pmr::memory_resource* mr) : heap_(mr) {}
+  explicit Scheduler(std::pmr::memory_resource* mr)
+      : heap_(mr), slots_(mr) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -87,34 +92,50 @@ class Scheduler {
   bool step();
 
   [[nodiscard]] bool idle() const { return heap_.empty(); }
+  /// Queued entries, counting cancelled ones not yet popped.
   [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
  private:
   friend class EventHandle;
 
-  struct Entry {
+  struct Key {
     TimePoint when;
     std::uint64_t seq;
-    bool cancelled;
-    std::function<void()> fn;
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
   };
+  static constexpr std::uint64_t kFreeSeq = ~std::uint64_t{0};
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  struct Slot {
+    std::function<void()> fn;
+    // Seq of the event this slot holds; kFreeSeq while on the free list.
+    std::uint64_t seq = kFreeSeq;
+    std::uint32_t next_free = kNoSlot;
+    bool cancelled = false;
+  };
 
-  void cancel_seq(std::uint64_t seq);
-  [[nodiscard]] bool pending_seq(std::uint64_t seq) const;
+  void cancel_event(std::uint64_t seq, std::uint32_t slot);
+  [[nodiscard]] bool pending_event(std::uint64_t seq,
+                                   std::uint32_t slot) const;
+  /// Pop the front key and free its slot. Returns the closure to run and
+  /// advances now(), or returns empty for a cancelled tombstone.
+  std::function<void()> pop_front();
 
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  // Min-heap on (when, seq) maintained with std::push_heap/std::pop_heap;
-  // cancelled entries stay in place and are skipped when popped.
-  std::pmr::vector<Entry> heap_;
+  // Min-heap on (when, seq) maintained with std::push_heap/std::pop_heap.
+  // Cancelled events stay queued as tombstones (their slot keeps the
+  // closure) and are destroyed and skipped when popped.
+  std::pmr::vector<Key> heap_;
+  std::pmr::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNoSlot;
   // Liveness token handed to EventHandles as a weak_ptr; expires with the
   // scheduler so stale handles degrade to no-ops instead of dangling.
   std::shared_ptr<Scheduler*> self_ = std::make_shared<Scheduler*>(this);

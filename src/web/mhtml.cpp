@@ -1,6 +1,8 @@
 #include "web/mhtml.hpp"
 
+#include <charconv>
 #include <stdexcept>
+#include <string_view>
 
 #include "util/strings.hpp"
 
@@ -12,6 +14,70 @@ constexpr std::string_view kHeader =
     "MIME-Version: 1.0\r\n"
     "Content-Type: multipart/related; boundary=\"----=_ParcelBundleBoundary\"\r\n"
     "\r\n";
+
+// The bundle's byte layout, written once for both consumers: `out` is
+// either a StringOut (serialize) or a SizeOut (wire_size).
+template <typename Out>
+void write_bundle(const std::vector<MhtmlPart>& parts, Out& out) {
+  out.text(kHeader);
+  for (const auto& p : parts) {
+    char length[24];
+    const auto digits = std::to_chars(length, length + sizeof length,
+                                      static_cast<long long>(p.body_size));
+    out.text("--");
+    out.text(kBoundary);
+    out.text("\r\nContent-Location: ");
+    out.url(p.location);
+    out.text("\r\nContent-Type: ");
+    out.text(p.content_type);
+    out.text("\r\nContent-Length: ");
+    out.text(std::string_view(length, static_cast<std::size_t>(
+                                          digits.ptr - length)));
+    out.text(p.content ? "\r\nX-Parcel-Body: text\r\n\r\n"
+                       : "\r\nX-Parcel-Body: opaque\r\n\r\n");
+    out.body(p);
+    out.text("\r\n");
+  }
+  out.text("--");
+  out.text(kBoundary);
+  out.text("--\r\n");
+}
+
+struct StringOut {
+  std::string& s;
+  void text(std::string_view v) { s.append(v); }
+  void url(const net::Url& u) { s.append(u.str()); }
+  void body(const MhtmlPart& p) {
+    if (p.content) {
+      s.append(*p.content);
+    } else {
+      s.append(static_cast<std::size_t>(p.body_size), 'x');
+    }
+  }
+};
+
+struct SizeOut {
+  std::size_t n = 0;
+  void text(std::string_view v) { n += v.size(); }
+  void url(const net::Url& u) { n += u.str_size(); }
+  void body(const MhtmlPart& p) {
+    n += p.content ? p.content->size() : static_cast<std::size_t>(p.body_size);
+  }
+};
+
+/// Strict Content-Length: one or more decimal digits, nothing else, and a
+/// value that fits in Bytes.
+Bytes parse_length(std::string_view value) {
+  Bytes n = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, n);
+  if (value.empty() || value.front() < '0' || value.front() > '9' ||
+      ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("MhtmlReader: bad Content-Length '" +
+                                std::string(value) + "'");
+  }
+  return n;
+}
 }  // namespace
 
 void MhtmlWriter::add(const WebObject& object) {
@@ -37,28 +103,17 @@ Bytes MhtmlWriter::payload_bytes() const {
 }
 
 std::string MhtmlWriter::serialize() const {
-  std::string out(kHeader);
-  for (const auto& p : parts_) {
-    out += "--";
-    out += kBoundary;
-    out += "\r\n";
-    out += "Content-Location: " + p.location.str() + "\r\n";
-    out += "Content-Type: " + p.content_type + "\r\n";
-    out += util::ssprintf("Content-Length: %lld\r\n",
-                          static_cast<long long>(p.body_size));
-    out += p.content ? "X-Parcel-Body: text\r\n" : "X-Parcel-Body: opaque\r\n";
-    out += "\r\n";
-    if (p.content) {
-      out += *p.content;
-    } else {
-      out.append(static_cast<std::size_t>(p.body_size), 'x');
-    }
-    out += "\r\n";
-  }
-  out += "--";
-  out += kBoundary;
-  out += "--\r\n";
+  std::string out;
+  out.reserve(wire_size());
+  StringOut sink{out};
+  write_bundle(parts_, sink);
   return out;
+}
+
+std::size_t MhtmlWriter::wire_size() const {
+  SizeOut sink;
+  write_bundle(parts_, sink);
+  return sink.n;
 }
 
 std::vector<MhtmlPart> MhtmlReader::parse(const std::string& text) {
@@ -97,7 +152,7 @@ std::vector<MhtmlPart> MhtmlReader::parse(const std::string& text) {
       } else if (util::iequals(name, "Content-Type")) {
         part.content_type = std::string(value);
       } else if (util::iequals(name, "Content-Length")) {
-        part.body_size = std::stoll(std::string(value));
+        part.body_size = parse_length(value);
       } else if (util::iequals(name, "X-Parcel-Body")) {
         opaque = util::iequals(value, "opaque");
       }

@@ -3,9 +3,12 @@
 // PARCEL transfers objects from proxy to client as MHTML: a multipart
 // document where each part carries the object's HTTP headers
 // (Content-Location, Content-Type, Content-Length) followed by its body.
-// We implement the writer and parser for real — the proxy serializes, the
-// bytes (counted exactly) cross the simulated radio, and the client
-// parses the text back into objects. Opaque bodies (images) are carried
+// serialize() and MhtmlReader::parse() define the wire format and serve
+// as its test oracle. The simulated push path does not round-trip
+// through them: the proxy streams wire_size() bytes — exactly
+// serialize().size(), computed by the same framing code without building
+// the string — and hands the writer's parts (text bodies still sharing
+// their origin buffers) to the client. Opaque bodies (images) serialize
 // as filler of the correct length, as only their size matters.
 #pragma once
 
@@ -41,6 +44,15 @@ class MhtmlWriter {
   /// Serialize; the returned string's size is the exact wire size.
   [[nodiscard]] std::string serialize() const;
 
+  /// serialize().size(), without building the string.
+  [[nodiscard]] std::size_t wire_size() const;
+
+  /// Hand the parts over (what parse(serialize()) would yield, field for
+  /// field); the writer is left empty.
+  [[nodiscard]] std::vector<MhtmlPart> take_parts() && {
+    return std::move(parts_);
+  }
+
   void clear() { parts_.clear(); }
 
  private:
@@ -50,7 +62,8 @@ class MhtmlWriter {
 class MhtmlReader {
  public:
   /// Parse a serialized bundle. Throws std::invalid_argument on framing
-  /// errors (missing boundary / truncated part).
+  /// errors (missing boundary / truncated part) and on a Content-Length
+  /// that is not a plain decimal fitting in Bytes.
   static std::vector<MhtmlPart> parse(const std::string& text);
 };
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "core/bundle_scheduler.hpp"
+#include "core/proxy.hpp"
+#include "core/testbed.hpp"
+#include "web/generator.hpp"
 
 namespace parcel::core {
 namespace {
@@ -95,6 +98,60 @@ TEST(BundleConfig, Names) {
   EXPECT_EQ(BundleConfig::with_threshold(util::kib(512)).name(),
             "PARCEL(512K)");
   EXPECT_EQ(BundleConfig::with_threshold(util::mib(2)).name(), "PARCEL(2M)");
+}
+
+// The push path hands the client the writer's parts and charges the radio
+// wire_size() bytes, skipping the MHTML round trip. Every bundle a proxy
+// pushes while loading alexa34 pages under PARCEL(IND) and PARCEL(ONLD)
+// must make that equivalent to serialize-then-parse.
+TEST(BundleHandOff, EqualsTheMhtmlRoundTrip) {
+  web::PageGenerator generator(2014);
+  std::size_t bundles_checked = 0;
+  std::size_t text_parts = 0;
+  std::size_t opaque_parts = 0;
+  for (const web::PageSpec& spec : generator.corpus_specs(4)) {
+    const web::WebPage page = web::PageGenerator::generate(spec);
+    for (const BundleConfig& bundle :
+         {BundleConfig::ind(), BundleConfig::onload()}) {
+      Testbed testbed{TestbedConfig{}};
+      testbed.host_page(page);
+      ParcelProxy proxy(testbed.network(), ProxyConfig::with_bundle(bundle),
+                        util::Rng(spec.seed));
+      Capture cap;
+      proxy.start(page.main_url(), "ParcelBrowser/1.0", cap.sink(), [] {});
+      testbed.scheduler().run_until(util::TimePoint::at_seconds(60));
+      ASSERT_TRUE(proxy.completion_declared()) << bundle.name();
+      ASSERT_FALSE(cap.bundles.empty()) << bundle.name();
+
+      for (const web::MhtmlWriter& writer : cap.bundles) {
+        const std::string wire = writer.serialize();
+        EXPECT_EQ(writer.wire_size(), wire.size());
+        const std::vector<web::MhtmlPart> parsed =
+            web::MhtmlReader::parse(wire);
+        const std::vector<web::MhtmlPart> handed =
+            web::MhtmlWriter(writer).take_parts();
+        ASSERT_EQ(parsed.size(), handed.size());
+        for (std::size_t i = 0; i < handed.size(); ++i) {
+          EXPECT_EQ(parsed[i].location.str(), handed[i].location.str());
+          EXPECT_EQ(parsed[i].location.id(), handed[i].location.id());
+          EXPECT_EQ(parsed[i].content_type, handed[i].content_type);
+          EXPECT_EQ(parsed[i].body_size, handed[i].body_size);
+          if (handed[i].content) {
+            ASSERT_NE(parsed[i].content, nullptr);
+            EXPECT_EQ(*parsed[i].content, *handed[i].content);
+            ++text_parts;
+          } else {
+            EXPECT_EQ(parsed[i].content, nullptr);
+            ++opaque_parts;
+          }
+        }
+        ++bundles_checked;
+      }
+    }
+  }
+  EXPECT_GT(bundles_checked, 8u);
+  EXPECT_GT(text_parts, 0u);
+  EXPECT_GT(opaque_parts, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "lte/radio_link.hpp"
 #include "net/link.hpp"
 #include "net/path.hpp"
 #include "sim/scheduler.hpp"
@@ -96,6 +97,39 @@ TEST(Path, EmptyPathRejected) {
   EXPECT_THROW(Path(std::vector<DuplexLink*>{}), std::invalid_argument);
   EXPECT_THROW(Path(std::vector<DuplexLink*>{nullptr}),
                std::invalid_argument);
+}
+
+// Delivery callback that counts its own copies.
+struct CopyCounted {
+  int* copies;
+  int* calls;
+  CopyCounted(int* copies_out, int* calls_out)
+      : copies(copies_out), calls(calls_out) {}
+  CopyCounted(const CopyCounted& other)
+      : copies(other.copies), calls(other.calls) {
+    ++*copies;
+  }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  void operator()(TimePoint) const { ++*calls; }
+};
+
+TEST(Path, DeliveryCallbackCrossesHopsWithoutCopies) {
+  // Each hop wraps the callback in its relay closure and hands it to the
+  // scheduler; the chain must move through every hop, radio included.
+  sim::Scheduler sched;
+  lte::RadioLink radio = lte::make_radio_link(sched, lte::RadioParams{});
+  DuplexLink core(sched, "core", BitRate::mbps(1000), BitRate::mbps(1000),
+                  Duration::millis(5));
+  DuplexLink wan(sched, "wan", BitRate::mbps(200), BitRate::mbps(200),
+                 Duration::millis(10));
+  Path path({radio.link.get(), &core, &wan});
+  int copies = 0;
+  int calls = 0;
+  path.send_up(1448, BurstInfo{}, CopyCounted(&copies, &calls));
+  path.send_down(14480, BurstInfo{}, CopyCounted(&copies, &calls));
+  sched.run();
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(copies, 0);
 }
 
 }  // namespace

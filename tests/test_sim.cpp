@@ -178,5 +178,62 @@ TEST(Scheduler, EventsCanScheduleMoreEvents) {
   EXPECT_DOUBLE_EQ(sched.now().sec(), 4.0);
 }
 
+TEST(Scheduler, StaleHandleCannotReachItsSlotsNextEvent) {
+  // Each scheduler pools closure slots: with one event pending at a time,
+  // every event below lands in the same slot.
+  Scheduler sched;
+  EventHandle fired = sched.schedule_at(TimePoint::at_seconds(1), [] {});
+  sched.run();
+  EventHandle cancelled =
+      sched.schedule_at(TimePoint::at_seconds(2), [] { FAIL(); });
+  cancelled.cancel();
+  sched.run();  // pops the tombstone, freeing the slot again
+
+  bool ran = false;
+  EventHandle live =
+      sched.schedule_at(TimePoint::at_seconds(3), [&] { ran = true; });
+  EXPECT_FALSE(fired.pending());
+  EXPECT_FALSE(cancelled.pending());
+  EXPECT_TRUE(live.pending());
+  fired.cancel();
+  cancelled.cancel();
+  EXPECT_TRUE(live.pending());
+  EXPECT_EQ(sched.pending_events(), 1u);
+  sched.run();
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(live.pending());
+}
+
+TEST(Scheduler, CancelRescheduleChurnKeepsCountAndFifo) {
+  // A re-armed timer (cancel, then schedule again) interleaved with live
+  // same-time events, twice over, so the second pass reuses the slots
+  // the first pass freed.
+  Scheduler sched;
+  std::vector<int> order;
+  for (int pass = 0; pass < 2; ++pass) {
+    EventHandle timer;
+    for (int i = 0; i < 50; ++i) {
+      sched.schedule_at(sched.now() + Duration::seconds(1),
+                        [&order, i] { order.push_back(i); });
+      timer.cancel();
+      timer = sched.schedule_at(sched.now() + Duration::seconds(1),
+                                [&order] { order.push_back(-1); });
+      // Tombstones stay queued (and counted) until popped.
+      EXPECT_EQ(sched.pending_events(), static_cast<std::size_t>(2 * i + 2));
+    }
+    EXPECT_TRUE(timer.pending());
+    sched.run();
+    EXPECT_EQ(sched.pending_events(), 0u);
+    EXPECT_FALSE(timer.pending());
+  }
+  std::vector<int> want;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < 50; ++i) want.push_back(i);
+    want.push_back(-1);  // only the last arming survives
+  }
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sched.events_executed(), 102u);
+}
+
 }  // namespace
 }  // namespace parcel::sim

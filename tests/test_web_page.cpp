@@ -131,5 +131,67 @@ TEST(Mhtml, MalformedInputThrows) {
                std::invalid_argument);
 }
 
+TEST(Mhtml, WireSizeMatchesSerializeOnEdgeCases) {
+  MhtmlWriter empty;
+  EXPECT_EQ(empty.wire_size(), empty.serialize().size());
+
+  MhtmlWriter zero_text;
+  zero_text.add_raw(net::Url::parse("http://a.example/empty.css"), "text/css",
+                    0, std::make_shared<const std::string>());
+  EXPECT_EQ(zero_text.wire_size(), zero_text.serialize().size());
+  auto parts = MhtmlReader::parse(zero_text.serialize());
+  ASSERT_EQ(parts.size(), 1u);
+  ASSERT_NE(parts[0].content, nullptr);  // empty text, not opaque
+  EXPECT_TRUE(parts[0].content->empty());
+
+  MhtmlWriter opaque;
+  opaque.add(make_object("http://cdn.example/pic.jpg", ObjectType::kImage,
+                         4321));
+  opaque.add(make_object("http://a.example/app.js", ObjectType::kJs, 0,
+                         "compute(1);"));
+  EXPECT_EQ(opaque.wire_size(), opaque.serialize().size());
+}
+
+TEST(Mhtml, WireSizeCountsNineteenDigitLengths) {
+  // Too large to serialize; the framing arithmetic must still be exact:
+  // 18 more length digits and 10^18 - 1 more filler bytes than length 1.
+  auto bundle = [](Bytes length) {
+    MhtmlWriter writer;
+    writer.add_raw(net::Url::parse("http://cdn.example/huge.mp4"),
+                   "video/mp4", length, nullptr);
+    return writer;
+  };
+  constexpr Bytes kHuge = 1'000'000'000'000'000'000;  // 19 digits
+  const MhtmlWriter one = bundle(1);
+  EXPECT_EQ(one.wire_size(), one.serialize().size());
+  EXPECT_EQ(bundle(kHuge).wire_size(),
+            one.wire_size() + 18 + static_cast<std::size_t>(kHuge - 1));
+}
+
+// A one-part bundle whose 5-byte opaque body is announced with
+// `length` in place of "5".
+std::string with_content_length(const std::string& length) {
+  MhtmlWriter writer;
+  writer.add(make_object("http://a.example/x.jpg", ObjectType::kImage, 5));
+  std::string wire = writer.serialize();
+  const std::string field = "Content-Length: 5\r\n";
+  wire.replace(wire.find(field), field.size(),
+               "Content-Length: " + length + "\r\n");
+  return wire;
+}
+
+TEST(Mhtml, ContentLengthMustBePlainDecimal) {
+  ASSERT_EQ(MhtmlReader::parse(with_content_length("5"))[0].body_size, 5);
+  // "-2" used to yield body_size == -2 with the rest of the bundle as
+  // its body; the 20-digit value threw std::out_of_range; "5abc" read
+  // as 5.
+  for (const std::string bad : {"-2", "-4", "99999999999999999999", "5abc",
+                                "", "+5", "0x5", "5 5"}) {
+    EXPECT_THROW(MhtmlReader::parse(with_content_length(bad)),
+                 std::invalid_argument)
+        << "Content-Length: '" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace parcel::web
