@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -32,6 +33,7 @@
 namespace {
 
 using namespace parcel;
+namespace json = bench::json;
 
 // Canonical sweep: 4 s pulse cadence, half of each period faded to a
 // quarter of the nominal bandwidth — deep enough that the optimal bundle
@@ -329,62 +331,46 @@ int main(int argc, char** argv) {
   }
 
   // ---- JSON --------------------------------------------------------------
-  FILE* json = std::fopen("BENCH_adaptive.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "error: cannot write BENCH_adaptive.json\n");
-    return 1;
+  json::Value::Array grid_json, mix_json, fleet_json;
+  for (const GridRow& row : grid_rows) {
+    grid_json.push_back(json::Value::Object{
+        {"threshold", static_cast<double>(row.threshold)},
+        {"mean_olt_sec", row.mean_olt},
+        {"mean_radio_j", row.mean_j}});
   }
-  std::fprintf(json, "{\n");
-  std::fprintf(json, "  \"fade\": \"%s\",\n", fade_name.c_str());
-  std::fprintf(json, "  \"mix\": \"%s\",\n",
-               std::string(web::to_string(opts.mix)).c_str());
-  std::fprintf(json, "  \"ctrl\": %s,\n", opts.ctrl ? "true" : "false");
-  std::fprintf(json, "  \"pages\": %d,\n", pages);
-  std::fprintf(json, "  \"rounds\": %d,\n", rounds);
-  std::fprintf(json, "  \"grid\": [\n");
-  for (std::size_t i = 0; i < grid_rows.size(); ++i) {
-    std::fprintf(json,
-                 "    {\"threshold\": %lld, \"mean_olt_sec\": %.4f, "
-                 "\"mean_radio_j\": %.4f}%s\n",
-                 static_cast<long long>(grid_rows[i].threshold),
-                 grid_rows[i].mean_olt, grid_rows[i].mean_j,
-                 i + 1 < grid_rows.size() ? "," : "");
+  for (const MixRow& row : mix_rows) {
+    mix_json.push_back(json::Value::Object{
+        {"mix", row.name},
+        {"adaptive_olt_sec", row.adaptive_olt},
+        {"fixed_512k_olt_sec", row.fixed_olt},
+        {"mean_retunes", row.mean_retunes}});
   }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json,
-               "  \"adaptive\": {\"mean_olt_sec\": %.4f, \"mean_radio_j\": "
-               "%.4f, \"mean_retunes\": %.2f},\n",
-               adaptive_olt, adaptive_j, mean_retunes);
-  std::fprintf(json, "  \"mixes\": [\n");
-  for (std::size_t i = 0; i < mix_rows.size(); ++i) {
-    std::fprintf(json,
-                 "    {\"mix\": \"%s\", \"adaptive_olt_sec\": %.4f, "
-                 "\"fixed_512k_olt_sec\": %.4f, \"mean_retunes\": %.2f}%s\n",
-                 mix_rows[i].name.c_str(), mix_rows[i].adaptive_olt,
-                 mix_rows[i].fixed_olt, mix_rows[i].mean_retunes,
-                 i + 1 < mix_rows.size() ? "," : "");
+  for (const FleetRow& row : fleet_rows) {
+    fleet_json.push_back(json::Value::Object{
+        {"arrivals", row.arrivals},
+        {"admitted", row.admitted},
+        {"shed", row.shed},
+        {"olt_p50_sec", row.olt_p50},
+        {"olt_p95_sec", row.olt_p95},
+        {"wait_p95_sec", row.wait_p95}});
   }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"fleet\": [\n");
-  for (std::size_t i = 0; i < fleet_rows.size(); ++i) {
-    std::fprintf(json,
-                 "    {\"arrivals\": \"%s\", \"admitted\": %d, \"shed\": %d, "
-                 "\"olt_p50_sec\": %.4f, \"olt_p95_sec\": %.4f, "
-                 "\"wait_p95_sec\": %.4f}%s\n",
-                 fleet_rows[i].arrivals.c_str(), fleet_rows[i].admitted,
-                 fleet_rows[i].shed, fleet_rows[i].olt_p50,
-                 fleet_rows[i].olt_p95, fleet_rows[i].wait_p95,
-                 i + 1 < fleet_rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"beats_every_fixed\": %s,\n",
-               beats_every_fixed ? "true" : "false");
-  std::fprintf(json, "  \"deterministic_across_jobs\": %s,\n",
-               jobs_identical ? "true" : "false");
-  std::fprintf(json, "  \"ctrl_off_byte_identical\": %s\n",
-               ctrl_off_identical ? "true" : "false");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
+  const json::Value report{json::Value::Object{
+      {"fade", fade_name},
+      {"mix", std::string(web::to_string(opts.mix))},
+      {"ctrl", opts.ctrl},
+      {"pages", pages},
+      {"rounds", rounds},
+      {"grid", std::move(grid_json)},
+      {"adaptive", json::Value::Object{{"mean_olt_sec", adaptive_olt},
+                                       {"mean_radio_j", adaptive_j},
+                                       {"mean_retunes", mean_retunes}}},
+      {"mixes", std::move(mix_json)},
+      {"fleet", std::move(fleet_json)},
+      {"beats_every_fixed", beats_every_fixed},
+      {"deterministic_across_jobs", jobs_identical},
+      {"ctrl_off_byte_identical", ctrl_off_identical},
+  }};
+  if (!bench::write_json("BENCH_adaptive.json", report)) return 1;
   std::printf("\nwrote BENCH_adaptive.json\n");
 
   return (beats_every_fixed && jobs_identical && ctrl_off_identical) ? 0 : 1;

@@ -19,6 +19,7 @@
 namespace {
 
 using namespace parcel;
+namespace json = bench::json;
 
 // Mid-load crash: late enough that the proxy has started pushing,
 // early enough that most corpus pages are still incomplete.
@@ -114,30 +115,20 @@ int main(int argc, char** argv) {
   std::printf("jobs=1 == jobs=4:     %s\n",
               identical ? "yes" : "NO — DETERMINISM BROKEN");
 
-  FILE* json = std::fopen("BENCH_faults.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "error: cannot write BENCH_faults.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  std::fprintf(json, "  \"plan\": \"%s\",\n", spec.c_str());
-  std::fprintf(json, "  \"pages\": %d,\n", pages);
-  std::fprintf(json, "  \"runs\": %zu,\n", serial.size());
-  std::fprintf(json, "  \"all_completed\": %s,\n",
-               all_completed ? "true" : "false");
-  std::fprintf(json, "  \"degraded_runs\": %zu,\n", degraded_runs);
-  std::fprintf(json, "  \"direct_fetches\": %zu,\n", direct_fetches);
-  std::fprintf(json, "  \"retransmits\": %llu,\n",
-               static_cast<unsigned long long>(retransmits));
-  std::fprintf(json, "  \"fault_drops\": %llu,\n",
-               static_cast<unsigned long long>(drops));
-  std::fprintf(json, "  \"fault_deferrals\": %llu,\n",
-               static_cast<unsigned long long>(deferrals));
-  std::fprintf(json, "  \"mean_recovery_sec\": %.4f,\n", mean_recovery);
-  std::fprintf(json, "  \"deterministic_across_jobs\": %s\n",
-               identical ? "true" : "false");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
+  const json::Value report{json::Value::Object{
+      {"plan", spec},
+      {"pages", pages},
+      {"runs", serial.size()},
+      {"all_completed", all_completed},
+      {"degraded_runs", degraded_runs},
+      {"direct_fetches", direct_fetches},
+      {"retransmits", retransmits},
+      {"fault_drops", drops},
+      {"fault_deferrals", deferrals},
+      {"mean_recovery_sec", mean_recovery},
+      {"deterministic_across_jobs", identical},
+  }};
+  if (!bench::write_json("BENCH_faults.json", report)) return 1;
   std::printf("\nwrote BENCH_faults.json\n");
 
   return (all_completed && fallback_exercised && identical) ? 0 : 1;

@@ -46,6 +46,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -58,6 +59,7 @@
 namespace {
 
 using namespace parcel;
+namespace json = bench::json;
 
 // parcel-lint: allow(nondet-time) wall-clock is the point of the epoch-parallel speedup measurement; every simulated metric stays seeded
 using Clock = std::chrono::steady_clock;
@@ -455,134 +457,110 @@ int main(int argc, char** argv) {
               "redo all nonzero): %s\n",
               crash_handoff_ok ? "yes" : "NO");
 
-  FILE* json = std::fopen("BENCH_fleet.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "error: cannot write BENCH_fleet.json\n");
-    return 1;
+  json::Value::Array clients_levels(levels.begin(), levels.end());
+  json::Value amp_json{json::Value::Object{
+      {"workers", amp_cfg.compute.workers}}};
+  for (const LevelRow& row : amp) {
+    const fleet::FleetMetrics& m = row.metrics;
+    amp_json.set("K_" + std::to_string(row.k),
+                 json::Value::Object{
+                     {"fetch_parse_sec_per_load", m.fetch_parse_sec_per_load()},
+                     {"store_hit_rate", m.store.hit_rate()},
+                     {"store_bytes_saved",
+                      static_cast<double>(m.store.bytes_saved)},
+                     {"admitted", m.admitted},
+                     {"energy_j_mean", m.energy_j_mean()}});
   }
-  std::fprintf(json, "{\n");
-  std::fprintf(json, "  \"corpus\": {\"pages\": %d, \"scheme\": "
-               "\"PARCEL(IND)\", \"round_robin\": true},\n", kPages);
-  std::fprintf(json, "  \"arrival_seed\": %llu,\n",
-               static_cast<unsigned long long>(opts.arrival_seed));
-  std::fprintf(json, "  \"faults\": \"%s\",\n",
-               opts.faults.enabled() ? opts.faults.str().c_str() : "off");
-  std::fprintf(json, "  \"clients_levels\": [");
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    std::fprintf(json, "%s%d", i ? ", " : "", levels[i]);
+  amp_json.set("per_load_work_strictly_decreasing", amplification_ok);
+  json::Value knee_json{json::Value::Object{
+      {"workers", knee_cfg.compute.workers},
+      {"max_backlog_sec", knee_cfg.compute.max_backlog.sec()}}};
+  for (const LevelRow& row : knee) {
+    const fleet::FleetMetrics& m = row.metrics;
+    knee_json.set("K_" + std::to_string(row.k),
+                  json::Value::Object{{"olt_p50", m.olt_p50},
+                                      {"olt_p95", m.olt_p95},
+                                      {"olt_p99", m.olt_p99},
+                                      {"wait_p95", m.wait_p95},
+                                      {"shed_rate", m.shed_rate()},
+                                      {"admitted", m.admitted},
+                                      {"shed", m.shed}});
   }
-  std::fprintf(json, "],\n");
-  std::fprintf(json, "  \"amplification\": {\n");
-  std::fprintf(json, "    \"workers\": %d,\n", amp_cfg.compute.workers);
-  for (std::size_t i = 0; i < amp.size(); ++i) {
-    const fleet::FleetMetrics& m = amp[i].metrics;
-    std::fprintf(json,
-                 "    \"K_%d\": {\"fetch_parse_sec_per_load\": %.6f, "
-                 "\"store_hit_rate\": %.4f, \"store_bytes_saved\": %lld, "
-                 "\"admitted\": %d, \"energy_j_mean\": %.4f},\n",
-                 amp[i].k, m.fetch_parse_sec_per_load(), m.store.hit_rate(),
-                 static_cast<long long>(m.store.bytes_saved), m.admitted,
-                 m.energy_j_mean());
-  }
-  std::fprintf(json, "    \"per_load_work_strictly_decreasing\": %s\n  },\n",
-               amplification_ok ? "true" : "false");
-  std::fprintf(json, "  \"knee\": {\n");
-  std::fprintf(json, "    \"workers\": %d,\n    \"max_backlog_sec\": %.2f,\n",
-               knee_cfg.compute.workers,
-               knee_cfg.compute.max_backlog.sec());
-  for (std::size_t i = 0; i < knee.size(); ++i) {
-    const fleet::FleetMetrics& m = knee[i].metrics;
-    std::fprintf(json,
-                 "    \"K_%d\": {\"olt_p50\": %.6f, \"olt_p95\": %.6f, "
-                 "\"olt_p99\": %.6f, \"wait_p95\": %.6f, \"shed_rate\": "
-                 "%.4f, \"admitted\": %d, \"shed\": %d},\n",
-                 knee[i].k, m.olt_p50, m.olt_p95, m.olt_p99, m.wait_p95,
-                 m.shed_rate(), m.admitted, m.shed);
-  }
-  std::fprintf(json, "    \"p95_olt_degradation\": %.4f,\n", knee_ratio);
-  std::fprintf(json, "    \"shed_at_max_k\": %s\n  },\n",
-               shed_ok ? "true" : "false");
-  std::fprintf(json, "  \"streaming\": {\n");
-  std::fprintf(json, "    \"clients\": %d,\n", stream_k);
-  std::fprintf(json, "    \"epochs\": %d,\n", stream1.epochs);
-  std::fprintf(json, "    \"epoch_parallel\": %s,\n",
-               stream1.epoch_parallel ? "true" : "false");
-  std::fprintf(json, "    \"admitted\": %d,\n", stream1.admitted);
-  std::fprintf(json, "    \"shed\": %d,\n", stream1.shed);
-  std::fprintf(json, "    \"sessions_ok\": %llu,\n",
-               static_cast<unsigned long long>(stream1.sessions_ok));
-  std::fprintf(json,
-               "    \"olt_p50\": %.6f, \"olt_p95\": %.6f, \"olt_p99\": "
-               "%.6f,\n",
-               stream1.olt_p50, stream1.olt_p95, stream1.olt_p99);
-  std::fprintf(json, "    \"wait_p95\": %.6f,\n", stream1.wait_p95);
-  std::fprintf(json, "    \"energy_j_mean\": %.6f,\n",
-               stream1.energy_j_mean());
-  std::fprintf(json, "    \"store_hit_rate\": %.4f,\n",
-               stream1.store.hit_rate());
-  std::fprintf(json, "    \"quantile_relative_error_bound\": %.6f,\n",
-               stream1.olt_stats.histogram().relative_error_bound());
-  std::fprintf(json, "    \"identical_across_jobs\": %s,\n",
-               stream_identical ? "true" : "false");
+  knee_json.set("p95_olt_degradation", knee_ratio);
+  knee_json.set("shed_at_max_k", shed_ok);
   // Wall-clock and RSS are real measurements of this machine (the one
-  // deliberate nondeterminism in this file); everything above is
+  // deliberate nondeterminism in this file); everything else is
   // simulated and byte-stable.
-  std::fprintf(json, "    \"wall_sec_jobs1\": %.3f,\n", wall_jobs1);
-  std::fprintf(json, "    \"wall_sec_jobs4\": %.3f,\n", wall_jobs4);
-  std::fprintf(json, "    \"epoch_parallel_speedup\": %.3f,\n",
-               stream_speedup);
-  std::fprintf(json, "    \"peak_rss_mib\": %.1f,\n", rss_mib);
-  std::fprintf(json, "    \"peak_rss_ceiling_mib\": %.0f,\n", kRssCeilingMib);
-  std::fprintf(json, "    \"peak_rss_ok\": %s\n  },\n",
-               rss_ok ? "true" : "false");
-  std::fprintf(json, "  \"shards\": {\n");
-  std::fprintf(json, "    \"clients\": %d,\n", shard_k);
-  std::fprintf(json, "    \"workers_per_shard\": %d,\n",
-               shard_cfg.compute.workers);
-  std::fprintf(json, "    \"l2_cost_ms_per_mib\": %.3f,\n",
-               opts.l2_cost_ms_per_mib);
+  json::Value stream_json{json::Value::Object{
+      {"clients", stream_k},
+      {"epochs", stream1.epochs},
+      {"epoch_parallel", stream1.epoch_parallel},
+      {"admitted", stream1.admitted},
+      {"shed", stream1.shed},
+      {"sessions_ok", stream1.sessions_ok},
+      {"olt_p50", stream1.olt_p50},
+      {"olt_p95", stream1.olt_p95},
+      {"olt_p99", stream1.olt_p99},
+      {"wait_p95", stream1.wait_p95},
+      {"energy_j_mean", stream1.energy_j_mean()},
+      {"store_hit_rate", stream1.store.hit_rate()},
+      {"quantile_relative_error_bound",
+       stream1.olt_stats.histogram().relative_error_bound()},
+      {"identical_across_jobs", stream_identical},
+      {"wall_sec_jobs1", wall_jobs1},
+      {"wall_sec_jobs4", wall_jobs4},
+      {"epoch_parallel_speedup", stream_speedup},
+      {"peak_rss_mib", rss_mib},
+      {"peak_rss_ceiling_mib", kRssCeilingMib},
+      {"peak_rss_ok", rss_ok}}};
+  json::Value shards_json{json::Value::Object{
+      {"clients", shard_k},
+      {"workers_per_shard", shard_cfg.compute.workers},
+      {"l2_cost_ms_per_mib", opts.l2_cost_ms_per_mib}}};
   for (const LevelRow& row : shard_rows) {
     const fleet::FleetMetrics& m = row.metrics;
-    std::fprintf(json,
-                 "    \"N_%d\": {\"l1_hit_rate\": %.4f, \"l2_hit_rate\": "
-                 "%.4f, \"transfer_busy_sec\": %.6f, \"olt_p95\": %.6f, "
-                 "\"wait_p95\": %.6f, \"fetch_parse_sec\": %.6f},\n",
-                 row.k, m.store.hit_rate(), m.l2.hit_rate(),
-                 m.compute.transfer_busy_sec, m.olt_p95, m.wait_p95,
-                 m.fetch_parse_sec);
+    shards_json.set("N_" + std::to_string(row.k),
+                    json::Value::Object{
+                        {"l1_hit_rate", m.store.hit_rate()},
+                        {"l2_hit_rate", m.l2.hit_rate()},
+                        {"transfer_busy_sec", m.compute.transfer_busy_sec},
+                        {"olt_p95", m.olt_p95},
+                        {"wait_p95", m.wait_p95},
+                        {"fetch_parse_sec", m.fetch_parse_sec}});
   }
-  std::fprintf(json, "    \"l1_hit_rate_falls_with_n\": %s,\n",
-               l1_loss_ok ? "true" : "false");
-  std::fprintf(json, "    \"l2_absorbs_repeat_misses\": %s,\n",
-               l2_absorbs_ok ? "true" : "false");
-  std::fprintf(json, "    \"p95_olt_not_worse_at_max_n\": %s\n  },\n",
-               shard_tail_ok ? "true" : "false");
-  std::fprintf(json, "  \"crash_handoff\": {\n");
-  std::fprintf(json, "    \"shards\": %d,\n", crash_cfg.shards);
-  std::fprintf(json, "    \"victim\": %d,\n", victim);
-  std::fprintf(json, "    \"crash_at_sec\": %.4f,\n", crash_at_sec);
-  std::fprintf(json, "    \"restart_after_sec\": 0.05,\n");
-  std::fprintf(json, "    \"handoffs\": %llu,\n",
-               static_cast<unsigned long long>(crash_m.crash_handoffs));
-  std::fprintf(json, "    \"tasks_killed\": %llu,\n",
-               static_cast<unsigned long long>(crash_m.crash_killed_tasks));
-  std::fprintf(json, "    \"redo_sec_total\": %.6f,\n",
-               crash_m.redo_sec_total);
-  std::fprintf(json, "    \"redo_bytes_total\": %lld,\n",
-               static_cast<long long>(crash_m.redo_bytes_total));
-  std::fprintf(json, "    \"recovery_sec_total\": %.6f,\n",
-               crash_m.recovery_sec_total);
-  std::fprintf(json, "    \"recovery_sec_max\": %.6f,\n",
-               crash_m.recovery_sec_max);
-  std::fprintf(json, "    \"olt_p95\": %.6f,\n", crash_m.olt_p95);
-  std::fprintf(json, "    \"all_sessions_completed\": %s,\n",
-               crash_all_complete ? "true" : "false");
-  std::fprintf(json, "    \"handoff_engaged\": %s\n  },\n",
-               crash_handoff_ok ? "true" : "false");
-  std::fprintf(json, "  \"deterministic_across_jobs\": %s\n",
-               identical ? "true" : "false");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
+  shards_json.set("l1_hit_rate_falls_with_n", l1_loss_ok);
+  shards_json.set("l2_absorbs_repeat_misses", l2_absorbs_ok);
+  shards_json.set("p95_olt_not_worse_at_max_n", shard_tail_ok);
+  json::Value crash_json{json::Value::Object{
+      {"shards", crash_cfg.shards},
+      {"victim", victim},
+      {"crash_at_sec", crash_at_sec},
+      {"restart_after_sec",
+       crash_cfg.shard_faults.proxy_restart_after->sec()},
+      {"handoffs", crash_m.crash_handoffs},
+      {"tasks_killed", crash_m.crash_killed_tasks},
+      {"redo_sec_total", crash_m.redo_sec_total},
+      {"redo_bytes_total", static_cast<double>(crash_m.redo_bytes_total)},
+      {"recovery_sec_total", crash_m.recovery_sec_total},
+      {"recovery_sec_max", crash_m.recovery_sec_max},
+      {"olt_p95", crash_m.olt_p95},
+      {"all_sessions_completed", crash_all_complete},
+      {"handoff_engaged", crash_handoff_ok}}};
+  const json::Value report{json::Value::Object{
+      {"corpus", json::Value::Object{{"pages", kPages},
+                                     {"scheme", "PARCEL(IND)"},
+                                     {"round_robin", true}}},
+      {"arrival_seed", opts.arrival_seed},
+      {"faults", opts.faults.enabled() ? opts.faults.str() : "off"},
+      {"clients_levels", std::move(clients_levels)},
+      {"amplification", std::move(amp_json)},
+      {"knee", std::move(knee_json)},
+      {"streaming", std::move(stream_json)},
+      {"shards", std::move(shards_json)},
+      {"crash_handoff", std::move(crash_json)},
+      {"deterministic_across_jobs", identical},
+  }};
+  if (!bench::write_json("BENCH_fleet.json", report)) return 1;
   std::printf("wrote BENCH_fleet.json\n");
 
   return (identical && amplification_ok && knee_ok && shed_ok &&

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,7 @@
 namespace {
 
 using namespace parcel;
+namespace json = bench::json;
 // parcel-lint: allow(nondet-time) wall-clock is the measurement here: this bench reports real kernel throughput, not simulated time
 using Clock = std::chrono::steady_clock;
 
@@ -224,35 +226,18 @@ LoadStats measure_load_allocation(const web::WebPage& page) {
   return stats;
 }
 
-// ---- Flat-key JSON read/compare ------------------------------------------
+// ---- Baseline compare ----------------------------------------------------
 
-double read_key(const std::string& text, const char* key) {
-  std::string needle = std::string("\"") + key + "\"";
-  std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    std::fprintf(stderr, "compare: key %s missing\n", key);
+/// The gated number `key` of `doc`; a missing or non-numeric value is a
+/// usage error (exit 2), never a silent zero.
+double gated_value(const json::Value& doc, const char* path, const char* key) {
+  try {
+    return doc.at(key).as_number();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "compare: %s: gated key %s: %s\n", path, key,
+                 e.what());
     std::exit(2);
   }
-  pos = text.find(':', pos + needle.size());
-  if (pos == std::string::npos) {
-    std::fprintf(stderr, "compare: key %s malformed\n", key);
-    std::exit(2);
-  }
-  return std::strtod(text.c_str() + pos + 1, nullptr);
-}
-
-std::string slurp(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "compare: cannot read %s\n", path);
-    std::exit(2);
-  }
-  std::string out;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
 }
 
 /// Gate CURRENT against BASELINE: throughput keys may not drop below 90%
@@ -260,8 +245,14 @@ std::string slurp(const char* path) {
 int compare_mode(const char* current_path, const char* baseline_path) {
   constexpr double kThroughputFloor = 0.90;
   constexpr double kBytesCeiling = 1.10;
-  std::string current = slurp(current_path);
-  std::string baseline = slurp(baseline_path);
+  json::Value current, baseline;
+  try {
+    current = bench::read_json(current_path);
+    baseline = bench::read_json(baseline_path);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "compare: %s\n", e.what());
+    return 2;
+  }
 
   struct Gate {
     const char* key;
@@ -276,8 +267,8 @@ int compare_mode(const char* current_path, const char* baseline_path) {
 
   bool ok = true;
   for (const Gate& g : kGates) {
-    double cur = read_key(current, g.key);
-    double base = read_key(baseline, g.key);
+    double cur = gated_value(current, current_path, g.key);
+    double base = gated_value(baseline, baseline_path, g.key);
     double ratio = base != 0 ? cur / base : 1.0;
     bool pass = g.higher_is_better ? ratio >= kThroughputFloor
                                    : ratio <= kBytesCeiling;
@@ -350,30 +341,20 @@ int main(int argc, char** argv) {
               replay.aos_records_per_sec / 1e6,
               replay.soa_records_per_sec / replay.aos_records_per_sec);
 
-  FILE* json = std::fopen("BENCH_kernel.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "error: cannot write BENCH_kernel.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  std::fprintf(json, "  \"hardware_threads\": %d,\n", hw);
-  std::fprintf(json, "  \"quick\": %s,\n", quick ? "true" : "false");
-  std::fprintf(json, "  \"scheduler_events_per_sec\": %.0f,\n", events);
-  std::fprintf(json, "  \"trace_replay_records_per_sec\": %.0f,\n",
-               replay.soa_records_per_sec);
-  std::fprintf(json, "  \"trace_replay_aos_records_per_sec\": %.0f,\n",
-               replay.aos_records_per_sec);
-  std::fprintf(json, "  \"trace_replay_speedup_vs_aos\": %.3f,\n",
-               replay.soa_records_per_sec / replay.aos_records_per_sec);
-  std::fprintf(json, "  \"bytes_allocated_per_load\": %zu,\n",
-               loads.arena_bytes);
-  std::fprintf(json, "  \"arena_allocations_per_load\": %zu,\n",
-               loads.arena_allocations);
-  std::fprintf(json, "  \"sim_joules_per_event\": %.9g,\n",
-               loads.sim_joules_per_event);
-  std::fprintf(json, "  \"arena_identical_results\": true\n");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
+  const json::Value report{json::Value::Object{
+      {"hardware_threads", hw},
+      {"quick", quick},
+      {"scheduler_events_per_sec", events},
+      {"trace_replay_records_per_sec", replay.soa_records_per_sec},
+      {"trace_replay_aos_records_per_sec", replay.aos_records_per_sec},
+      {"trace_replay_speedup_vs_aos",
+       replay.soa_records_per_sec / replay.aos_records_per_sec},
+      {"bytes_allocated_per_load", loads.arena_bytes},
+      {"arena_allocations_per_load", loads.arena_allocations},
+      {"sim_joules_per_event", loads.sim_joules_per_event},
+      {"arena_identical_results", true},
+  }};
+  if (!bench::write_json("BENCH_kernel.json", report)) return 1;
   std::printf("\nwrote BENCH_kernel.json\n");
   return 0;
 }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -16,6 +17,7 @@
 namespace {
 
 using namespace parcel;
+namespace json = bench::json;
 // parcel-lint: allow(nondet-time) wall-clock is the measurement here: this bench times real thread scaling, not simulated time
 using Clock = std::chrono::steady_clock;
 
@@ -106,51 +108,37 @@ int main(int argc, char** argv) {
   std::printf("parallel medians bitwise-identical to serial: %s\n",
               identical ? "yes" : "NO — DETERMINISM BROKEN");
 
-  FILE* json = std::fopen("BENCH_parallel.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "error: cannot write BENCH_parallel.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  std::fprintf(json, "  \"hardware_threads\": %d,\n", hw);
-  std::fprintf(json, "  \"corpus\": {\"pages\": %d, \"rounds\": %d, "
-               "\"schemes\": [\"DIR\", \"PARCEL(IND)\"]},\n", pages, rounds);
-  std::fprintf(json, "  \"corpus_wall_clock_sec\": {");
-  for (std::size_t j = 0; j < job_levels.size(); ++j) {
-    std::fprintf(json, "%s\"jobs_%d\": %.3f", j ? ", " : "", job_levels[j],
-                 wall_clock[j]);
-  }
-  std::fprintf(json, "},\n");
   // Speedups split by whether the level fits the hardware: only
   // "speedup" rows are meaningful as a perf signal; "oversubscribed"
   // rows run more workers than hardware threads and are kept solely as
   // determinism coverage.
-  std::fprintf(json, "  \"speedup\": {");
-  bool first = true;
+  json::Value wall{json::Value::Object{}}, speedup{json::Value::Object{}},
+      oversubscribed{json::Value::Object{}};
   for (std::size_t j = 0; j < job_levels.size(); ++j) {
-    if (job_levels[j] > hw) continue;
-    std::fprintf(json, "%s\"jobs_%d\": %.3f", first ? "" : ", ",
-                 job_levels[j], wall_clock[0] / wall_clock[j]);
-    first = false;
+    const std::string key = "jobs_" + std::to_string(job_levels[j]);
+    const double ratio = wall_clock[0] / wall_clock[j];
+    wall.set(key, wall_clock[j]);
+    if (job_levels[j] <= hw) {
+      speedup.set(key, ratio);
+    } else {
+      oversubscribed.set(key, json::Value::Object{
+                                  {"wall_clock_ratio", ratio},
+                                  {"excluded_from_headline", true}});
+    }
   }
-  std::fprintf(json, "},\n");
-  std::fprintf(json, "  \"headline_speedup\": %.3f,\n", headline_speedup);
-  std::fprintf(json, "  \"oversubscribed\": {");
-  first = true;
-  for (std::size_t j = 0; j < job_levels.size(); ++j) {
-    if (job_levels[j] <= hw) continue;
-    std::fprintf(json,
-                 "%s\"jobs_%d\": {\"wall_clock_ratio\": %.3f, "
-                 "\"excluded_from_headline\": true}",
-                 first ? "" : ", ", job_levels[j],
-                 wall_clock[0] / wall_clock[j]);
-    first = false;
-  }
-  std::fprintf(json, "},\n");
-  std::fprintf(json, "  \"deterministic_across_jobs\": %s\n",
-               identical ? "true" : "false");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
+  const json::Value report{json::Value::Object{
+      {"hardware_threads", hw},
+      {"corpus", json::Value::Object{
+                     {"pages", pages},
+                     {"rounds", rounds},
+                     {"schemes", json::Value::Array{"DIR", "PARCEL(IND)"}}}},
+      {"corpus_wall_clock_sec", wall},
+      {"speedup", speedup},
+      {"headline_speedup", headline_speedup},
+      {"oversubscribed", oversubscribed},
+      {"deterministic_across_jobs", identical},
+  }};
+  if (!bench::write_json("BENCH_parallel.json", report)) return 1;
   std::printf("\nwrote BENCH_parallel.json\n");
 
   return identical ? 0 : 1;

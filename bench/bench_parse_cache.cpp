@@ -27,6 +27,7 @@
 namespace {
 
 using namespace parcel;
+namespace json = bench::json;
 // parcel-lint: allow(nondet-time) wall-clock is the measurement here: this bench times real parse/scan speedup, not simulated time
 using Clock = std::chrono::steady_clock;
 
@@ -203,44 +204,36 @@ int main(int argc, char** argv) {
   std::printf("  medians bitwise-identical cache on/off: %s\n",
               identical ? "yes" : "NO — CACHE CHANGES RESULTS");
 
-  FILE* json = std::fopen("BENCH_parse_cache.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "error: cannot write BENCH_parse_cache.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n");
-  std::fprintf(json, "  \"corpus\": {\"pages\": %d, \"loads_per_page\": %d},\n",
-               pages, loads_per_page);
-  std::fprintf(json, "  \"scan_workload\": {\n");
-  std::fprintf(json, "    \"scans\": %zu,\n", fresh.scans);
-  std::fprintf(json, "    \"fresh_sec\": %.4f,\n", fresh.sec);
-  std::fprintf(json, "    \"cached_sec\": %.4f,\n", memo.sec);
-  std::fprintf(json, "    \"speedup\": %.3f,\n", workload_speedup);
-  std::fprintf(json, "    \"hit_rate\": %.4f,\n", ws.hit_rate());
-  std::fprintf(json,
-               "    \"per_kind\": {\"html\": {\"hits\": %llu, \"misses\": "
-               "%llu}, \"css\": {\"hits\": %llu, \"misses\": %llu}, \"js\": "
-               "{\"hits\": %llu, \"misses\": %llu}}\n",
-               static_cast<unsigned long long>(ws.html_hits),
-               static_cast<unsigned long long>(ws.html_misses),
-               static_cast<unsigned long long>(ws.css_hits),
-               static_cast<unsigned long long>(ws.css_misses),
-               static_cast<unsigned long long>(ws.js_hits),
-               static_cast<unsigned long long>(ws.js_misses));
-  std::fprintf(json, "  },\n");
-  std::fprintf(json, "  \"end_to_end\": {\n");
-  std::fprintf(json, "    \"schemes\": [\"DIR\", \"PARCEL(IND)\"],\n");
-  std::fprintf(json, "    \"rounds\": %d,\n", rounds);
-  std::fprintf(json, "    \"jobs\": %d,\n", opts.jobs);
-  std::fprintf(json, "    \"cache_off_sec\": %.3f,\n", off_sec);
-  std::fprintf(json, "    \"cache_on_sec\": %.3f,\n", on_sec);
-  std::fprintf(json, "    \"speedup\": %.3f,\n", off_sec / on_sec);
-  std::fprintf(json, "    \"hit_rate\": %.4f,\n", es.hit_rate());
-  std::fprintf(json, "    \"identical_results\": %s\n",
-               identical ? "true" : "false");
-  std::fprintf(json, "  }\n");
-  std::fprintf(json, "}\n");
-  std::fclose(json);
+  auto hits_misses = [](std::uint64_t hits, std::uint64_t misses) {
+    return json::Value::Object{{"hits", hits}, {"misses", misses}};
+  };
+  const json::Value report{json::Value::Object{
+      {"corpus", json::Value::Object{{"pages", pages},
+                                     {"loads_per_page", loads_per_page}}},
+      {"scan_workload",
+       json::Value::Object{
+           {"scans", fresh.scans},
+           {"fresh_sec", fresh.sec},
+           {"cached_sec", memo.sec},
+           {"speedup", workload_speedup},
+           {"hit_rate", ws.hit_rate()},
+           {"per_kind",
+            json::Value::Object{
+                {"html", hits_misses(ws.html_hits, ws.html_misses)},
+                {"css", hits_misses(ws.css_hits, ws.css_misses)},
+                {"js", hits_misses(ws.js_hits, ws.js_misses)}}}}},
+      {"end_to_end",
+       json::Value::Object{
+           {"schemes", json::Value::Array{"DIR", "PARCEL(IND)"}},
+           {"rounds", rounds},
+           {"jobs", opts.jobs},
+           {"cache_off_sec", off_sec},
+           {"cache_on_sec", on_sec},
+           {"speedup", off_sec / on_sec},
+           {"hit_rate", es.hit_rate()},
+           {"identical_results", identical}}},
+  }};
+  if (!bench::write_json("BENCH_parse_cache.json", report)) return 1;
   std::printf("\nwrote BENCH_parse_cache.json\n");
 
   if (ws.hit_rate() <= 0.0) {

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 
 namespace parcel::bench {
@@ -382,6 +384,29 @@ void print_cdf(const char* label, const std::vector<double>& samples) {
               label, cdf.size(), cdf.quantile(0.10), cdf.quantile(0.50),
               cdf.quantile(0.90), cdf.sorted_samples().back());
   std::printf("%s", cdf.to_table(16).c_str());
+}
+
+bool write_json(const std::string& path, const json::Value& doc) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << doc.dump() << '\n';
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
+json::Value read_json(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::invalid_argument("cannot read " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    return json::parse(text.str());
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(path + ": " + e.what());
+  }
 }
 
 }  // namespace parcel::bench

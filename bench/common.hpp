@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "benchmark/json.hpp"
 #include "core/experiment.hpp"
 #include "core/parallel_runner.hpp"
 #include "lte/radio_link.hpp"
@@ -18,6 +19,8 @@
 #include "web/generator.hpp"
 
 namespace parcel::bench {
+
+namespace json = perf::json;
 
 struct Corpus {
   std::vector<web::PageSpec> specs;
@@ -136,5 +139,13 @@ PageMedians run_corpus(core::Scheme scheme, const Corpus& corpus, int rounds,
 
 void print_header(const char* figure, const char* caption);
 void print_cdf(const char* label, const std::vector<double>& samples);
+
+/// Writes `doc.dump()` plus a newline to `path` (the BENCH_*.json
+/// reports). On failure prints "error: cannot write PATH" to stderr and
+/// returns false.
+bool write_json(const std::string& path, const json::Value& doc);
+/// Reads and parses one JSON file; throws std::invalid_argument naming
+/// `path` when it cannot be read or is malformed.
+json::Value read_json(const std::string& path);
 
 }  // namespace parcel::bench

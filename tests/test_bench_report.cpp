@@ -1,0 +1,89 @@
+// The bench report path: every BENCH_*.json goes through
+// bench::write_json / bench::read_json, and the committed baselines are
+// what bench_kernel_throughput --compare gates against.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <stdexcept>
+#include <string>
+
+#include "bench/common.hpp"
+
+namespace {
+
+using namespace parcel;
+namespace json = bench::json;
+namespace fs = std::filesystem;
+
+TEST(BenchReport, EveryCommittedBenchJsonParses) {
+  int files = 0;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(PARCEL_REPO_ROOT)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("BENCH_", 0) != 0 || entry.path().extension() != ".json") {
+      continue;
+    }
+    ++files;
+    SCOPED_TRACE(name);
+    json::Value doc;
+    ASSERT_NO_THROW(doc = bench::read_json(entry.path().string()));
+    EXPECT_TRUE(doc.is_object());
+  }
+  EXPECT_GE(files, 5);
+}
+
+TEST(BenchReport, KernelBaselineGatedKeysAreNumbers) {
+  const json::Value doc =
+      bench::read_json(std::string(PARCEL_REPO_ROOT) + "/BENCH_kernel.json");
+  for (const char* key :
+       {"scheduler_events_per_sec", "trace_replay_records_per_sec",
+        "bytes_allocated_per_load", "sim_joules_per_event"}) {
+    SCOPED_TRACE(key);
+    ASSERT_NE(doc.find(key), nullptr);
+    EXPECT_TRUE(doc.at(key).is_number());
+  }
+}
+
+TEST(BenchReport, WriteJsonRoundTripsANestedDocument) {
+  const json::Value doc{json::Value::Object{
+      {"plan", "loss=0.02 \"quoted\" back\\slash\ttab\nline"},
+      {"quick", false},
+      {"max_exact", std::uint64_t{1} << 53},
+      {"ratio", 0.1},
+      {"levels", json::Value::Array{1, 2, 4}},
+      {"nested", json::Value::Object{{"ok", true},
+                                     {"empty", json::Value::Object{}},
+                                     {"none", json::Value()}}},
+  }};
+  const std::string path =
+      (fs::temp_directory_path() / "parcel_bench_report_roundtrip.json")
+          .string();
+  ASSERT_TRUE(bench::write_json(path, doc));
+  const json::Value back = bench::read_json(path);
+  fs::remove(path);
+  EXPECT_EQ(back.dump(), doc.dump());
+  EXPECT_EQ(back.at("max_exact").as_number(), 9007199254740992.0);
+  EXPECT_EQ(back.at("plan").as_string(),
+            "loss=0.02 \"quoted\" back\\slash\ttab\nline");
+}
+
+TEST(BenchReport, WriteJsonReportsAnUnwritablePath) {
+  const fs::path dir = fs::temp_directory_path() / "parcel_no_such_dir";
+  fs::remove_all(dir);
+  EXPECT_FALSE(bench::write_json((dir / "BENCH_x.json").string(),
+                                 json::Value::Object{{"a", 1}}));
+}
+
+TEST(BenchReport, ReadJsonRejectsMissingAndMalformedFiles) {
+  const fs::path dir = fs::temp_directory_path();
+  EXPECT_THROW((void)bench::read_json((dir / "parcel_no_such.json").string()),
+               std::invalid_argument);
+  const std::string bad = (dir / "parcel_bench_report_bad.json").string();
+  std::ofstream(bad) << "{\"a\": 1} trailing";
+  EXPECT_THROW((void)bench::read_json(bad), std::invalid_argument);
+  fs::remove(bad);
+}
+
+}  // namespace

@@ -169,7 +169,7 @@ TEST(ParcelLint, BenchFilesAreInRepoLintScope) {
   EXPECT_FALSE(cfg.applies("float-double-drift", "bench/bench_pipeline.cpp"));
 
   // And the shipped lint.rules itself names both bench files in-scope.
-  std::ifstream rules(std::string(PARCEL_LINT_REPO_ROOT) + "/lint.rules");
+  std::ifstream rules(std::string(PARCEL_REPO_ROOT) + "/lint.rules");
   ASSERT_TRUE(rules.good());
   std::ostringstream ss;
   ss << rules.rdbuf();
@@ -500,8 +500,8 @@ TEST(ParcelLintCli, TransitiveFixturesThroughCliExitCodes) {
 // parcel_lint_tree ctest and the ci.sh gate, driven through run_cli.
 TEST(ParcelLintCli, RepoTreeIsClean) {
   std::string text;
-  int rc = cli({"--config", std::string(PARCEL_LINT_REPO_ROOT) + "/lint.rules",
-                "--root", PARCEL_LINT_REPO_ROOT, "src", "bench"},
+  int rc = cli({"--config", std::string(PARCEL_REPO_ROOT) + "/lint.rules",
+                "--root", PARCEL_REPO_ROOT, "src", "bench"},
                &text);
   EXPECT_EQ(rc, 0) << text;
 }
