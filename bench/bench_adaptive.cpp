@@ -9,16 +9,16 @@
 //    on the fade sweep;
 //  * the adaptive grid is bitwise identical across jobs=1 and jobs=4,
 //    including the ctrl_* telemetry;
-//  * with the controller disabled (PARCEL_CTRL=0 semantics via
-//    ctrl::set_ctrl_enabled(false)) an adaptive run's packet trace is
-//    byte-for-byte the fixed scheme's at the initial 512K threshold.
+//  * with the controller's target clamps pinned to 512K
+//    (min_target == max_target) an adaptive run — controller installed,
+//    tapping every burst — is byte-for-byte the fixed 512K scheme, with
+//    no retune.
 //
 // Also reports (informational): the controller under the ad-heavy /
 // SPA / large-object page mixes, and flash-crowd / diurnal fleet legs.
 // Results go to stdout and BENCH_adaptive.json.
 //
-// --fade SPEC substitutes the canonical pulse profile; --ctrl off pins
-// the controller down (the OLT gate is then skipped); --mix NAME swaps
+// --fade SPEC substitutes the canonical pulse profile; --mix NAME swaps
 // the sweep corpus family; --jobs/--pages/--rounds/--quick as usual.
 #include <algorithm>
 #include <cstdio>
@@ -177,7 +177,6 @@ struct FleetRow {
 
 int main(int argc, char** argv) {
   bench::BenchOptions opts = bench::parse_options(argc, argv);
-  ctrl::set_ctrl_enabled(opts.ctrl);
   bench::print_header("Adaptive bundling",
                       "closed-loop b* control under signal dynamics vs the "
                       "fixed PARCEL(X) grid");
@@ -187,9 +186,9 @@ int main(int argc, char** argv) {
       opts.fade.ar1 ? std::string("ar1") : fade_str(profile);
   const int pages = opts.quick ? 4 : std::min(opts.pages, 8);
   const int rounds = opts.quick ? 1 : std::min(opts.rounds, 3);
-  std::printf("fade: %s   mix: %s   ctrl: %s   (%d pages x %d rounds)\n",
+  std::printf("fade: %s   mix: %s   (%d pages x %d rounds)\n",
               fade_name.c_str(), std::string(web::to_string(opts.mix)).c_str(),
-              opts.ctrl ? "on" : "off", pages, rounds);
+              pages, rounds);
 
   bench::Corpus corpus = bench::build_corpus(pages, 2014, opts.mix);
 
@@ -244,39 +243,32 @@ int main(int argc, char** argv) {
   std::printf("%-14s %12.3f %12.2f   (%.1f retunes/run)\n", "PARCEL-ADAPT",
               adaptive_olt, adaptive_j, mean_retunes);
 
-  // The headline gate. Skipped (vacuously true) when the user pinned the
-  // controller off — an off-run is the fixed 512K scheme by design.
   bool beats_every_fixed = true;
-  if (opts.ctrl) {
-    for (const GridRow& row : grid_rows) {
-      beats_every_fixed = beats_every_fixed && adaptive_olt < row.mean_olt;
-    }
+  for (const GridRow& row : grid_rows) {
+    beats_every_fixed = beats_every_fixed && adaptive_olt < row.mean_olt;
   }
-  std::printf("beats every fixed size: %s\n",
-              !opts.ctrl          ? "skipped (--ctrl off)"
-              : beats_every_fixed ? "yes"
-                                  : "NO");
+  std::printf("beats every fixed size: %s\n", beats_every_fixed ? "yes" : "NO");
   std::printf("jobs=1 == jobs=4:       %s\n",
               jobs_identical ? "yes" : "NO — DETERMINISM BROKEN");
 
-  // ---- kill-switch byte pin ----------------------------------------------
-  // With the controller off, an adaptive run must be byte-for-byte the
-  // fixed scheme at the initial 512K threshold: same trace, no telemetry.
-  bool ctrl_off_identical = true;
+  // ---- pinned-clamp byte pin --------------------------------------------
+  // With its target clamped to exactly 512K the controller is installed
+  // and taps every burst but can never move the threshold, so the run
+  // must be byte-for-byte the fixed 512K scheme: same trace, no retune.
+  bool pinned_identical = true;
   {
-    ctrl::set_ctrl_enabled(false);
     core::RunConfig cfg = sweep_config(opts.fade, profile, 0, 0);
-    core::RunResult off = core::ExperimentRunner::run(
+    cfg.ctrl.min_target = cfg.ctrl.max_target = util::kib(512);
+    core::RunResult pinned = core::ExperimentRunner::run(
         core::Scheme::kParcelAdaptive, *corpus.replayed[0], cfg);
     core::RunResult fixed = core::ExperimentRunner::run(
         core::Scheme::kParcel512K, *corpus.replayed[0], cfg);
-    ctrl_off_identical = off.trace.serialize() == fixed.trace.serialize() &&
-                         off.ctrl_retunes == 0 && off.ctrl_threshold == 0;
-    ctrl::set_ctrl_enabled(opts.ctrl);
+    pinned_identical = pinned.trace.serialize() == fixed.trace.serialize() &&
+                       pinned.ctrl_retunes == 0;
   }
-  std::printf("ctrl-off == fixed 512K: %s\n",
-              ctrl_off_identical ? "yes (byte-identical trace)"
-                                 : "NO — KILL SWITCH BROKEN");
+  std::printf("pinned ctrl == fixed 512K: %s\n",
+              pinned_identical ? "yes (byte-identical trace)"
+                               : "NO — PINNED CONTROLLER MOVED THE RUN");
 
   // ---- page-mix legs (informational) -------------------------------------
   std::vector<MixRow> mix_rows;
@@ -357,7 +349,6 @@ int main(int argc, char** argv) {
   const json::Value report{json::Value::Object{
       {"fade", fade_name},
       {"mix", std::string(web::to_string(opts.mix))},
-      {"ctrl", opts.ctrl},
       {"pages", pages},
       {"rounds", rounds},
       {"grid", std::move(grid_json)},
@@ -368,10 +359,10 @@ int main(int argc, char** argv) {
       {"fleet", std::move(fleet_json)},
       {"beats_every_fixed", beats_every_fixed},
       {"deterministic_across_jobs", jobs_identical},
-      {"ctrl_off_byte_identical", ctrl_off_identical},
+      {"pinned_ctrl_byte_identical", pinned_identical},
   }};
   if (!bench::write_json("BENCH_adaptive.json", report)) return 1;
   std::printf("\nwrote BENCH_adaptive.json\n");
 
-  return (beats_every_fixed && jobs_identical && ctrl_off_identical) ? 0 : 1;
+  return (beats_every_fixed && jobs_identical && pinned_identical) ? 0 : 1;
 }

@@ -140,15 +140,6 @@ FadeOption parse_fade(const char* flag, const char* text) {
   return opt;
 }
 
-// Strict on/off parse for boolean toggles (--ctrl): nothing but the two
-// canonical spellings, so "1"/"true"/"ON" typos fail loudly.
-bool parse_on_off(const char* flag, const char* text) {
-  if (std::strcmp(text, "on") == 0) return true;
-  if (std::strcmp(text, "off") == 0) return false;
-  throw std::invalid_argument(std::string(flag) + " expects 'on' or 'off', got '" +
-                              text + "'");
-}
-
 // Strict page-mix name parse (--mix): exactly the to_string names.
 web::PageMix parse_page_mix(const char* flag, const char* text) {
   for (web::PageMix mix :
@@ -260,14 +251,6 @@ BenchOptions parse_options(int argc, char** argv) {
       const char* spec = flag_value("--fade", argc, argv, i);
       try {
         opts.fade = parse_fade("--fade", spec);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--ctrl") == 0) {
-      const char* value = flag_value("--ctrl", argc, argv, i);
-      try {
-        opts.ctrl = parse_on_off("--ctrl", value);
       } catch (const std::invalid_argument& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         std::exit(2);

@@ -73,17 +73,15 @@ struct BenchOptions {
   /// BENCH_*.json baselines stay byte-comparable across builds.
   sim::FaultPlan faults;
   /// Adaptive-bundling knobs (bench_adaptive; ISSUE 10). --fade SPEC
-  /// picks the radio bandwidth trajectory, --ctrl on|off maps onto the
-  /// PARCEL_CTRL kill switch (applied by the bench, not the parser),
-  /// --mix NAME picks the PageMix family handed to build_corpus.
+  /// picks the radio bandwidth trajectory, --mix NAME picks the PageMix
+  /// family handed to build_corpus.
   FadeOption fade;
-  bool ctrl = true;
   web::PageMix mix = web::PageMix::kAlexa34;
 };
 
 /// Parse --pages N / --rounds N / --jobs N / --clients N / --workers N /
 /// --shards N / --l2-cost MS_PER_MIB / --arrival-seed N / --quick /
-/// --faults SPEC / --fade SPEC / --ctrl on|off / --mix NAME from argv
+/// --faults SPEC / --fade SPEC / --mix NAME from argv
 /// (see sim::FaultPlan::parse for the fault grammar; "off" disables).
 /// The PARCEL_FAULT_SEED environment variable overrides the plan's
 /// seed. Malformed values abort with a clear error on stderr.
@@ -106,8 +104,6 @@ double parse_nonneg_double(const char* flag, const char* text);
 /// valueless segments, and specs rejected by lte::FadeSpec::validate()
 /// all throw.
 FadeOption parse_fade(const char* flag, const char* text);
-/// Exactly `on` or `off` — no 1/0/true/yes spellings.
-bool parse_on_off(const char* flag, const char* text);
 /// One of web::to_string(PageMix)'s names:
 /// alexa34|ad-heavy|spa|large-object.
 web::PageMix parse_page_mix(const char* flag, const char* text);

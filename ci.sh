@@ -139,21 +139,18 @@ echo "==> Faulted smoke (fixed seed: must complete and exercise fallback)"
 # knee and shedding; bitwise identity across --jobs 1 and 4; the shard
 # sweep's tiering physics; 100% completion and engaged handoffs after the
 # crash; and, on the streaming leg, epoch-parallel identity plus the
-# peak-RSS ceiling (sub-linear memory in K).
-echo "==> Fleet smoke (K=16 mini-fleet: amplification + knee + shedding)"
-(cd build-ci/bench && ./bench_fleet_scaling --quick --clients 16)
-
-echo "==> Sharded fleet smoke (N-shards sweep + N=4 mid-run crash handoff)"
-(cd build-ci/bench && ./bench_fleet_scaling --quick --shards 4)
-
-echo "==> Streaming fleet smoke (K=100000: sketches, epoch-parallel, RSS)"
-(cd build-ci/bench && ./bench_fleet_scaling --clients 4 --stream-clients 100000)
+# peak-RSS ceiling (sub-linear memory in K). The defaults are the run
+# that produced BENCH_fleet.json: K levels 4/8/16 (amplification, knee,
+# shedding), the K=100000 streaming leg, the N=1..8 shard sweep and the
+# N=4 mid-run crash handoff.
+echo "==> Fleet smoke (knee, K=100000 streaming, shard sweep, crash handoff)"
+(cd build-ci/bench && ./bench_fleet_scaling)
 
 echo "==> Adaptive bundling smoke (fade sweep: controller vs fixed grid)"
 # bench_adaptive exits nonzero unless the closed-loop controller beats
 # every fixed bundle size on the canonical fade sweep, jobs=1 and jobs=4
-# runs are bitwise identical, and --ctrl off pins the trace byte-for-byte
-# to the fixed 512K scheme.
+# runs are bitwise identical, and a controller whose target clamps are
+# pinned to 512K leaves the trace byte-for-byte the fixed 512K scheme's.
 (cd build-ci/bench && ./bench_adaptive --quick)
 
 echo "==> ThreadSanitizer: parallel runner + parse cache + fleet race-free"

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/logging.hpp"
 #include "util/strings.hpp"
 #include "web/css.hpp"
 #include "web/js.hpp"
@@ -120,8 +119,6 @@ void BrowserEngine::on_fetch_result(std::uint32_t id, bool blocking,
   };
 
   if (!result.ok()) {
-    util::log_warn("browser.engine",
-                   name_ + ": fetch failed: " + result.url.str());
     finish();
     return;
   }
@@ -284,8 +281,6 @@ void BrowserEngine::check_onload() {
   if (outstanding_blocking_ != 0) return;
   if (main_thread_.pending_blocking() != 0) return;
   onload_time_ = sched_.now();
-  util::log_debug("browser.engine",
-                  name_ + ": onload at " + onload_time_->str());
   // Release deferred async executions now that onload has fired.
   for (auto& pending : pending_async_runs_) {
     sched_.schedule_after(pending.first, std::move(pending.second));

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/logging.hpp"
-
 namespace parcel::core {
 
 ParcelClientFetcher::ParcelClientFetcher(sim::Scheduler& sched, util::Rng rng,
@@ -107,7 +105,6 @@ void ParcelClientFetcher::request_direct(Parked parked) {
     throw std::logic_error("ParcelClientFetcher: direct fetch not wired");
   }
   ++direct_fetches_;
-  util::log_debug("core.client", "direct fetch: " + parked.url.str());
   direct_fetch_(parked.url, parked.hint, parked.object_id,
                 std::move(parked.on_result));
 }
@@ -122,7 +119,6 @@ void ParcelClientFetcher::request_fallback(Parked parked) {
     throw std::logic_error("ParcelClientFetcher: fallback not wired");
   }
   ++fallbacks_;
-  util::log_debug("core.client", "fallback request: " + parked.url.str());
   // The response arrives as a single-part bundle whose location matches
   // the exact URL, releasing the parked entry via on_bundle_parts.
   parked_.push_back(std::move(parked));

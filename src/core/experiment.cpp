@@ -124,6 +124,29 @@ void finalize_common(RunResult& result, Testbed& testbed,
   }
 }
 
+/// The load tail every callback-driven scheme shares: onload and
+/// completion stamp olt/tlt/ok, the scheduler runs out the capture
+/// window, and a load that never completed takes its last captured
+/// packet as TLT. `load` starts the page with the callbacks it is given.
+template <typename Callbacks, typename Load>
+void run_load(RunResult& result, Testbed& testbed, const RunConfig& config,
+              Load&& load) {
+  Callbacks cbs;
+  cbs.on_onload = [&result](util::TimePoint t) {
+    result.olt = t - util::TimePoint::origin();
+  };
+  cbs.on_complete = [&result](util::TimePoint t) {
+    result.tlt = t - util::TimePoint::origin();
+    result.ok = true;
+  };
+  load(std::move(cbs));
+  testbed.scheduler().run_until(util::TimePoint::origin() +
+                                config.capture_window);
+  if (!result.ok && !testbed.client_trace().empty()) {
+    result.tlt = testbed.client_trace().last_time() - util::TimePoint::origin();
+  }
+}
+
 RunResult run_dir(const web::WebPage& page, const RunConfig& config) {
   Testbed testbed(config.testbed);
   testbed.host_page(page);
@@ -136,20 +159,9 @@ RunResult run_dir(const web::WebPage& page, const RunConfig& config) {
 
   RunResult result;
   result.scheme = Scheme::kDir;
-  browser::BrowserEngine::Callbacks cbs;
-  cbs.on_onload = [&](util::TimePoint t) {
-    result.olt = t - util::TimePoint::origin();
-  };
-  cbs.on_complete = [&](util::TimePoint t) {
-    result.tlt = t - util::TimePoint::origin();
-    result.ok = true;
-  };
-  dir.load(page.main_url(), std::move(cbs));
-  testbed.scheduler().run_until(util::TimePoint::origin() +
-                                config.capture_window);
-  if (!result.ok && !testbed.client_trace().empty()) {
-    result.tlt = testbed.client_trace().last_time() - util::TimePoint::origin();
-  }
+  run_load<browser::BrowserEngine::Callbacks>(
+      result, testbed, config,
+      [&](auto cbs) { dir.load(page.main_url(), std::move(cbs)); });
   result.cpu_busy = dir.engine().cpu_busy();
   result.radio_http_requests = dir.fetcher().requests_issued();
   result.dns_lookups = dir.fetcher().dns_lookups();
@@ -190,13 +202,15 @@ RunResult run_parcel(Scheme scheme, const web::WebPage& page,
                         util::Rng(config.seed));
 
   // Closed-loop adaptive bundling (ISSUE 10). The controller only exists
-  // for kParcelAdaptive with the kill switch on: every other scheme (and
-  // PARCEL_CTRL=0 adaptive runs) never installs the listener, consumes
-  // no RNG and arms no events, so their traces stay byte-identical to a
-  // build without the ctrl layer. The controller itself is deterministic
-  // integer state fed in record order — bitwise identical across --jobs.
+  // for kParcelAdaptive: every other scheme never installs the listener,
+  // consumes no RNG and arms no events, so their traces stay
+  // byte-identical to a build without the ctrl layer. The tap itself only
+  // reads records, so an adaptive run whose target clamps pin the
+  // threshold is byte-identical to the fixed scheme. The controller is
+  // deterministic integer state fed in record order — bitwise identical
+  // across --jobs.
   std::optional<ctrl::BundleController> controller;
-  if (scheme == Scheme::kParcelAdaptive && ctrl::ctrl_enabled()) {
+  if (scheme == Scheme::kParcelAdaptive) {
     ctrl::ControllerConfig ctrl_cfg = config.ctrl;
     // The estimator's CR gate and promotion compensation must describe
     // the radio this run actually uses.
@@ -231,20 +245,9 @@ RunResult run_parcel(Scheme scheme, const web::WebPage& page,
 
   RunResult result;
   result.scheme = scheme;
-  ParcelSession::Callbacks cbs;
-  cbs.on_onload = [&](util::TimePoint t) {
-    result.olt = t - util::TimePoint::origin();
-  };
-  cbs.on_complete = [&](util::TimePoint t) {
-    result.tlt = t - util::TimePoint::origin();
-    result.ok = true;
-  };
-  session.load(page.main_url(), std::move(cbs));
-  testbed.scheduler().run_until(util::TimePoint::origin() +
-                                config.capture_window);
-  if (!result.ok && !testbed.client_trace().empty()) {
-    result.tlt = testbed.client_trace().last_time() - util::TimePoint::origin();
-  }
+  run_load<ParcelSession::Callbacks>(
+      result, testbed, config,
+      [&](auto cbs) { session.load(page.main_url(), std::move(cbs)); });
   result.cpu_busy = session.client_engine().cpu_busy();
   // One URL request plus any fallback GETs cross the radio.
   result.fallbacks = session.client_fetcher().fallback_requests();
@@ -298,20 +301,9 @@ RunResult run_proxied(Scheme scheme, const web::WebPage& page,
 
   RunResult result;
   result.scheme = scheme;
-  browser::BrowserEngine::Callbacks cbs;
-  cbs.on_onload = [&](util::TimePoint t) {
-    result.olt = t - util::TimePoint::origin();
-  };
-  cbs.on_complete = [&](util::TimePoint t) {
-    result.tlt = t - util::TimePoint::origin();
-    result.ok = true;
-  };
-  client.load(page.main_url(), std::move(cbs));
-  testbed.scheduler().run_until(util::TimePoint::origin() +
-                                config.capture_window);
-  if (!result.ok && !testbed.client_trace().empty()) {
-    result.tlt = testbed.client_trace().last_time() - util::TimePoint::origin();
-  }
+  run_load<browser::BrowserEngine::Callbacks>(
+      result, testbed, config,
+      [&](auto cbs) { client.load(page.main_url(), std::move(cbs)); });
   result.cpu_busy = client.engine().cpu_busy();
   result.radio_http_requests = client.requests_issued();
   result.dns_lookups = 0;  // the proxy resolves

@@ -30,9 +30,9 @@ enum class Scheme : std::uint8_t {
   kParcel2M,
   kCloudBrowser,  // cloud-heavy baseline (CB)
   /// PARCEL(X) with the ctrl::BundleController retuning X mid-load from
-  /// the live capture (ISSUE 10). With the controller disabled
-  /// (PARCEL_CTRL=0 / ctrl::set_ctrl_enabled(false)) this is byte-for-
-  /// byte the fixed scheme at the initial threshold.
+  /// the live capture (DESIGN.md §15). With the controller's target
+  /// clamps pinned (min_target == max_target == the initial threshold)
+  /// this is byte-for-byte the fixed scheme at that threshold.
   kParcelAdaptive,
 };
 
@@ -87,18 +87,8 @@ struct RunResult {
   /// First injected fault -> next delivered payload burst.
   util::Duration recovery = util::Duration::zero();
 
-  // Sharded-fleet handoff surface (ISSUE 8): stamped by the fleet layer
-  // onto the session result when the session was migrated off a crashed
-  // proxy shard; all zero outside sharded fleet runs. Never produced by
-  // the per-session simulation itself.
-  std::uint32_t shard_handoffs = 0;  // times migrated to a surviving shard
-  /// Crash instant -> the session's proxy work re-completed.
-  util::Duration handoff_recovery = util::Duration::zero();
-  double redo_service_sec = 0.0;  // proxy service seconds re-executed
-  util::Bytes redo_bytes = 0;     // bytes the tier moved a second time
-
   // Closed-loop control telemetry (ISSUE 10): all zero except under
-  // kParcelAdaptive with the controller enabled. Fixed-point integers
+  // kParcelAdaptive. Fixed-point integers
   // straight from the controller, so cross-jobs identity is bitwise.
   std::uint64_t ctrl_retunes = 0;        // mid-load threshold changes
   std::int64_t ctrl_goodput_bps = 0;     // final EWMA goodput estimate

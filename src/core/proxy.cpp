@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/logging.hpp"
-
 namespace parcel::core {
 
 ProxyConfig ProxyConfig::with_bundle(BundleConfig bundle) {
@@ -141,7 +139,6 @@ void ParcelProxy::arm_completion_timer() {
         if (completion_declared_ || crashed_ || page_lost_) return;
         completion_declared_ = true;
         scheduler_->on_page_complete();
-        util::log_debug("core.proxy", "completion declared");
         if (notify_complete_) notify_complete_();
       });
 }
@@ -158,14 +155,12 @@ void ParcelProxy::crash() {
   page_lost_ = true;
   ++crash_count_;
   completion_timer_.cancel();
-  util::log_debug("core.proxy", "proxy crashed");
 }
 
 void ParcelProxy::restart() {
   if (!crashed_) return;
   crashed_ = false;
   // page_lost_ stays set: the new process has no memory of the old load.
-  util::log_debug("core.proxy", "proxy restarted");
 }
 
 void ParcelProxy::fetch_for_client(const net::Url& url,

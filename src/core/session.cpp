@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/logging.hpp"
-
 namespace parcel::core {
 
 namespace {
@@ -56,8 +54,6 @@ void ParcelSession::load(const net::Url& url, Callbacks callbacks) {
   if (url.is_https()) {
     // §4.5: encrypted pages bypass the proxy; fall back to the
     // traditional download path.
-    util::log_info("core.session",
-                   "HTTPS page, bypassing proxy: " + url.str());
     browser::DirConfig direct_cfg;
     direct_cfg.engine = config_.client_engine;
     direct_cfg.tcp = config_.tcp;
@@ -200,7 +196,6 @@ void ParcelSession::on_watchdog() {
   // The proxy has been silent past the deadline with work outstanding:
   // presume it dead and walk down the degradation ladder — whatever the
   // bundles delivered stays cached, everything else goes direct-to-origin.
-  util::log_info("core.session", "stall deadline passed, degrading to direct");
   proxy_presumed_dead_ = true;
   degraded_at_ = now;
   ensure_direct_fetcher();

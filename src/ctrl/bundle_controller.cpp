@@ -1,10 +1,7 @@
 #include "ctrl/bundle_controller.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
-
-#include "util/env.hpp"
 
 namespace parcel::ctrl {
 
@@ -22,28 +19,6 @@ std::uint64_t isqrt_u64(std::uint64_t v) {
   while (x > 0 && x > v / x) --x;          // ensure x*x <= v without overflow
   while ((x + 1) <= v / (x + 1)) ++x;      // ensure (x+1)^2 > v
   return x;
-}
-
-namespace {
-
-/// -1 unset, else 0/1. First use consults PARCEL_CTRL (read exactly once,
-/// same convention as core::set_arena_enabled / PARCEL_ARENA).
-std::atomic<int> g_ctrl_enabled{-1};
-
-}  // namespace
-
-bool ctrl_enabled() {
-  int v = g_ctrl_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    // parcel-lint: allow(nondet-transitive) PARCEL_CTRL kill switch read once at first use; ctrl-off runs are pinned byte-identical to the fixed scheme by test, so the env read cannot vary results within a run
-    v = util::env_flag("PARCEL_CTRL", /*default_on=*/true) ? 1 : 0;
-    g_ctrl_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void set_ctrl_enabled(bool on) {
-  g_ctrl_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
 ControllerConfig ControllerConfig::latency_tuned(const lte::RrcConfig& rrc) {

@@ -24,10 +24,9 @@
 // bench_adaptive races against the fixed-size grid.
 //
 // Determinism: integer arithmetic throughout (isqrt is Newton on
-// uint64), no RNG, no clocks. Kill switch: PARCEL_CTRL=0 (or
-// set_ctrl_enabled(false)) disables the control loop process-wide; the
-// experiment harness then never installs the trace listener, so runs are
-// byte-identical to the fixed-threshold schemes.
+// uint64), no RNG, no clocks. The controller only reads capture records,
+// so pinning the clamps (min_target == max_target == the starting
+// threshold) leaves a run byte-identical to the fixed-threshold scheme.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +40,6 @@ namespace parcel::ctrl {
 /// Integer square root: floor(sqrt(v)). Deterministic (Newton's method
 /// on uint64), exposed for tests.
 [[nodiscard]] std::uint64_t isqrt_u64(std::uint64_t v);
-
-/// Process-wide kill switch. Reads PARCEL_CTRL once at first use;
-/// set_ctrl_enabled overrides programmatically (tests, benches).
-[[nodiscard]] bool ctrl_enabled();
-void set_ctrl_enabled(bool on);
 
 struct ControllerConfig {
   EstimatorConfig estimator;

@@ -249,16 +249,11 @@ FleetClientResult client_result(const ClientColumns& cols, std::size_t i,
   // exactly the time this client's work sat waiting at the proxy.
   r.olt = r.session.olt + r.queue_wait;
   r.tlt = r.session.tlt + r.queue_wait;
-  // Crash-handoff accounting, mirrored onto the session result so the
-  // per-session surface carries its own recovery story.
+  // Crash-handoff accounting.
   r.handoffs = out.handoffs[j];
   r.recovery = util::Duration::seconds(out.recovery_sec[j]);
   r.redo_sec = out.redo_sec[j];
   r.redo_bytes = out.redo_bytes[j];
-  r.session.shard_handoffs = r.handoffs;
-  r.session.handoff_recovery = r.recovery;
-  r.session.redo_service_sec = r.redo_sec;
-  r.session.redo_bytes = r.redo_bytes;
   return r;
 }
 

@@ -168,8 +168,7 @@ struct FleetClientResult {
   util::Duration olt = util::Duration::zero();
   util::Duration tlt = util::Duration::zero();
   /// Crash-handoff accounting (ISSUE 8; zero unless this client was
-  /// migrated off a crashed shard). The same numbers are stamped onto
-  /// `session` (shard_handoffs / handoff_recovery / redo_*).
+  /// migrated off a crashed shard).
   int handoffs = 0;
   util::Duration recovery = util::Duration::zero();
   double redo_sec = 0.0;

@@ -1,7 +1,7 @@
 // ctrl:: closed-loop adaptive bundling (ISSUE 10): estimator arithmetic,
 // controller law, fade profiles, strict bench parsers, fleet arrival
-// processes, page mixes, and the end-to-end determinism/kill-switch
-// contracts (jobs fan-out bitwise identity, PARCEL_CTRL=0 byte pin).
+// processes, page mixes, and the end-to-end determinism contracts (jobs
+// fan-out bitwise identity, pinned-clamp byte pin to PARCEL(512K)).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -414,15 +414,6 @@ TEST(BenchCli, ParseFadeRejectsMalformedSpecs) {
   }
 }
 
-TEST(BenchCli, ParseOnOffIsStrict) {
-  EXPECT_TRUE(bench::parse_on_off("--ctrl", "on"));
-  EXPECT_FALSE(bench::parse_on_off("--ctrl", "off"));
-  for (const char* bad : {"", "ON", "Off", "1", "0", "true", "yes"}) {
-    EXPECT_THROW(bench::parse_on_off("--ctrl", bad), std::invalid_argument)
-        << bad;
-  }
-}
-
 TEST(BenchCli, ParsePageMixRoundTripsToStringNames) {
   for (web::PageMix mix :
        {web::PageMix::kAlexa34, web::PageMix::kAdHeavy, web::PageMix::kSpa,
@@ -608,7 +599,6 @@ core::RunConfig adaptive_config() {
 }
 
 TEST(AdaptiveE2E, ControllerRetunesUnderFade) {
-  ctrl::set_ctrl_enabled(true);
   const core::RunResult r = core::ExperimentRunner::run(
       core::Scheme::kParcelAdaptive, ctrl_page(), adaptive_config());
   EXPECT_TRUE(r.ok);
@@ -631,7 +621,6 @@ void expect_identical(const core::RunResult& a, const core::RunResult& b) {
 }
 
 TEST(AdaptiveE2E, JobsFanOutIsBitwiseIdentical) {
-  ctrl::set_ctrl_enabled(true);
   std::vector<core::ExperimentTask> tasks;
   for (std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
     core::RunConfig cfg = adaptive_config();
@@ -648,7 +637,6 @@ TEST(AdaptiveE2E, JobsFanOutIsBitwiseIdentical) {
 }
 
 TEST(AdaptiveE2E, JobsFanOutIsBitwiseIdenticalUnderFaults) {
-  ctrl::set_ctrl_enabled(true);
   core::RunConfig cfg = adaptive_config();
   cfg.testbed.faults.loss_probability = 0.05;
   cfg.testbed.faults.blackouts.push_back(
@@ -664,21 +652,41 @@ TEST(AdaptiveE2E, JobsFanOutIsBitwiseIdenticalUnderFaults) {
   }
 }
 
-TEST(AdaptiveE2E, KillSwitchPinsTraceToFixedScheme) {
-  const core::RunConfig cfg = adaptive_config();
-  ctrl::set_ctrl_enabled(false);
-  const core::RunResult off = core::ExperimentRunner::run(
-      core::Scheme::kParcelAdaptive, ctrl_page(), cfg);
-  ctrl::set_ctrl_enabled(true);
-  const core::RunResult fixed = core::ExperimentRunner::run(
-      core::Scheme::kParcel512K, ctrl_page(), cfg);
-  // With the loop severed, kParcelAdaptive is exactly the fixed 512K
-  // threshold scheme: same trace bytes, no controller telemetry.
-  EXPECT_EQ(off.ctrl_retunes, 0u);
-  EXPECT_EQ(off.ctrl_threshold, 0);
-  EXPECT_EQ(off.trace.serialize(), fixed.trace.serialize());
-  EXPECT_EQ(off.olt.sec(), fixed.olt.sec());
-  EXPECT_EQ(off.radio.total.j(), fixed.radio.total.j());
+// With min_target == max_target == 512K the controller is installed and
+// taps every burst but can never move the threshold, so kParcelAdaptive
+// must be exactly the fixed 512K scheme: the tap observes, never steers.
+void expect_pinned_matches_fixed(core::RunConfig cfg) {
+  cfg.ctrl.min_target = cfg.ctrl.max_target = util::kib(512);
+  for (std::uint64_t seed : {11ULL, 12ULL, 13ULL, 14ULL}) {
+    cfg.seed = seed;
+    const core::RunResult pinned = core::ExperimentRunner::run(
+        core::Scheme::kParcelAdaptive, ctrl_page(), cfg);
+    const core::RunResult fixed = core::ExperimentRunner::run(
+        core::Scheme::kParcel512K, ctrl_page(), cfg);
+    EXPECT_EQ(pinned.ctrl_retunes, 0u) << "seed " << seed;
+    EXPECT_EQ(pinned.ctrl_threshold, util::kib(512)) << "seed " << seed;
+    EXPECT_EQ(pinned.trace.serialize(), fixed.trace.serialize())
+        << "seed " << seed;
+    EXPECT_EQ(pinned.olt.sec(), fixed.olt.sec()) << "seed " << seed;
+    EXPECT_EQ(pinned.tlt.sec(), fixed.tlt.sec()) << "seed " << seed;
+    EXPECT_EQ(pinned.radio.total.j(), fixed.radio.total.j())
+        << "seed " << seed;
+    EXPECT_EQ(pinned.events_executed, fixed.events_executed)
+        << "seed " << seed;
+  }
+}
+
+TEST(AdaptiveE2E, PinnedClampsMatchFixedScheme) {
+  expect_pinned_matches_fixed(adaptive_config());
+}
+
+TEST(AdaptiveE2E, PinnedClampsMatchFixedSchemeUnderFaults) {
+  core::RunConfig cfg = adaptive_config();
+  cfg.testbed.faults.loss_probability = 0.05;
+  cfg.testbed.faults.blackouts.push_back(
+      {util::TimePoint::at_seconds(1.0), util::Duration::millis(400)});
+  cfg.testbed.faults.server_error_probability = 0.05;
+  expect_pinned_matches_fixed(cfg);
 }
 
 }  // namespace

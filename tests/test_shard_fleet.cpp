@@ -342,8 +342,7 @@ TEST(ShardedFleet, CrashHandoffCompletesEverySessionDeterministically) {
   EXPECT_GT(m.recovery_sec_max, 0.0);
   EXPECT_LE(m.recovery_sec_max, m.recovery_sec_total);
 
-  // Per-client accounting is consistent with the fleet totals and is
-  // stamped onto the session results for downstream analysis.
+  // Per-client accounting is consistent with the fleet totals.
   std::uint64_t handoffs = 0;
   double recovery = 0.0, redo_sec = 0.0;
   util::Bytes redo_bytes = 0;
@@ -354,11 +353,6 @@ TEST(ShardedFleet, CrashHandoffCompletesEverySessionDeterministically) {
     redo_bytes += r.redo_bytes;
     if (r.handoffs > 0) {
       EXPECT_GT(r.recovery.sec(), 0.0);
-      EXPECT_EQ(r.session.shard_handoffs,
-                static_cast<std::uint32_t>(r.handoffs));
-      EXPECT_EQ(r.session.handoff_recovery.sec(), r.recovery.sec());
-      EXPECT_EQ(r.session.redo_service_sec, r.redo_sec);
-      EXPECT_EQ(r.session.redo_bytes, r.redo_bytes);
     } else {
       EXPECT_EQ(r.recovery.sec(), 0.0);
       EXPECT_EQ(r.redo_bytes, 0);
