@@ -1,19 +1,22 @@
 // Microbenchmarks (google-benchmark) for the substrate hot paths: the
 // parsers the proxy runs per page, the MHTML codec on the push path, the
-// event kernel, and the trace energy analyzer. Also hosts two allocation
-// regressions that run before the benchmarks under a counting
-// operator-new hook: the scheduler kernel must not allocate per event,
-// and a full page load must divert a healthy share of its container
-// allocations into the per-run arena (DESIGN.md §11) while keeping its
-// global heap traffic within a per-event and per-load budget.
+// event kernel, Rng fork cost, a warm parse-cache hit, and the trace
+// energy analyzer. Also hosts two allocation regressions that run before
+// the benchmarks under a counting operator-new hook: the scheduler kernel
+// must not allocate per event, and a full page load must divert a healthy
+// share of its container allocations into the per-run arena (DESIGN.md
+// §11) while keeping its global heap traffic within a per-event and
+// per-load budget.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <memory_resource>
 #include <new>
+#include <string>
 #include <tuple>
 
 #include "bench/common.hpp"
@@ -21,11 +24,13 @@
 #include "core/experiment.hpp"
 #include "lte/energy.hpp"
 #include "sim/scheduler.hpp"
+#include "util/rng.hpp"
 #include "web/css.hpp"
 #include "web/generator.hpp"
 #include "web/html.hpp"
 #include "web/js.hpp"
 #include "web/mhtml.hpp"
+#include "web/parse_cache.hpp"
 
 // Counting allocation hook (this binary only): lets the regression below
 // measure exactly how many heap allocations the scheduler hot path makes.
@@ -179,6 +184,34 @@ void BM_SchedulerScheduleCancel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1'000);
 }
 BENCHMARK(BM_SchedulerScheduleCancel);
+
+void BM_RngForkFirstDraw(benchmark::State& state) {
+  // A run forks about a dozen streams and draws from each only a few
+  // times, so fork plus first draw is the engine cost a load pays.
+  util::Rng parent(2014);
+  for (auto _ : state) {
+    util::Rng child = parent.fork();
+    benchmark::DoNotOptimize(child.next_u64());
+  }
+}
+BENCHMARK(BM_RngForkFirstDraw);
+
+void BM_ParseCacheHitOwnPin(benchmark::State& state) {
+  // A warm lookup on the bytes the entry was first scanned from: the
+  // grid's common case (corpus strings re-scanned under every scheme).
+  std::string text;
+  for (int i = 0; text.size() < 32 * 1024; ++i) {
+    text += "fetch(\"/asset/" + std::to_string(i) + ".json\");\n";
+  }
+  auto script = std::make_shared<const std::string>(std::move(text));
+  web::ParseCache& cache = web::ParseCache::instance();
+  cache.js(*script, script);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.js(*script, script));
+  }
+  cache.clear();
+}
+BENCHMARK(BM_ParseCacheHitOwnPin);
 
 // Regression guard for the kernel fast path: a million fire-and-forget
 // events must not allocate per event (handles are (seq, slot) pairs; keys

@@ -81,8 +81,8 @@ fi
 
 echo "==> Scheduler allocation regression + microbenchmarks (smoke)"
 # (no --benchmark_min_time: the flag's value syntax changed across
-# google-benchmark versions; the Scheduler filter is fast regardless)
-./build-ci/bench/bench_micro --benchmark_filter='Scheduler'
+# google-benchmark versions; these filters are fast regardless)
+./build-ci/bench/bench_micro --benchmark_filter='Scheduler|Rng|ParseCache'
 
 echo "==> Parallel scaling bench (writes BENCH_parallel.json)"
 (cd build-ci/bench && ./bench_parallel_scaling --quick)

@@ -16,8 +16,8 @@ ParcelSession::ParcelSession(net::Network& network, ParcelSessionConfig config,
       conn_(network.scheduler(), network.route("client", config_.proxy_domain),
             config_.tcp, network.next_conn_id()),
       proxy_(network, config_.proxy, rng.fork()),
-      fetcher_(network.scheduler(), rng.fork()) {
-  engine_rng_ = rng.fork();
+      fetcher_(network.scheduler(), rng.fork()),
+      engine_rng_(rng.fork()) {
   engine_ = std::make_unique<browser::BrowserEngine>(
       network.scheduler(), fetcher_, config_.client_engine,
       engine_rng_.fork(), "parcel-client");

@@ -133,7 +133,7 @@ class ParcelSession {
   /// scheduled events may still reference them.
   std::vector<std::unique_ptr<browser::BrowserEngine>> retired_engines_;
   bool session_open_ = false;
-  util::Rng engine_rng_{0};
+  util::Rng engine_rng_;
 
   /// HTTPS bypass path.
   std::unique_ptr<browser::DirBrowser> direct_;

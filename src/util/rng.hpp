@@ -8,12 +8,82 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <span>
 #include <vector>
 
 namespace parcel::util {
+
+/// std::mt19937_64, word for word, with lazy seeding and a one-word twist
+/// per draw (DESIGN.md §5). The standard engine seeds all 312 state words
+/// and twists the whole block before its first output; most Rng streams
+/// here are forked, drawn a handful of times and dropped, so that fixed
+/// cost dominated them. Output k of a block needs state words k, k+1 and
+/// k+156 (mod 312) only, so the first block seeds just far enough ahead of
+/// the draw: fork plus first draw costs 157 seed steps. The recurrence is
+/// the standard's, so every output, and every distribution, fork() and
+/// shuffle built on it, is unchanged.
+class Mt64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit Mt64(result_type seed) { x_[0] = seed; }
+  // Words at and past seeded_ are never read, so copies skip them.
+  Mt64(const Mt64& other) { *this = other; }
+  Mt64& operator=(const Mt64& other) {
+    if (this != &other) {
+      std::copy_n(other.x_, other.seeded_, x_);
+      next_ = other.next_;
+      seeded_ = other.seeded_;
+    }
+    return *this;
+  }
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() {
+    return std::numeric_limits<result_type>::max();
+  }
+
+  result_type operator()() {
+    const std::size_t k = next_;
+    if (seeded_ < kN) seed_through(k < kN - kM ? k + kM : k + 1);
+    const std::size_t k1 = k + 1 == kN ? 0 : k + 1;
+    const std::size_t km = k < kN - kM ? k + kM : k - (kN - kM);
+    const result_type y = (x_[k] & kUpper) | (x_[k1] & kLower);
+    result_type z = x_[km] ^ (y >> 1) ^ ((y & 1) != 0 ? kA : 0);
+    x_[k] = z;
+    next_ = k1;
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr std::size_t kN = 312;
+  static constexpr std::size_t kM = 156;
+  static constexpr result_type kA = 0xb5026f5aa96619e9ULL;
+  static constexpr result_type kUpper = ~result_type{0} << 31;
+  static constexpr result_type kLower = ~kUpper;
+
+  /// Seed words up to and including index `last` (capped at the block).
+  /// Only the first block seeds: word i reads seed word i-1, which no
+  /// draw has overwritten yet because draws stay 156 words behind.
+  void seed_through(std::size_t last) {
+    const std::size_t end = last < kN ? last + 1 : kN;
+    for (; seeded_ < end; ++seeded_) {
+      const result_type prev = x_[seeded_ - 1];
+      x_[seeded_] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + seeded_;
+    }
+  }
+
+  result_type x_[kN];
+  std::size_t next_ = 0;    // state word the next draw replaces
+  std::size_t seeded_ = 1;  // seed words written so far (kN once done)
+};
 
 class Rng {
  public:
@@ -76,7 +146,7 @@ class Rng {
   std::uint64_t next_u64() { return engine_(); }
 
  private:
-  std::mt19937_64 engine_;
+  Mt64 engine_;
 };
 
 }  // namespace parcel::util

@@ -60,16 +60,23 @@ Parsed<T> ParseCache::lookup(Table<T> Shard::*table, std::string_view text,
   bool inserted = false;
   {
     util::MutexLock lock(shard.mutex);
-    auto& slots = (shard.*table).slots;
-    auto it = slots.find(text);
-    if (it == slots.end()) {
-      auto fresh = std::make_shared<Slot<T>>();
-      fresh->pin = pin;  // pins the keyed bytes for the entry's life
-      fresh->text = text;
-      it = slots.emplace(text, std::move(fresh)).first;
-      inserted = true;
+    Table<T>& t = shard.*table;
+    const Identity id{text.data(), text.size()};
+    if (auto own = t.by_identity.find(id); own != t.by_identity.end()) {
+      slot = *own->second;
+    } else {
+      auto it = t.slots.find(text);
+      if (it == t.slots.end()) {
+        auto fresh = std::make_shared<Slot<T>>();
+        fresh->pin = pin;  // pins the keyed bytes for the entry's life
+        fresh->text = text;
+        it = t.slots.emplace(text, std::move(fresh)).first;
+        // `text` lies inside `pin`, now the entry's pin: safe to index.
+        t.by_identity.emplace(id, &it->second);
+        inserted = true;
+      }
+      slot = it->second;
     }
-    slot = it->second;
   }
   // Parse outside the shard lock; call_once makes concurrent requesters
   // for the *same* content wait for one scan instead of racing duplicates.
@@ -133,9 +140,9 @@ void ParseCache::reset_stats() {
 void ParseCache::clear() {
   for (Shard& shard : shards_) {
     util::MutexLock lock(shard.mutex);
-    shard.html.slots.clear();
-    shard.css.slots.clear();
-    shard.js.slots.clear();
+    shard.html = {};
+    shard.css = {};
+    shard.js = {};
   }
 }
 
@@ -191,6 +198,8 @@ std::size_t ParseCache::sweep_transient() {
     for (auto it = table.slots.begin(); it != table.slots.end();) {
       const Group& g = groups.at(it->second->pin.get());
       if (!g.external && g.pin_uses == g.members) {
+        const std::string_view text = it->second->text;
+        table.by_identity.erase({text.data(), text.size()});
         it = table.slots.erase(it);
         ++dropped;
       } else {

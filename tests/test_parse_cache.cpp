@@ -370,6 +370,143 @@ TEST_F(ParseCacheTest, WarmParcelIndReloadRecordsNoMisses) {
   EXPECT_EQ(warm.olt.sec(), cold.olt.sec());
 }
 
+// --- Identity index ---------------------------------------------------
+
+/// A pin over `buf` that the test, not the pin, keeps alive: the next
+/// aliasing pin over the same buffer lands at the same address.
+std::shared_ptr<const std::string> alias_pin(const std::string& buf) {
+  return {std::make_shared<int>(0), &buf};
+}
+
+TEST_F(ParseCacheTest, LookupsOnOnePinCountOneMissThenHits) {
+  auto doc = shared(
+      "<img src=\"/a.png\"><script>fetch(\"/x.json\");</script>");
+  constexpr int kLookups = 5;
+  Parsed<std::vector<HtmlToken>> first;
+  for (int i = 0; i < kLookups; ++i) {
+    auto tokens = ParseCache::instance().html(*doc, doc);
+    if (i == 0) first = tokens;
+    EXPECT_EQ(tokens.artifact.get(), first.artifact.get());
+    auto prog = ParseCache::instance().js((*tokens)[1].script, tokens.pin);
+    ASSERT_EQ(prog->references.size(), 1u);
+  }
+  ParseCache::Stats s = ParseCache::instance().stats();
+  EXPECT_EQ(s.html_misses, 1u);
+  EXPECT_EQ(s.html_hits, static_cast<std::uint64_t>(kLookups - 1));
+  EXPECT_EQ(s.js_misses, 1u);
+  EXPECT_EQ(s.js_hits, static_cast<std::uint64_t>(kLookups - 1));
+}
+
+TEST_F(ParseCacheTest, AliasingPinOnTheEntrysBufferHits) {
+  auto doc = shared("<img src=\"/alias.png\">");
+  auto first = ParseCache::instance().html(*doc, doc);
+  // A second ownership group over the very same bytes.
+  auto alias = alias_pin(*doc);
+  auto again = ParseCache::instance().html(*alias, alias);
+  EXPECT_EQ(again.artifact.get(), first.artifact.get());
+  EXPECT_EQ(again.pin, doc);  // the entry's pin comes back, not the alias
+  ParseCache::Stats s = ParseCache::instance().stats();
+  EXPECT_EQ(s.html_misses, 1u);
+  EXPECT_EQ(s.html_hits, 1u);
+  EXPECT_EQ(ParseCache::instance().size(), 1u);
+}
+
+/// Looks `buf` up through a pin the test keeps alive, drops every handle
+/// so `drop` can remove the entry, rewrites `buf` in place (same address,
+/// same size, different bytes) and looks it up again: the second lookup
+/// must scan the new bytes, never return the dropped entry's artifact.
+template <typename Drop>
+void expect_rewritten_buffer_rescans(Drop drop) {
+  std::string buf = "<img src=\"/old.png\">";
+  {
+    auto pin = alias_pin(buf);
+    auto tokens = ParseCache::instance().html(buf, pin);
+    ASSERT_EQ(tokens->size(), 1u);
+    EXPECT_EQ((*tokens)[0].ref.target, "/old.png");
+  }
+  drop();
+  ASSERT_EQ(ParseCache::instance().size(), 0u);
+  const char* address = buf.data();
+  buf.replace(buf.find("old"), 3, "new");
+  ASSERT_EQ(buf.data(), address);
+  auto pin = alias_pin(buf);
+  auto tokens = ParseCache::instance().html(buf, pin);
+  EXPECT_EQ(*tokens, MiniHtml::scan(buf));
+  ASSERT_EQ(tokens->size(), 1u);
+  EXPECT_EQ((*tokens)[0].ref.target, "/new.png");
+  EXPECT_EQ(ParseCache::instance().stats().html_misses, 2u);
+  EXPECT_EQ(ParseCache::instance().stats().html_hits, 0u);
+}
+
+TEST_F(ParseCacheTest, SweptEntryIsNotFoundAtItsOldAddress) {
+  expect_rewritten_buffer_rescans(
+      [] { EXPECT_EQ(ParseCache::instance().sweep_transient(), 1u); });
+}
+
+TEST_F(ParseCacheTest, ClearedEntryIsNotFoundAtItsOldAddress) {
+  expect_rewritten_buffer_rescans([] { ParseCache::instance().clear(); });
+}
+
+TEST_F(ParseCacheTest, FreshStringAfterSweepScansItsOwnBytes) {
+  // Same as above with the allocator choosing the address: the new string
+  // may or may not reuse the freed buffer; either way it must rescan.
+  const std::string old_text = "<img src=\"/aaaa.png\">";
+  const std::string new_text = "<img src=\"/bbbb.png\">";
+  for (int round = 0; round < 2; ++round) {
+    ParseCache::instance().clear();
+    ParseCache::instance().reset_stats();
+    {
+      auto old = shared(old_text);
+      ParseCache::instance().html(*old, old);
+    }
+    if (round == 0) {
+      EXPECT_EQ(ParseCache::instance().sweep_transient(), 1u);
+    } else {
+      ParseCache::instance().clear();
+    }
+    auto fresh = shared(new_text);
+    auto tokens = ParseCache::instance().html(*fresh, fresh);
+    EXPECT_EQ(*tokens, MiniHtml::scan(*fresh));
+    EXPECT_EQ(tokens.pin, fresh);
+    EXPECT_EQ(ParseCache::instance().stats().html_misses, 2u);
+  }
+}
+
+TEST_F(ParseCacheTest, HitOnACopyDoesNotIndexTheCallersBuffer) {
+  auto doc = shared("<img src=\"/old.png\">");
+  ParseCache::instance().html(*doc, doc);
+  std::string copy = *doc;  // equal bytes, the caller's own buffer
+  ParseCache::instance().html(copy, alias_pin(copy));
+  EXPECT_EQ(ParseCache::instance().stats().html_hits, 1u);
+  // The caller may rewrite its buffer; the entry never vouched for it.
+  copy.replace(copy.find("old"), 3, "new");
+  auto tokens = ParseCache::instance().html(copy, alias_pin(copy));
+  EXPECT_EQ(*tokens, MiniHtml::scan(copy));
+  ASSERT_EQ(tokens->size(), 1u);
+  EXPECT_EQ((*tokens)[0].ref.target, "/new.png");
+  EXPECT_EQ(ParseCache::instance().stats().html_misses, 2u);
+}
+
+TEST_F(ParseCacheTest, DisabledAndNullPinLookupsBypassTheIdentityIndex) {
+  auto doc = shared("<img src=\"/own.png\">");
+  auto cached = ParseCache::instance().html(*doc, doc);
+  ParseCache::instance().reset_stats();
+  // Null pin on the entry's own bytes: a fresh scan, no hit, no insert.
+  auto unpinned = ParseCache::instance().html(*doc, nullptr);
+  EXPECT_NE(unpinned.artifact.get(), cached.artifact.get());
+  EXPECT_EQ(unpinned.pin, nullptr);
+  EXPECT_EQ(*unpinned, *cached);
+  // Cache off on the entry's own pin: also a fresh scan.
+  ParseCache::set_enabled(false);
+  auto off = ParseCache::instance().html(*doc, doc);
+  EXPECT_NE(off.artifact.get(), cached.artifact.get());
+  EXPECT_EQ(*off, *cached);
+  ParseCache::Stats s = ParseCache::instance().stats();
+  EXPECT_EQ(s.html_hits, 0u);
+  EXPECT_EQ(s.html_misses, 2u);
+  EXPECT_EQ(ParseCache::instance().size(), 1u);
+}
+
 // --- URL interning ----------------------------------------------------
 
 TEST(UrlInterning, IdsAreDeterministicAndComponentSensitive) {

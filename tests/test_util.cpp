@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <concepts>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <random>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -93,6 +102,112 @@ TEST(Rng, ExponentialMeanRoughlyCorrect) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) sum += rng.exponential(2.0);
   EXPECT_NEAR(sum / n, 2.0, 0.1);
+}
+
+// --- Mt64 is std::mt19937_64, word for word ----------------------------
+
+static_assert(std::uniform_random_bit_generator<Mt64>);
+static_assert(Mt64::min() == std::mt19937_64::min());
+static_assert(Mt64::max() == std::mt19937_64::max());
+
+TEST(Mt64, MatchesStdEngineOverThreeBlocks) {
+  const std::uint64_t seeds[] = {0,
+                                 1,
+                                 5489,
+                                 std::numeric_limits<std::uint64_t>::max(),
+                                 0x9e3779b97f4a7c15ULL,
+                                 0xd1b54a32d192ed03ULL};
+  for (std::uint64_t seed : seeds) {
+    Mt64 ours(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(ours(), ref()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt64, StandardTenThousandthDraw) {
+  Mt64 engine(5489);
+  for (int i = 0; i < 9999; ++i) engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+TEST(Mt64, CopiesAtBlockEdgesContinueTheStream) {
+  for (int at : {0, 1, 155, 156, 157, 311, 312, 313}) {
+    Mt64 ours(2014);
+    std::mt19937_64 ref(2014);
+    for (int i = 0; i < at; ++i) ASSERT_EQ(ours(), ref());
+    Mt64 copy(ours);
+    Mt64 assigned(99);
+    for (int i = 0; i < 400; ++i) assigned();  // fully seeded, stale words
+    assigned = ours;
+    std::mt19937_64 ref_copy(ref);
+    for (int i = 0; i < 700; ++i) {
+      const std::uint64_t want = ref_copy();
+      ASSERT_EQ(copy(), want) << "copied at " << at << " draw " << i;
+      ASSERT_EQ(assigned(), want) << "assigned at " << at << " draw " << i;
+    }
+    // The original is untouched by its copies.
+    for (int i = 0; i < 700; ++i) ASSERT_EQ(ours(), ref());
+  }
+}
+
+/// Rng's members re-derived on std::mt19937_64 from the same standard
+/// distributions, to drive both engines side by side.
+struct StdRng {
+  std::mt19937_64 engine;
+  double uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine);
+  }
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine);
+  }
+};
+
+TEST(Mt64, EveryRngMemberMatchesTheStdEngine) {
+  for (std::uint64_t seed : {0ULL, 7ULL, 2014ULL}) {
+    Rng ours(seed);
+    StdRng ref{std::mt19937_64(seed)};
+    std::vector<int> items_ours(40), items_ref(40);
+    std::iota(items_ours.begin(), items_ours.end(), 0);
+    std::iota(items_ref.begin(), items_ref.end(), 0);
+    const double weights[] = {0.5, 2.0, 0.0, 1.25};
+    const int choices[] = {3, 1, 4, 1, 5, 9, 2, 6};
+    // 120 rounds of ~12 draws cross several block boundaries.
+    for (int round = 0; round < 120; ++round) {
+      ASSERT_EQ(ours.uniform(-2.0, 3.0), ref.uniform(-2.0, 3.0));
+      ASSERT_EQ(ours.uniform_int(-5, 1000), ref.uniform_int(-5, 1000));
+      ASSERT_EQ(ours.bernoulli(0.3),
+                std::bernoulli_distribution(0.3)(ref.engine));
+      ASSERT_EQ(ours.exponential(2.5),
+                std::exponential_distribution<double>(1.0 / 2.5)(ref.engine));
+      ASSERT_EQ(ours.lognormal(0.2, 0.7),
+                std::lognormal_distribution<double>(0.2, 0.7)(ref.engine));
+      ASSERT_EQ(ours.normal(1.0, 3.0),
+                std::normal_distribution<double>(1.0, 3.0)(ref.engine));
+      const double u = 1.0 - ref.uniform(0.0, 1.0);
+      ASSERT_EQ(ours.pareto(2.0, 1.5), 2.0 / std::pow(u, 1.0 / 1.5));
+      // weighted_index draws uniform(0, total) and walks the prefix sums.
+      const double x = ref.uniform(0.0, 3.75);
+      std::size_t want = 0;
+      double acc = weights[0];
+      while (!(x < acc) && want + 1 < std::size(weights)) {
+        acc += weights[++want];
+      }
+      ASSERT_EQ(ours.weighted_index(weights), want);
+      ASSERT_EQ(ours.choice(std::span<const int>(choices)),
+                choices[ref.uniform_int(0, 7)]);
+      ours.shuffle(items_ours);
+      std::shuffle(items_ref.begin(), items_ref.end(), ref.engine);
+      ASSERT_EQ(items_ours, items_ref);
+      Rng child = ours.fork();
+      std::mt19937_64 ref_child(ref.engine());
+      ASSERT_EQ(child.next_u64(), ref_child());
+      ASSERT_EQ(child.uniform(0.0, 1.0),
+                std::uniform_real_distribution<double>(0.0, 1.0)(ref_child));
+      ASSERT_EQ(ours.next_u64(), ref.engine());
+    }
+  }
 }
 
 TEST(Stats, PercentileInterpolates) {
