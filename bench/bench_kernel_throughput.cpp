@@ -7,23 +7,15 @@
 //
 //   bench_kernel_throughput [--quick]        # measure, write JSON
 //   bench_kernel_throughput --compare CUR BASE   # gate, no measurement
-//
-// The replay measurement races the real SoA analyzers against an
-// array-of-structs replica of the pre-SoA trace (same loops, same
-// arithmetic, 32-byte record stride instead of per-field columns), so the
-// reported speedup is against the actual former layout, not a strawman.
-// Before any timing, the bench proves the headline invariant: a full
-// experiment run with the arena on is bitwise identical to the same run
-// with PARCEL_ARENA off.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "bench/common.hpp"
 #include "core/arena.hpp"
@@ -68,7 +60,7 @@ double scheduler_events_per_sec(int chain_events, int reps) {
   return static_cast<double>(total) / seconds_since(start);
 }
 
-// ---- Trace replay: SoA analyzers vs the pre-SoA AoS layout ---------------
+// ---- Trace replay through the column analyzers ---------------------------
 
 trace::PacketTrace synthetic_trace(std::size_t records) {
   trace::PacketTrace trace;
@@ -88,9 +80,9 @@ trace::PacketTrace synthetic_trace(std::size_t records) {
   return trace;
 }
 
-/// One replay pass over the SoA trace through the real analyzers: the gap
+/// One replay pass over the trace through the real analyzers: the gap
 /// census and byte accounting every figure pipeline runs post-load.
-double soa_replay_pass(const trace::PacketTrace& trace) {
+double replay_pass(const trace::PacketTrace& trace) {
   double acc = 0;
   acc += static_cast<double>(trace::TraceAnalyzer::count_gaps_longer_than(
       trace, util::Duration::millis(200)));
@@ -99,67 +91,26 @@ double soa_replay_pass(const trace::PacketTrace& trace) {
   return acc;
 }
 
-/// The same pass over the former array-of-structs layout: identical loop
-/// structure and arithmetic, full 32-byte PacketRecord stride per read.
-double aos_replay_pass(const std::vector<trace::PacketRecord>& records) {
-  double acc = 0;
-  std::size_t gaps = 0;
-  bool have_prev = false;
-  util::TimePoint prev = util::TimePoint::origin();
-  for (const auto& r : records) {
-    if (r.kind != trace::PacketKind::kData) continue;
-    if (have_prev && (r.t - prev) > util::Duration::millis(200)) ++gaps;
-    prev = r.t;
-    have_prev = true;
-  }
-  acc += static_cast<double>(gaps);
-  util::TimePoint cutoff = records.back().t;
-  util::Bytes total = 0;
-  for (const auto& r : records) {
-    if (r.t > cutoff) break;
-    if (r.dir == trace::Direction::kDownlink &&
-        r.kind == trace::PacketKind::kData) {
-      total += r.bytes;
-    }
-  }
-  acc += static_cast<double>(total);
-  return acc;
-}
-
-struct ReplayResult {
-  double soa_records_per_sec = 0;
-  double aos_records_per_sec = 0;
-};
-
-ReplayResult replay_throughput(std::size_t records, int reps) {
+double replay_records_per_sec(std::size_t records, int reps) {
   trace::PacketTrace trace = synthetic_trace(records);
-  std::vector<trace::PacketRecord> aos(trace.records().begin(),
-                                       trace.records().end());
   // Each pass walks the record set twice (gap census + byte accounting).
   const double replayed =
       2.0 * static_cast<double>(records) * static_cast<double>(reps);
 
-  double soa_acc = 0;
-  auto soa_start = Clock::now();
-  for (int rep = 0; rep < reps; ++rep) soa_acc += soa_replay_pass(trace);
-  double soa_sec = seconds_since(soa_start);
+  double acc = 0;
+  auto start = Clock::now();
+  for (int rep = 0; rep < reps; ++rep) acc += replay_pass(trace);
+  double sec = seconds_since(start);
 
-  double aos_acc = 0;
-  auto aos_start = Clock::now();
-  for (int rep = 0; rep < reps; ++rep) aos_acc += aos_replay_pass(aos);
-  double aos_sec = seconds_since(aos_start);
-
-  if (soa_acc != aos_acc) {
-    std::fprintf(stderr,
-                 "FAIL: SoA and AoS replay disagree (%.17g vs %.17g) — the "
-                 "column scans changed semantics\n",
-                 soa_acc, aos_acc);
+  // Also keeps the passes observable, so none is optimised away.
+  if (acc <= 0) {
+    std::fprintf(stderr, "FAIL: trace replay counted no downlink bytes\n");
     std::exit(1);
   }
-  return ReplayResult{replayed / soa_sec, replayed / aos_sec};
+  return replayed / sec;
 }
 
-// ---- Bytes-allocated-per-load + arena on/off byte-identity ---------------
+// ---- Bytes-allocated-per-load ---------------------------------------------
 
 struct LoadStats {
   std::size_t arena_bytes = 0;
@@ -170,54 +121,30 @@ struct LoadStats {
   double sim_joules_per_event = 0;
 };
 
-/// Run DIR and PARCEL(IND) loads of one page twice — arena on, arena off —
-/// assert bitwise-identical outcomes, and return the arena-on stats.
+/// Run DIR and PARCEL(IND) loads of one page and return their arena
+/// stats; a load the arena served nothing is an accounting failure.
 LoadStats measure_load_allocation(const web::WebPage& page) {
   core::RunConfig cfg = bench::replay_run_config(42);
-  const bool prev = core::arena_enabled();
-  auto run_pair = [&] {
-    std::vector<core::RunResult> out;
-    out.push_back(core::ExperimentRunner::run(core::Scheme::kDir, page, cfg));
-    out.push_back(
-        core::ExperimentRunner::run(core::Scheme::kParcelInd, page, cfg));
-    return out;
-  };
-  core::set_arena_enabled(true);
-  std::vector<core::RunResult> on = run_pair();
-  core::set_arena_enabled(false);
-  std::vector<core::RunResult> off = run_pair();
-  core::set_arena_enabled(prev);
-
-  for (std::size_t i = 0; i < on.size(); ++i) {
-    bool same = on[i].olt.sec() == off[i].olt.sec() &&
-                on[i].tlt.sec() == off[i].tlt.sec() &&
-                on[i].radio.total.j() == off[i].radio.total.j() &&
-                on[i].trace.serialize() == off[i].trace.serialize();
-    if (!same) {
-      std::fprintf(stderr,
-                   "FAIL: arena on/off results differ for scheme %s — the "
-                   "arena changed simulation behaviour\n",
-                   core::to_string(on[i].scheme).c_str());
-      std::exit(1);
-    }
-    if (on[i].arena_bytes == 0 || off[i].arena_bytes != 0) {
-      std::fprintf(stderr,
-                   "FAIL: arena accounting wrong (on=%zu bytes, off=%zu)\n",
-                   on[i].arena_bytes, off[i].arena_bytes);
-      std::exit(1);
-    }
-  }
+  const core::RunResult runs[] = {
+      core::ExperimentRunner::run(core::Scheme::kDir, page, cfg),
+      core::ExperimentRunner::run(core::Scheme::kParcelInd, page, cfg)};
   LoadStats stats;
   double joules = 0;
   std::uint64_t events = 0;
-  for (const core::RunResult& r : on) {
+  for (const core::RunResult& r : runs) {
+    if (r.arena_bytes == 0) {
+      std::fprintf(stderr,
+                   "FAIL: arena accounting wrong (%s served 0 bytes)\n",
+                   core::to_string(r.scheme).c_str());
+      std::exit(1);
+    }
     stats.arena_bytes += r.arena_bytes;
     stats.arena_allocations += r.arena_allocations;
     joules += r.radio.total.j();
     events += r.events_executed;
   }
-  stats.arena_bytes /= on.size();
-  stats.arena_allocations /= on.size();
+  stats.arena_bytes /= std::size(runs);
+  stats.arena_allocations /= std::size(runs);
   if (events == 0) {
     std::fprintf(stderr, "FAIL: runs executed zero scheduler events\n");
     std::exit(1);
@@ -322,9 +249,7 @@ int main(int argc, char** argv) {
   spec.seed = 77;
   web::WebPage page = web::PageGenerator::generate(spec);
 
-  std::printf("arena on/off byte-identity: ");
   LoadStats loads = measure_load_allocation(page);
-  std::printf("identical\n");
   std::printf("bytes allocated per load (arena): %zu in %zu allocations\n",
               loads.arena_bytes, loads.arena_allocations);
   std::printf("simulated energy per event: %.3g J/event\n",
@@ -334,25 +259,17 @@ int main(int argc, char** argv) {
   std::printf("scheduler kernel: %.2fM events/s (%d-event chains x%d)\n",
               events / 1e6, chain_events, chain_reps);
 
-  ReplayResult replay = replay_throughput(replay_records, replay_reps);
-  std::printf("trace replay (SoA columns):   %.2fM records/s\n",
-              replay.soa_records_per_sec / 1e6);
-  std::printf("trace replay (AoS baseline):  %.2fM records/s  (SoA %.2fx)\n",
-              replay.aos_records_per_sec / 1e6,
-              replay.soa_records_per_sec / replay.aos_records_per_sec);
+  double replay = replay_records_per_sec(replay_records, replay_reps);
+  std::printf("trace replay (SoA columns): %.2fM records/s\n", replay / 1e6);
 
   const json::Value report{json::Value::Object{
       {"hardware_threads", hw},
       {"quick", quick},
       {"scheduler_events_per_sec", events},
-      {"trace_replay_records_per_sec", replay.soa_records_per_sec},
-      {"trace_replay_aos_records_per_sec", replay.aos_records_per_sec},
-      {"trace_replay_speedup_vs_aos",
-       replay.soa_records_per_sec / replay.aos_records_per_sec},
+      {"trace_replay_records_per_sec", replay},
       {"bytes_allocated_per_load", loads.arena_bytes},
       {"arena_allocations_per_load", loads.arena_allocations},
       {"sim_joules_per_event", loads.sim_joules_per_event},
-      {"arena_identical_results", true},
   }};
   if (!bench::write_json("BENCH_kernel.json", report)) return 1;
   std::printf("\nwrote BENCH_kernel.json\n");

@@ -17,7 +17,6 @@
 #include <memory_resource>
 #include <new>
 #include <string>
-#include <tuple>
 
 #include "bench/common.hpp"
 #include "core/arena.hpp"
@@ -258,8 +257,8 @@ void scheduler_allocation_regression() {
 // through a path the replaced operator new above cannot interpose (its
 // calls bind inside the library), so pmr traffic is invisible to the
 // malloc hook. Installing this as the process default resource makes
-// every container that falls back to the default resource — i.e. every
-// run_resource() user when the arena is off — observable.
+// every container that falls back to the default resource — pmr traffic
+// that escapes the per-run arena — observable.
 class CountingResource final : public std::pmr::memory_resource {
  public:
   [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
@@ -286,12 +285,11 @@ class CountingResource final : public std::pmr::memory_resource {
 
 // Regression guard for per-load heap traffic, in two parts.
 //
-// Arena routing: the same page load with the arena enabled must divert
-// materially more container allocations into the bump allocator than
-// reach the default resource with it disabled — the scheduler heap, trace
-// columns and browser bookkeeping all bump instead of hitting the heap.
-// If the saving collapses, some hot container silently stopped drawing
-// from run_resource().
+// Arena routing: a page load must divert a material number of container
+// allocations into the bump allocator — the scheduler heap, trace columns
+// and browser bookkeeping all bump instead of hitting the heap. If the
+// count collapses, some hot container silently stopped drawing from
+// run_resource().
 //
 // Global budget: through the operator-new hook, a DIR and a PARCEL(IND)
 // load of bench_page() must each stay within kMaxAllocsPerEvent global
@@ -305,55 +303,30 @@ void load_allocation_regression() {
       static_cast<std::uint64_t>(util::mib(1.5));
   core::RunConfig cfg = bench::replay_run_config(42);
   const web::WebPage& page = bench_page();
-  const bool prev = core::arena_enabled();
 
-  auto measure = [&](bool arena_on) {
-    core::set_arena_enabled(arena_on);
-    // Warm the parse cache and lazy singletons so both passes measure the
-    // load itself, not one-time setup.
-    core::ExperimentRunner::run(core::Scheme::kDir, page, cfg);
-    CountingResource counting;
-    std::pmr::memory_resource* saved =
-        std::pmr::set_default_resource(&counting);
-    core::RunResult r = core::ExperimentRunner::run(core::Scheme::kDir, page,
-                                                    cfg);
-    std::pmr::set_default_resource(saved);
-    return std::tuple{counting.allocations(), counting.bytes(),
-                      r.arena_allocations, r.arena_bytes};
-  };
-  auto [heap_on, heap_bytes_on, served_on, served_bytes_on] = measure(true);
-  auto [heap_off, heap_bytes_off, served_off, served_bytes_off] =
-      measure(false);
-  core::set_arena_enabled(prev);
-  static_cast<void>(served_bytes_off);
+  // Warm the parse cache and lazy singletons so the pass measures the
+  // load itself, not one-time setup.
+  core::ExperimentRunner::run(core::Scheme::kDir, page, cfg);
+  CountingResource counting;
+  std::pmr::memory_resource* saved = std::pmr::set_default_resource(&counting);
+  const core::RunResult routed =
+      core::ExperimentRunner::run(core::Scheme::kDir, page, cfg);
+  std::pmr::set_default_resource(saved);
 
-  if (served_on == 0 || served_off != 0) {
+  if (routed.arena_allocations < kMinSavedAllocs) {
     std::fprintf(stderr,
-                 "load alloc regression: arena accounting wrong (on served "
-                 "%llu, off served %llu)\n",
-                 static_cast<unsigned long long>(served_on),
-                 static_cast<unsigned long long>(served_off));
-    std::exit(1);
-  }
-  if (heap_on + kMinSavedAllocs > heap_off) {
-    std::fprintf(stderr,
-                 "load alloc regression: arena saves too little — %llu "
-                 "default-resource allocations per load with arena vs %llu "
-                 "without (need >= %llu saved)\n",
-                 static_cast<unsigned long long>(heap_on),
-                 static_cast<unsigned long long>(heap_off),
+                 "load alloc regression: arena serves too little — %zu "
+                 "allocations per load (need >= %llu)\n",
+                 routed.arena_allocations,
                  static_cast<unsigned long long>(kMinSavedAllocs));
     std::exit(1);
   }
   std::printf("load alloc regression OK: %llu default-resource allocations "
-              "(%llu bytes) per load with arena vs %llu (%llu bytes) "
-              "without; arena served %llu allocations (%llu bytes)\n",
-              static_cast<unsigned long long>(heap_on),
-              static_cast<unsigned long long>(heap_bytes_on),
-              static_cast<unsigned long long>(heap_off),
-              static_cast<unsigned long long>(heap_bytes_off),
-              static_cast<unsigned long long>(served_on),
-              static_cast<unsigned long long>(served_bytes_on));
+              "(%llu bytes) per load; arena served %zu allocations (%zu "
+              "bytes)\n",
+              static_cast<unsigned long long>(counting.allocations()),
+              static_cast<unsigned long long>(counting.bytes()),
+              routed.arena_allocations, routed.arena_bytes);
 
   bool over_budget = false;
   for (core::Scheme scheme : {core::Scheme::kDir, core::Scheme::kParcelInd}) {

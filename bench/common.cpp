@@ -271,6 +271,9 @@ BenchOptions parse_options(int argc, char** argv) {
         std::fprintf(stderr, "error: --faults: %s\n", e.what());
         std::exit(2);
       }
+    } else {
+      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
+      std::exit(2);
     }
   }
   // parcel-lint: allow(nondet-getenv) sanctioned bench toggle; the seed is echoed into BENCH_*.json so every run stays reproducible

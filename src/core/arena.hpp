@@ -12,22 +12,27 @@
 // Plumbing: ExperimentRunner::run (and fleet::run_fleet for the macro
 // timeline) installs a thread-local ArenaScope; components that want
 // per-run storage construct their pmr containers from run_resource(),
-// which yields the active scope's arena — or the default new/delete
-// resource outside any scope, under the PARCEL_ARENA=0 kill switch, or
-// via set_arena_enabled(false). Results must never retain arena memory:
+// which yields the active scope's arena, or the default new/delete
+// resource outside any scope. Results must never retain arena memory:
 // anything that outlives the run (RunResult and friends) keeps
 // default-resource containers, so the pmr handoff (copy/move-assignment
 // across unequal resources) lands element-wise on the global heap.
 //
-// Determinism: allocation placement never feeds results, so arena on/off
-// is bitwise-identical by construction and pinned by test
-// (ArenaIdentity.*) and by the ci.sh PARCEL_ARENA=0 ASan leg. The header
-// is intentionally self-contained (header-only): sim/, trace/ and
-// browser/ sit below core in the link order and still inline everything
-// they need.
+// Lifetime checking: the arena never returns memory to the heap during a
+// run, so AddressSanitizer alone cannot see a view that dangles into a
+// pmr buffer its container has already released. ASan builds therefore
+// poison the arena by hand (DESIGN.md §11): fresh and reset chunks are
+// poisoned whole, allocate() unpoisons exactly the bytes it returns,
+// ArenaResource::do_deallocate poisons them again, and one poisoned
+// 8-byte granule separates neighbouring allocations. Other builds compile
+// none of it.
+//
+// The header is intentionally self-contained (header-only): sim/, trace/
+// and browser/ sit below core in the link order and still inline
+// everything they need.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -35,9 +40,37 @@
 #include <new>
 #include <vector>
 
-#include "util/env.hpp"
+#if defined(__SANITIZE_ADDRESS__)
+#define PARCEL_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PARCEL_ASAN 1
+#endif
+#endif
+#ifdef PARCEL_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace parcel::core {
+
+namespace detail {
+#ifdef PARCEL_ASAN
+/// One ASan shadow granule: the minimum alignment of an arena allocation
+/// and the poisoned gap left after it, so no two allocations share a
+/// granule and an overflow into a neighbour is reported.
+inline constexpr std::size_t kAsanGranule = 8;
+inline void asan_poison(const void* p, std::size_t n) {
+  __asan_poison_memory_region(p, n);
+}
+inline void asan_unpoison(const void* p, std::size_t n) {
+  __asan_unpoison_memory_region(p, n);
+}
+#else
+inline constexpr std::size_t kAsanGranule = 0;
+inline void asan_poison(const void*, std::size_t) {}
+inline void asan_unpoison(const void*, std::size_t) {}
+#endif
+}  // namespace detail
 
 /// Monotonic chunked bump allocator. Not thread-safe: one arena belongs
 /// to one run on one worker thread (the ArenaScope install is
@@ -57,6 +90,7 @@ class Arena {
   void* allocate(std::size_t bytes,
                  std::size_t align = alignof(std::max_align_t)) {
     if (bytes == 0) bytes = 1;
+    if (align < detail::kAsanGranule) align = detail::kAsanGranule;
     ++allocations_;
     bytes_requested_ += bytes;
     if (active_ < chunks_.size()) {
@@ -74,7 +108,10 @@ class Arena {
   /// allocated from the arena must already be dead (their destructors are
   /// the owner's business; the arena never runs them).
   void reset() {
-    for (Chunk& c : chunks_) c.used = 0;
+    for (Chunk& c : chunks_) {
+      c.used = 0;
+      detail::asan_poison(c.data.get(), c.size);
+    }
     active_ = 0;
     bytes_requested_ = 0;
     allocations_ = 0;
@@ -111,7 +148,13 @@ class Arena {
         (base + c.used + align - 1) & ~(static_cast<std::uintptr_t>(align) - 1);
     if (p + bytes > base + c.size) return nullptr;
     c.used = static_cast<std::size_t>(p + bytes - base);
-    return reinterpret_cast<void*>(p);
+    if constexpr (detail::kAsanGranule > 0) {
+      // The poisoned gap before the next allocation.
+      c.used = std::min(c.used + detail::kAsanGranule, c.size);
+    }
+    void* out = reinterpret_cast<void*>(p);
+    detail::asan_unpoison(out, bytes);
+    return out;
   }
 
   void* allocate_slow(std::size_t bytes, std::size_t align) {
@@ -126,6 +169,7 @@ class Arena {
     // 21 KB of its first 256 KiB chunk, so zero-filling it all was waste.
     c.data = std::make_unique_for_overwrite<std::byte[]>(want);
     c.size = want;
+    detail::asan_poison(c.data.get(), c.size);
     chunks_.push_back(std::move(c));
     active_ = chunks_.size() - 1;
     void* p = bump(chunks_.back(), bytes, align);
@@ -142,7 +186,8 @@ class Arena {
 };
 
 /// std::pmr adapter: containers constructed from this resource bump out
-/// of the arena and never return memory (deallocate is a no-op).
+/// of the arena and never return memory (deallocate only re-poisons the
+/// bytes in ASan builds).
 class ArenaResource final : public std::pmr::memory_resource {
  public:
   explicit ArenaResource(Arena& arena) : arena_(&arena) {}
@@ -152,7 +197,10 @@ class ArenaResource final : public std::pmr::memory_resource {
   void* do_allocate(std::size_t bytes, std::size_t align) override {
     return arena_->allocate(bytes, align);
   }
-  void do_deallocate(void*, std::size_t, std::size_t) noexcept override {}
+  void do_deallocate(void* p, std::size_t bytes,
+                     std::size_t) noexcept override {
+    detail::asan_poison(p, bytes);
+  }
   [[nodiscard]] bool do_is_equal(
       const std::pmr::memory_resource& other) const noexcept override {
     return this == &other;
@@ -162,27 +210,11 @@ class ArenaResource final : public std::pmr::memory_resource {
 };
 
 namespace detail {
-inline std::atomic<bool>& arena_flag() {
-  // parcel-lint: allow(nondet-transitive) PARCEL_ARENA kill switch read once at startup; arena on/off is byte-identical by test, so the env read cannot reach results
-  static std::atomic<bool> flag{util::env_flag("PARCEL_ARENA", true)};
-  return flag;
-}
 inline std::pmr::memory_resource*& tls_run_resource() {
   thread_local std::pmr::memory_resource* current = nullptr;
   return current;
 }
 }  // namespace detail
-
-/// Global arena kill switch: PARCEL_ARENA=0 in the environment (read
-/// once) or set_arena_enabled(false). Off means ArenaScope installs
-/// nothing and every run_resource() call yields the default heap
-/// resource — the byte-identity comparison path.
-[[nodiscard]] inline bool arena_enabled() {
-  return detail::arena_flag().load(std::memory_order_relaxed);
-}
-inline void set_arena_enabled(bool on) {
-  detail::arena_flag().store(on, std::memory_order_relaxed);
-}
 
 /// The memory resource per-run containers should draw from: the innermost
 /// active ArenaScope's arena on this thread, else the default resource.
@@ -191,14 +223,13 @@ inline void set_arena_enabled(bool on) {
   return r != nullptr ? r : std::pmr::get_default_resource();
 }
 
-/// RAII install of an arena as this thread's run resource. Scopes nest
-/// (the previous resource is restored on destruction) and degrade to
-/// no-ops when the kill switch is off, so callers never branch.
+/// RAII install of an arena as this thread's run resource. Scopes nest:
+/// the previous resource is restored on destruction.
 class ArenaScope {
  public:
   explicit ArenaScope(Arena& arena)
       : resource_(arena), prev_(detail::tls_run_resource()) {
-    if (arena_enabled()) detail::tls_run_resource() = &resource_;
+    detail::tls_run_resource() = &resource_;
   }
   ArenaScope(const ArenaScope&) = delete;
   ArenaScope& operator=(const ArenaScope&) = delete;

@@ -104,9 +104,8 @@ struct RunResult {
   std::uint64_t events_executed = 0;
 
   // Allocation telemetry from this run's arena (DESIGN.md §11): bytes and
-  // allocation calls served by the bump allocator. Zero when the arena is
-  // disabled (PARCEL_ARENA=0 / set_arena_enabled(false)); never part of
-  // the simulated outcome — placement cannot feed results.
+  // allocation calls served by the bump allocator. Never part of the
+  // simulated outcome — placement cannot feed results.
   std::size_t arena_bytes = 0;
   std::size_t arena_allocations = 0;
 };

@@ -6,32 +6,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/env.hpp"
 #include "web/css.hpp"
 
 namespace parcel::web {
 
-namespace {
-
-std::atomic<bool>& enabled_flag() {
-  // parcel-lint: allow(nondet-transitive) PARCEL_PARSE_CACHE kill switch read once at startup; cache on/off is bitwise-identical by test, so the env read cannot reach results
-  static std::atomic<bool> flag{util::env_flag("PARCEL_PARSE_CACHE", true)};
-  return flag;
-}
-
-}  // namespace
-
 ParseCache& ParseCache::instance() {
   static ParseCache cache;
   return cache;
-}
-
-void ParseCache::set_enabled(bool enabled) {
-  enabled_flag().store(enabled, std::memory_order_relaxed);
-}
-
-bool ParseCache::enabled() {
-  return enabled_flag().load(std::memory_order_relaxed);
 }
 
 template <typename T, typename Scan>
@@ -39,20 +20,18 @@ Parsed<T> ParseCache::lookup(Table<T> Shard::*table, std::string_view text,
                              const std::shared_ptr<const std::string>& pin,
                              std::atomic<std::uint64_t>& hits,
                              std::atomic<std::uint64_t>& misses, Scan scan) {
-  if (pin != nullptr) {
-    // The entry's key must view bytes its pin owns; std::less gives the
-    // total pointer order the raw operators do not promise.
-    const std::less_equal<const char*> le;
-    if (!le(pin->data(), text.data()) ||
-        !le(text.data() + text.size(), pin->data() + pin->size())) {
-      throw std::logic_error("ParseCache: scanned text lies outside its pin");
-    }
-  }
-  if (!enabled() || pin == nullptr) {
+  if (pin == nullptr) {
     // Uncached scan: the artifact still borrows from `text`; the caller
     // keeps the backing string alive.
     misses.fetch_add(1, std::memory_order_relaxed);
     return {std::make_shared<const T>(scan(text)), pin};
+  }
+  // The entry's key must view bytes its pin owns; std::less gives the
+  // total pointer order the raw operators do not promise.
+  const std::less_equal<const char*> le;
+  if (!le(pin->data(), text.data()) ||
+      !le(text.data() + text.size(), pin->data() + pin->size())) {
+    throw std::logic_error("ParseCache: scanned text lies outside its pin");
   }
 
   Shard& shard = shard_for(text);

@@ -44,8 +44,8 @@
 // thread — gets the same immutable artifact. Determinism is by
 // construction: scanners are pure functions of the content bytes, so a
 // cached artifact is byte-for-byte the artifact a fresh scan would
-// produce; cache on/off and any --jobs value yield bitwise-identical
-// RunResults.
+// produce; a cold or warm cache and any --jobs value yield
+// bitwise-identical RunResults.
 #pragma once
 
 #include <atomic>
@@ -83,18 +83,12 @@ class ParseCache {
   /// Process-wide cache instance shared by every engine.
   static ParseCache& instance();
 
-  /// Global toggle (default on; PARCEL_PARSE_CACHE=0 in the environment
-  /// disables it at startup). With the cache off every call scans fresh —
-  /// results are bitwise identical either way.
-  static void set_enabled(bool enabled);
-  [[nodiscard]] static bool enabled();
-
   /// Memoized MiniHtml::scan. `doc` must lie inside `pin`'s bytes
   /// (std::logic_error otherwise); `pin` is usually the whole string. A
   /// miss retains `pin` in the new entry; a hit returns the entry's pin.
-  /// With a null pin or the cache disabled, the text is scanned fresh and
-  /// the returned pin is the caller's (null pin: the caller must keep the
-  /// backing string alive while the artifact is in use).
+  /// With a null pin the text is scanned fresh, nothing is cached, and
+  /// the returned pin is null: the caller must keep the backing string
+  /// alive while the artifact is in use.
   Parsed<std::vector<HtmlToken>> html(
       std::string_view doc, const std::shared_ptr<const std::string>& pin);
 

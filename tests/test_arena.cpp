@@ -1,9 +1,13 @@
 // Per-run arena allocator (DESIGN.md §11): bump mechanics, the
-// thread-local scope plumbing, the kill switch, and the headline
-// invariant — arena on/off never changes simulation results.
+// thread-local scope plumbing, results that outlive their run's arena,
+// and the ASan poisoning that reports views dangling into released
+// arena memory.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory_resource>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include "core/arena.hpp"
@@ -13,17 +17,6 @@
 
 namespace parcel::core {
 namespace {
-
-// Restores the process-wide arena flag so tests cannot leak a disabled
-// arena into the rest of the suite.
-class ArenaFlagGuard {
- public:
-  ArenaFlagGuard() : prev_(arena_enabled()) {}
-  ~ArenaFlagGuard() { set_arena_enabled(prev_); }
-
- private:
-  bool prev_;
-};
 
 TEST(Arena, BumpAllocatesAndCountsBytes) {
   Arena arena;
@@ -81,10 +74,6 @@ TEST(Arena, ZeroByteAllocationYieldsDistinctPointers) {
 }
 
 TEST(ArenaScope, InstallsAndRestoresThreadLocalResource) {
-  // Force the flag on so the test also passes under the PARCEL_ARENA=0
-  // CI leg — it is about scope mechanics, not the kill switch.
-  ArenaFlagGuard guard;
-  set_arena_enabled(true);
   std::pmr::memory_resource* before = run_resource();
   {
     Arena arena;
@@ -107,8 +96,6 @@ TEST(ArenaScope, InstallsAndRestoresThreadLocalResource) {
 }
 
 TEST(ArenaScope, IsThreadLocal) {
-  ArenaFlagGuard guard;
-  set_arena_enabled(true);
   Arena arena;
   ArenaScope scope(arena);
   std::pmr::memory_resource* other_thread = nullptr;
@@ -118,20 +105,7 @@ TEST(ArenaScope, IsThreadLocal) {
   EXPECT_NE(run_resource(), std::pmr::get_default_resource());
 }
 
-TEST(ArenaScope, KillSwitchDisablesInstallation) {
-  ArenaFlagGuard guard;
-  set_arena_enabled(false);
-  Arena arena;
-  ArenaScope scope(arena);
-  EXPECT_EQ(run_resource(), std::pmr::get_default_resource());
-  std::pmr::vector<int> v(run_resource());
-  v.push_back(7);
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-}
-
 TEST(ArenaScope, SchedulerDrawsFromActiveArena) {
-  ArenaFlagGuard guard;
-  set_arena_enabled(true);
   Arena arena;
   ArenaScope scope(arena);
   sim::Scheduler sched;
@@ -144,10 +118,9 @@ TEST(ArenaScope, SchedulerDrawsFromActiveArena) {
   EXPECT_GT(arena.bytes_allocated(), 0u);
 }
 
-// The headline invariant: a full experiment run is bitwise identical with
-// the arena on and off, and the result never retains arena memory (the
-// returned trace is usable long after the run's arena died).
-TEST(ArenaIdentity, FullRunBitwiseIdenticalArenaOnAndOff) {
+// A result never retains arena memory: the trace a run returns is still
+// usable, and equal to a second run's, long after both runs' arenas died.
+TEST(ArenaIdentity, ResultOutlivesItsRunsArena) {
   web::PageSpec spec;
   spec.object_count = 25;
   spec.total_bytes = util::kib(600);
@@ -156,24 +129,46 @@ TEST(ArenaIdentity, FullRunBitwiseIdenticalArenaOnAndOff) {
   RunConfig cfg;
   cfg.seed = 5;
 
-  ArenaFlagGuard guard;
-  set_arena_enabled(true);
-  RunResult on = ExperimentRunner::run(Scheme::kParcelInd, page, cfg);
-  set_arena_enabled(false);
-  RunResult off = ExperimentRunner::run(Scheme::kParcelInd, page, cfg);
+  RunResult first = ExperimentRunner::run(Scheme::kParcelInd, page, cfg);
+  // The second run may reuse the heap the first run's arena released.
+  RunResult second = ExperimentRunner::run(Scheme::kParcelInd, page, cfg);
 
-  EXPECT_EQ(on.olt.sec(), off.olt.sec());  // bitwise: EXPECT_EQ, no near
-  EXPECT_EQ(on.tlt.sec(), off.tlt.sec());
-  EXPECT_EQ(on.radio.total.j(), off.radio.total.j());
-  EXPECT_EQ(on.downlink_bytes, off.downlink_bytes);
-  EXPECT_EQ(on.uplink_bytes, off.uplink_bytes);
-  EXPECT_EQ(on.tcp_connections, off.tcp_connections);
-  EXPECT_EQ(on.trace.serialize(), off.trace.serialize());
-  // Arena telemetry reflects the switch.
-  EXPECT_GT(on.arena_bytes, 0u);
-  EXPECT_GT(on.arena_allocations, 0u);
-  EXPECT_EQ(off.arena_bytes, 0u);
-  EXPECT_EQ(off.arena_allocations, 0u);
+  EXPECT_EQ(first.olt.sec(), second.olt.sec());  // bitwise: no near
+  EXPECT_EQ(first.radio.total.j(), second.radio.total.j());
+  ASSERT_GT(first.trace.size(), 0u);
+  EXPECT_EQ(first.trace.serialize(), second.trace.serialize());
+  EXPECT_GT(first.arena_bytes, 0u);
+  EXPECT_GT(first.arena_allocations, 0u);
+}
+
+// ASan builds poison arena memory by hand (core/arena.hpp), so a view
+// into a pmr buffer its container released, or an overflow into the gap
+// after an allocation, is reported as the heap would report it.
+TEST(ArenaAsan, ReleasedBufferAndGapGranuleArePoisoned) {
+#ifndef PARCEL_ASAN
+  GTEST_SKIP() << "arena poisoning is compiled only into ASan builds";
+#else
+  Arena arena;
+  ArenaScope scope(arena);
+  std::pmr::string s("a string too long for the small-buffer optimisation",
+                     run_resource());
+  const std::string_view old_view = s;
+  s.append(s.capacity(), 'x');  // reallocates and releases the old buffer
+  EXPECT_DEATH(
+      {
+        volatile char c = old_view[0];
+        static_cast<void>(c);
+      },
+      "use-after-poison");
+
+  auto* a = static_cast<char*>(arena.allocate(8, 8));
+  auto* b = static_cast<char*>(arena.allocate(8, 8));
+  EXPECT_FALSE(__asan_address_is_poisoned(a + 7));
+  EXPECT_TRUE(__asan_address_is_poisoned(a + 8));  // the gap granule
+  EXPECT_GE(b - a, 16);
+  arena.reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(a));
+#endif
 }
 
 }  // namespace

@@ -428,6 +428,20 @@ TEST(BenchCli, ParsePageMixRoundTripsToStringNames) {
   }
 }
 
+TEST(BenchCli, ParseOptionsRejectsUnknownFlags) {
+  std::string prog = "bench", pages = "--pages", page = "--page",
+              ctrl = "--ctrl", five = "5", off = "off";
+  char* known[] = {prog.data(), pages.data(), five.data()};
+  EXPECT_EQ(bench::parse_options(3, known).pages, 5);
+  // A misspelt or retired flag is a usage error, not a silent default run.
+  char* typo[] = {prog.data(), page.data(), five.data()};
+  EXPECT_EXIT(bench::parse_options(3, typo), ::testing::ExitedWithCode(2),
+              "error: unknown flag --page");
+  char* retired[] = {prog.data(), ctrl.data(), off.data()};
+  EXPECT_EXIT(bench::parse_options(3, retired), ::testing::ExitedWithCode(2),
+              "error: unknown flag --ctrl");
+}
+
 // ------------------------------------------------- arrival processes
 
 TEST(FleetArrivals, ToStringNames) {

@@ -176,6 +176,15 @@ TEST(ParcelLint, BenchFilesAreInRepoLintScope) {
   const std::string text = ss.str();
   EXPECT_NE(text.find("bench/bench_kernel_throughput.cpp"), std::string::npos);
   EXPECT_NE(text.find("bench/bench_micro.cpp"), std::string::npos);
+
+  // It exempts no path from nondet-getenv: a getenv anywhere in src/
+  // fails the tree.
+  Config shipped;
+  ASSERT_TRUE(parse_config(text, shipped, error)) << error;
+  for (const char* path : {"src/util/strings.cpp", "src/core/arena.hpp",
+                           "src/web/parse_cache.cpp"}) {
+    EXPECT_TRUE(shipped.applies("nondet-getenv", path)) << path;
+  }
 }
 
 TEST(ParcelLint, SuppressionForDifferentRuleDoesNotSuppress) {
@@ -416,7 +425,7 @@ TEST(ParcelLint, LayerConfigGrammar) {
   // Longest prefix wins: arena.hpp is carved out of core into base.
   EXPECT_EQ(cfg.layer_of("src/core/arena.hpp"), "base");
   EXPECT_EQ(cfg.layer_of("src/core/run.cpp"), "core");
-  EXPECT_EQ(cfg.layer_of("src/util/env.hpp"), "base");
+  EXPECT_EQ(cfg.layer_of("src/util/rng.hpp"), "base");
   EXPECT_EQ(cfg.layer_of("tools/x.cpp"), "");
   // Reachability: app -> core -> base sanctions app -> base too.
   EXPECT_TRUE(cfg.dep_allowed("core", "base"));

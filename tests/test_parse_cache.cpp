@@ -31,12 +31,8 @@ class ParseCacheTest : public ::testing::Test {
   void SetUp() override {
     ParseCache::instance().clear();
     ParseCache::instance().reset_stats();
-    ParseCache::set_enabled(true);
   }
-  void TearDown() override {
-    ParseCache::instance().clear();
-    ParseCache::set_enabled(true);
-  }
+  void TearDown() override { ParseCache::instance().clear(); }
 };
 
 TEST_F(ParseCacheTest, SecondScanOfSameContentIsAHit) {
@@ -73,21 +69,6 @@ TEST_F(ParseCacheTest, DistinctContentGetsDistinctEntries) {
   EXPECT_NE(ta.artifact.get(), tb.artifact.get());
   EXPECT_EQ(ParseCache::instance().size(), 2u);
   EXPECT_EQ(ParseCache::instance().stats().html_misses, 2u);
-}
-
-TEST_F(ParseCacheTest, DisabledCacheScansFreshAndStoresNothing) {
-  ParseCache::set_enabled(false);
-  auto doc = shared("<img src=\"/a.png\">");
-  auto first = ParseCache::instance().html(*doc, doc);
-  auto second = ParseCache::instance().html(*doc, doc);
-  EXPECT_NE(first.artifact.get(), second.artifact.get());
-  EXPECT_EQ(first.pin, doc);  // disabled: the caller's own pin comes back
-  EXPECT_EQ(ParseCache::instance().size(), 0u);
-  ParseCache::Stats s = ParseCache::instance().stats();
-  EXPECT_EQ(s.html_hits, 0u);
-  EXPECT_EQ(s.html_misses, 2u);
-  // Off or on, the scan result is identical.
-  EXPECT_EQ(*first, *second);
 }
 
 TEST_F(ParseCacheTest, NullPinScansFreshWithoutInsert) {
@@ -487,7 +468,7 @@ TEST_F(ParseCacheTest, HitOnACopyDoesNotIndexTheCallersBuffer) {
   EXPECT_EQ(ParseCache::instance().stats().html_misses, 2u);
 }
 
-TEST_F(ParseCacheTest, DisabledAndNullPinLookupsBypassTheIdentityIndex) {
+TEST_F(ParseCacheTest, NullPinLookupBypassesTheIdentityIndex) {
   auto doc = shared("<img src=\"/own.png\">");
   auto cached = ParseCache::instance().html(*doc, doc);
   ParseCache::instance().reset_stats();
@@ -496,14 +477,9 @@ TEST_F(ParseCacheTest, DisabledAndNullPinLookupsBypassTheIdentityIndex) {
   EXPECT_NE(unpinned.artifact.get(), cached.artifact.get());
   EXPECT_EQ(unpinned.pin, nullptr);
   EXPECT_EQ(*unpinned, *cached);
-  // Cache off on the entry's own pin: also a fresh scan.
-  ParseCache::set_enabled(false);
-  auto off = ParseCache::instance().html(*doc, doc);
-  EXPECT_NE(off.artifact.get(), cached.artifact.get());
-  EXPECT_EQ(*off, *cached);
   ParseCache::Stats s = ParseCache::instance().stats();
   EXPECT_EQ(s.html_hits, 0u);
-  EXPECT_EQ(s.html_misses, 2u);
+  EXPECT_EQ(s.html_misses, 1u);
   EXPECT_EQ(ParseCache::instance().size(), 1u);
 }
 

@@ -118,6 +118,19 @@ TEST(TraceAnalyzer, GapCounting) {
   EXPECT_EQ(TraceAnalyzer::count_gaps_longer_than(trace,
                                                   Duration::seconds(1.0)),
             2u);
+  // ACKs in either direction neither split a gap nor open one; data in
+  // either direction does.
+  for (double t : {0.6, 1.0}) {
+    trace.record(rec(t, Direction::kDownlink, PacketKind::kAck, 40, 1, 1));
+  }
+  for (double t : {2.2, 2.9, 3.5}) {
+    trace.record(rec(t, Direction::kUplink, PacketKind::kAck, 40, 1, 1));
+  }
+  trace.record(rec(5.5, Direction::kUplink, PacketKind::kData, 10, 1, 1));
+  trace.record(rec(7.0, Direction::kUplink, PacketKind::kAck, 40, 1, 1));
+  EXPECT_EQ(TraceAnalyzer::count_gaps_longer_than(trace,
+                                                  Duration::seconds(1.0)),
+            3u);
 }
 
 // ---- SoA layout regression suite (DESIGN.md §11) -----------------------
@@ -240,8 +253,12 @@ TEST(PacketTraceSoA, CopyAndClearPreserveBothChannels) {
 TEST(TraceAnalyzer, CumulativeDownlinkBytes) {
   PacketTrace trace;
   trace.record(rec(1.0, Direction::kDownlink, PacketKind::kData, 100, 1, 1));
+  // Only downlink data counts: not uplink data, not ACKs either way.
+  trace.record(rec(1.5, Direction::kDownlink, PacketKind::kAck, 40, 1, 1));
   trace.record(rec(2.0, Direction::kUplink, PacketKind::kData, 50, 1, 0));
+  trace.record(rec(2.2, Direction::kUplink, PacketKind::kAck, 40, 1, 0));
   trace.record(rec(3.0, Direction::kDownlink, PacketKind::kData, 200, 1, 2));
+  trace.record(rec(4.0, Direction::kDownlink, PacketKind::kAck, 40, 1, 2));
   EXPECT_EQ(TraceAnalyzer::downlink_bytes_before(trace,
                                                  TimePoint::at_seconds(2.5)),
             100);

@@ -207,8 +207,8 @@ struct ProgramIndex {
   // owning file's token stream; lambdas and local classes inside a body
   // attribute to the enclosing function (conservative).
   struct FunctionDef {
-    std::string name;       // bare name ("env_flag")
-    std::string qualified;  // qualified when written ("util::env_flag")
+    std::string name;       // bare name ("read_toggle")
+    std::string qualified;  // qualified when written ("util::read_toggle")
     int line = 0;
     std::size_t body_begin = 0;  // token index of '{'
     std::size_t body_end = 0;    // token index one past matching '}'

@@ -199,7 +199,8 @@ std::string direct_message(const std::string& rule, const std::string& token) {
   }
   if (rule == "nondet-getenv") {
     return "'" + token + "' makes behaviour depend on the environment; "
-           "only util/ and bench/ may read env toggles";
+           "simulation code takes settings from its config, bench mains "
+           "may read env toggles under a reasoned allow";
   }
   // unordered-iter
   return "iteration over unordered container '" + token +
