@@ -27,11 +27,16 @@ Corpus build_corpus(int pages, std::uint64_t seed, web::PageMix mix) {
   for (const auto& spec : corpus.specs) {
     corpus.live_pages.push_back(
         std::make_unique<web::WebPage>(web::PageGenerator::generate(spec)));
-    corpus.store.record(*corpus.live_pages.back());
     corpus.replayed.push_back(
-        corpus.store.find(corpus.live_pages.back()->main_url().str()));
+        &replay_page(corpus.store, *corpus.live_pages.back()));
   }
   return corpus;
+}
+
+const web::WebPage& replay_page(replay::ReplayStore& store,
+                                const web::WebPage& live) {
+  store.record(live);
+  return *store.find(live.main_url().str());
 }
 
 // Strict positive-integer parse; anything else (garbage, trailing junk,
@@ -213,15 +218,21 @@ const char* flag_value(const char* flag, int argc, char** argv, int& i) {
 
 }  // namespace
 
-BenchOptions parse_options(int argc, char** argv) {
+BenchOptions parse_options(int argc, char** argv,
+                           std::vector<std::string>* positional) {
   BenchOptions opts;
+  bool pages_given = false, rounds_given = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--pages") == 0) {
+    if (positional != nullptr && argv[i][0] != '-') {
+      positional->push_back(argv[i]);
+    } else if (std::strcmp(argv[i], "--pages") == 0) {
       opts.pages =
           parse_positive_or_die("--pages", flag_value("--pages", argc, argv, i));
+      pages_given = true;
     } else if (std::strcmp(argv[i], "--rounds") == 0) {
       opts.rounds = parse_positive_or_die(
           "--rounds", flag_value("--rounds", argc, argv, i));
+      rounds_given = true;
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       opts.jobs =
           parse_positive_or_die("--jobs", flag_value("--jobs", argc, argv, i));
@@ -245,8 +256,6 @@ BenchOptions parse_options(int argc, char** argv) {
           "--arrival-seed", flag_value("--arrival-seed", argc, argv, i));
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       opts.quick = true;
-      opts.pages = 10;
-      opts.rounds = 1;
     } else if (std::strcmp(argv[i], "--fade") == 0) {
       const char* spec = flag_value("--fade", argc, argv, i);
       try {
@@ -276,6 +285,10 @@ BenchOptions parse_options(int argc, char** argv) {
       std::exit(2);
     }
   }
+  if (opts.quick) {
+    if (!pages_given) opts.pages = 10;
+    if (!rounds_given) opts.rounds = 1;
+  }
   // parcel-lint: allow(nondet-getenv) sanctioned bench toggle; the seed is echoed into BENCH_*.json so every run stays reproducible
   if (const char* env = std::getenv("PARCEL_FAULT_SEED")) {
     opts.faults.seed = parse_u64_or_die("PARCEL_FAULT_SEED", env);
@@ -288,29 +301,6 @@ core::RunConfig replay_run_config(std::uint64_t seed) {
   core::RunConfig cfg;
   cfg.seed = seed;
   cfg.testbed.faults = g_fault_plan;
-  return cfg;
-}
-
-core::RunConfig live_run_config(std::uint64_t seed) {
-  core::RunConfig cfg;
-  cfg.seed = seed;
-  cfg.testbed.faults = g_fault_plan;
-  cfg.testbed.heterogeneous_server_delays = true;
-  cfg.testbed.topology_seed = seed * 31 + 7;
-  cfg.testbed.fade = lte::FadeProcess::Params{};
-  cfg.testbed.fade_seed = seed * 97 + 13;
-  return cfg;
-}
-
-core::TestbedConfig wired_testbed_config() {
-  core::TestbedConfig cfg;
-  cfg.radio.uplink_rate = util::BitRate::mbps(40);
-  cfg.radio.downlink_rate = util::BitRate::mbps(40);
-  cfg.radio.one_way_delay = util::Duration::millis(5);
-  // Fixed access: no promotion latencies, no DRX machinery to speak of.
-  cfg.radio.rrc.promo_from_idle = util::Duration::zero();
-  cfg.radio.rrc.promo_from_short_drx = util::Duration::zero();
-  cfg.radio.rrc.promo_from_long_drx = util::Duration::zero();
   return cfg;
 }
 
@@ -362,14 +352,6 @@ void print_header(const char* figure, const char* caption) {
   std::printf("\n==================================================\n");
   std::printf("%s — %s\n", figure, caption);
   std::printf("==================================================\n");
-}
-
-void print_cdf(const char* label, const std::vector<double>& samples) {
-  util::Cdf cdf(samples);
-  std::printf("-- CDF: %s  (n=%zu, p10=%.2f p50=%.2f p90=%.2f max=%.2f)\n",
-              label, cdf.size(), cdf.quantile(0.10), cdf.quantile(0.50),
-              cdf.quantile(0.90), cdf.sorted_samples().back());
-  std::printf("%s", cdf.to_table(16).c_str());
 }
 
 bool write_json(const std::string& path, const json::Value& doc) {

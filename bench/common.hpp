@@ -35,8 +35,13 @@ struct Corpus {
 Corpus build_corpus(int pages, std::uint64_t seed = 2014,
                     web::PageMix mix = web::PageMix::kAlexa34);
 
+/// Records `live` into `store` and returns its normalized snapshot, which
+/// `store` owns.
+const web::WebPage& replay_page(replay::ReplayStore& store,
+                                const web::WebPage& live);
+
 /// Parsed --fade value: `off` leaves both fields unset (no fading),
-/// `ar1` selects the seeded stochastic fade of live_run_config, and a
+/// `ar1` selects the seeded stochastic fade of live mode (§8.4), and a
 /// KIND[:key=val,...] spec yields the deterministic lte::FadeSpec
 /// profile the adaptive benches sweep.
 struct FadeOption {
@@ -83,9 +88,13 @@ struct BenchOptions {
 /// --shards N / --l2-cost MS_PER_MIB / --arrival-seed N / --quick /
 /// --faults SPEC / --fade SPEC / --mix NAME from argv
 /// (see sim::FaultPlan::parse for the fault grammar; "off" disables).
-/// The PARCEL_FAULT_SEED environment variable overrides the plan's
-/// seed. Malformed values abort with a clear error on stderr.
-BenchOptions parse_options(int argc, char** argv);
+/// --quick means --pages 10 --rounds 1 unless either is given explicitly,
+/// before or after it. The PARCEL_FAULT_SEED environment variable
+/// overrides the plan's seed. Malformed values abort with a clear error
+/// on stderr. Arguments that do not start with '-' are appended to
+/// `positional` when it is given and are unknown flags otherwise.
+BenchOptions parse_options(int argc, char** argv,
+                           std::vector<std::string>* positional = nullptr);
 
 /// Strict flag-value parsers behind parse_options, exposed so tests can
 /// assert the reject-garbage contract without spawning a process. All
@@ -109,15 +118,9 @@ FadeOption parse_fade(const char* flag, const char* text);
 web::PageMix parse_page_mix(const char* flag, const char* text);
 
 /// Default controlled-replay run configuration (§7.2: no fading in the
-/// controlled comparisons; variability handled by seeds).
+/// controlled comparisons; variability handled by seeds). Carries the
+/// --faults plan.
 core::RunConfig replay_run_config(std::uint64_t seed);
-
-/// §8.4 live configuration: heterogeneous server delays + signal fading.
-core::RunConfig live_run_config(std::uint64_t seed);
-
-/// Fig 3's wired baseline: replace the LTE access with a fast fixed link
-/// (no promotions, negligible tail).
-core::TestbedConfig wired_testbed_config();
 
 /// Run `scheme` across the corpus with `rounds` per page (distinct
 /// seeds), returning per-page median metrics.
@@ -134,7 +137,6 @@ PageMedians run_corpus(core::Scheme scheme, const Corpus& corpus, int rounds,
                        const core::RunConfig& base, int jobs = 1);
 
 void print_header(const char* figure, const char* caption);
-void print_cdf(const char* label, const std::vector<double>& samples);
 
 /// Writes `doc.dump()` plus a newline to `path` (the BENCH_*.json
 /// reports). On failure prints "error: cannot write PATH" to stderr and

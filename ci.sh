@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Minimal CI: Release build (warnings are errors tree-wide) + full test
-# suite, parcel_bench's own unit tests (benchmark/tests, which cover the
-# JSON library every BENCH_*.json goes through), the parcel-lint
-# determinism gate, the kernel-throughput gate (current numbers vs the
-# checked-in BENCH_kernel.json baseline, >10% regression fails; doctored
-# baselines and a garbled value must be rejected), then the bench smokes
-# (parse cache, faulted, fleet, adaptive), whose exit codes are the
-# gates. Then a ThreadSanitizer build that runs the parallel-runner and
-# parse-cache tests to prove the fan-out is race-free, an
+# suite (which runs every paper figure in --quick mode), the figure
+# driver's full-size --jobs 1 vs --jobs 4 byte identity and its
+# unknown-id rejection, parcel_bench's own unit tests (benchmark/tests,
+# which cover the JSON library every BENCH_*.json goes through), the
+# parcel-lint determinism gate, the kernel-throughput gate (current
+# numbers vs the checked-in BENCH_kernel.json baseline, >10% regression
+# fails; doctored baselines and a garbled value must be rejected), then
+# the bench smokes (parse cache, faulted, fleet, adaptive), whose exit
+# codes are the gates. Then a ThreadSanitizer build that runs the
+# parallel-runner and parse-cache tests to prove the fan-out is
+# race-free, an
 # AddressSanitizer build that runs the full suite once to prove the
 # zero-copy string_view plumbing never dangles (the arena poisons memory
 # its containers release, so a view into it is reported too), and an
@@ -23,6 +26,22 @@ echo "==> Release build + ctest (includes the parcel_lint_tree gate)"
 cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j "$JOBS"
+
+echo "==> Figure driver: every figure byte-identical across --jobs"
+# ctest already ran `parcel_figures --quick all`; this runs the default
+# (34-page) grid serially and on four workers and compares the bytes.
+FIGURES=./build-ci/bench/parcel_figures
+"$FIGURES" all --jobs 1 > build-ci/figures_jobs1.txt
+"$FIGURES" all --jobs 4 > build-ci/figures_jobs4.txt
+cmp build-ci/figures_jobs1.txt build-ci/figures_jobs4.txt
+echo "parcel_figures all: --jobs 1 and --jobs 4 byte-identical"
+rc=0
+"$FIGURES" nope 2> /dev/null || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "parcel_figures exit code on an unknown figure: $rc (want 2)"
+  exit 1
+fi
+echo "parcel_figures correctly rejects an unknown figure (exit 2)"
 
 echo "==> parcel_bench unit tests (incl. the JSON library bench/ links)"
 cmake -S benchmark -B build-benchmark -DCMAKE_BUILD_TYPE=Release

@@ -2,7 +2,7 @@
 //
 // The paper's §6 model picks the energy/latency-optimal bundle size
 // b* = α√(sB) from the link speed s and page size B; the repo carried it
-// only as a static anchor (bench_sec6_model). This controller closes the
+// only as a static anchor (parcel_figures sec6). This controller closes the
 // loop: every radio burst feeds the LinkEstimator, and at bundle
 // boundaries the controller recomputes
 //

@@ -1,6 +1,7 @@
 // The bench report path: every BENCH_*.json goes through
 // bench::write_json / bench::read_json, and the committed baselines are
-// what bench_kernel_throughput --compare gates against.
+// what bench_kernel_throughput --compare gates against. Also the parts
+// of bench::parse_options that every bench and parcel_figures share.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,6 +9,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "bench/common.hpp"
 
@@ -84,6 +86,38 @@ TEST(BenchReport, ReadJsonRejectsMissingAndMalformedFiles) {
   std::ofstream(bad) << "{\"a\": 1} trailing";
   EXPECT_THROW((void)bench::read_json(bad), std::invalid_argument);
   fs::remove(bad);
+}
+
+TEST(BenchCli, QuickKeepsExplicitPagesAndRoundsInEitherOrder) {
+  std::string prog = "bench", pages = "--pages", three = "3",
+              rounds = "--rounds", two = "2", quick = "--quick";
+  char* quick_last[] = {prog.data(),   pages.data(), three.data(),
+                        rounds.data(), two.data(),   quick.data()};
+  char* quick_first[] = {prog.data(),  quick.data(),  pages.data(),
+                         three.data(), rounds.data(), two.data()};
+  for (char** argv : {quick_last, quick_first}) {
+    const bench::BenchOptions opts = bench::parse_options(6, argv);
+    EXPECT_TRUE(opts.quick);
+    EXPECT_EQ(opts.pages, 3);
+    EXPECT_EQ(opts.rounds, 2);
+  }
+  char* quick_only[] = {prog.data(), quick.data()};
+  const bench::BenchOptions opts = bench::parse_options(2, quick_only);
+  EXPECT_EQ(opts.pages, 10);
+  EXPECT_EQ(opts.rounds, 1);
+}
+
+TEST(BenchCli, PositionalArgumentsAreCollectedBetweenFlags) {
+  std::string prog = "parcel_figures", fig = "fig7b", jobs = "--jobs",
+              four = "4", all = "all";
+  char* argv[] = {prog.data(), fig.data(), jobs.data(), four.data(),
+                  all.data()};
+  std::vector<std::string> ids;
+  EXPECT_EQ(bench::parse_options(5, argv, &ids).jobs, 4);
+  EXPECT_EQ(ids, (std::vector<std::string>{"fig7b", "all"}));
+  // Without a place to put them, positional arguments stay usage errors.
+  EXPECT_EXIT(bench::parse_options(5, argv), ::testing::ExitedWithCode(2),
+              "error: unknown flag fig7b");
 }
 
 }  // namespace
