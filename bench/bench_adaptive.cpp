@@ -98,14 +98,12 @@ std::vector<core::ExperimentTask> make_tasks(core::Scheme scheme,
                                              const bench::Corpus& corpus,
                                              int rounds,
                                              const bench::FadeOption& fade,
-                                             const lte::FadeSpec& profile,
-                                             util::Bytes threshold_override) {
+                                             const lte::FadeSpec& profile) {
   std::vector<core::ExperimentTask> tasks;
   tasks.reserve(corpus.replayed.size() * static_cast<std::size_t>(rounds));
   for (std::size_t p = 0; p < corpus.replayed.size(); ++p) {
     for (int r = 0; r < rounds; ++r) {
       core::RunConfig cfg = sweep_config(fade, profile, p, r);
-      cfg.parcel_threshold_override = threshold_override;
       // The proxy knows the page's byte total once its fetches resolve
       // (and exactly, in replay) — hand the controller the real B̂ so
       // the remaining-bytes taper fits each page instead of a 2 MiB
@@ -127,28 +125,6 @@ double mean_radio_j(const std::vector<core::RunResult>& results) {
   double sum = 0.0;
   for (const core::RunResult& r : results) sum += r.radio.total.j();
   return results.empty() ? 0.0 : sum / static_cast<double>(results.size());
-}
-
-// Bitwise comparison across --jobs, including the controller telemetry:
-// the whole point of the integer estimator is that these are exact.
-bool results_identical(const std::vector<core::RunResult>& a,
-                       const std::vector<core::RunResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].ok != b[i].ok || a[i].olt.sec() != b[i].olt.sec() ||
-        a[i].tlt.sec() != b[i].tlt.sec() ||
-        a[i].radio.total.j() != b[i].radio.total.j() ||
-        a[i].downlink_bytes != b[i].downlink_bytes ||
-        a[i].uplink_bytes != b[i].uplink_bytes ||
-        a[i].bundles != b[i].bundles ||
-        a[i].ctrl_retunes != b[i].ctrl_retunes ||
-        a[i].ctrl_goodput_bps != b[i].ctrl_goodput_bps ||
-        a[i].ctrl_rtt_us != b[i].ctrl_rtt_us ||
-        a[i].ctrl_threshold != b[i].ctrl_threshold) {
-      return false;
-    }
-  }
-  return true;
 }
 
 struct GridRow {
@@ -198,9 +174,14 @@ int main(int argc, char** argv) {
                                          util::mib(2)};
   std::vector<GridRow> grid_rows;
   for (util::Bytes b : grid) {
+    // PARCEL-ADAPT with its target clamps pinned to b is byte-for-byte the
+    // fixed PARCEL(b) (the byte pin below and test_ctrl check this).
     std::vector<core::ExperimentTask> tasks =
-        make_tasks(core::Scheme::kParcel512K, corpus, rounds, opts.fade,
-                   profile, b);
+        make_tasks(core::Scheme::kParcelAdaptive, corpus, rounds, opts.fade,
+                   profile);
+    for (core::ExperimentTask& task : tasks) {
+      task.config.ctrl.min_target = task.config.ctrl.max_target = b;
+    }
     std::vector<core::RunResult> results =
         core::run_experiments(tasks, opts.jobs);
     grid_rows.push_back(GridRow{b, mean_olt_sec(results), mean_radio_j(results)});
@@ -208,10 +189,10 @@ int main(int argc, char** argv) {
 
   // ---- adaptive, with the in-bench jobs=1 vs jobs=4 identity gate --------
   std::vector<core::ExperimentTask> adaptive_tasks = make_tasks(
-      core::Scheme::kParcelAdaptive, corpus, rounds, opts.fade, profile, 0);
+      core::Scheme::kParcelAdaptive, corpus, rounds, opts.fade, profile);
   std::vector<core::RunResult> serial = core::run_experiments(adaptive_tasks, 1);
   std::vector<core::RunResult> fanned = core::run_experiments(adaptive_tasks, 4);
-  const bool jobs_identical = results_identical(serial, fanned);
+  const bool jobs_identical = bench::same_results(serial, fanned);
 
   const double adaptive_olt = mean_olt_sec(serial);
   const double adaptive_j = mean_radio_j(serial);
@@ -276,11 +257,10 @@ int main(int argc, char** argv) {
                            web::PageMix::kLargeObject}) {
     bench::Corpus mixed = bench::build_corpus(opts.quick ? 3 : 4, 2014, mix);
     std::vector<core::RunResult> fixed = core::run_experiments(
-        make_tasks(core::Scheme::kParcel512K, mixed, 1, opts.fade, profile, 0),
+        make_tasks(core::Scheme::kParcel512K, mixed, 1, opts.fade, profile),
         opts.jobs);
     std::vector<core::RunResult> adapt = core::run_experiments(
-        make_tasks(core::Scheme::kParcelAdaptive, mixed, 1, opts.fade, profile,
-                   0),
+        make_tasks(core::Scheme::kParcelAdaptive, mixed, 1, opts.fade, profile),
         opts.jobs);
     double retunes = 0.0;
     for (const core::RunResult& r : adapt) {

@@ -8,8 +8,8 @@
 // Results go to stdout and BENCH_faults.json so recovery latency and
 // retransmission cost are machine-trackable across PRs.
 //
-// --faults SPEC substitutes the canonical plan; PARCEL_FAULT_SEED
-// reseeds it.
+// --faults SPEC substitutes the canonical plan; a `seed=N` term in it
+// reseeds the plan.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -24,26 +24,6 @@ namespace json = bench::json;
 // Mid-load crash: late enough that the proxy has started pushing,
 // early enough that most corpus pages are still incomplete.
 const char* kCanonicalPlan = "loss=0.02,blackout=3+0.8,crash=1.2,seed=7";
-
-bool results_identical(const std::vector<core::RunResult>& a,
-                       const std::vector<core::RunResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].ok != b[i].ok || a[i].olt.sec() != b[i].olt.sec() ||
-        a[i].tlt.sec() != b[i].tlt.sec() ||
-        a[i].radio.total.j() != b[i].radio.total.j() ||
-        a[i].downlink_bytes != b[i].downlink_bytes ||
-        a[i].uplink_bytes != b[i].uplink_bytes ||
-        a[i].retransmits != b[i].retransmits ||
-        a[i].fault_drops != b[i].fault_drops ||
-        a[i].fault_deferrals != b[i].fault_deferrals ||
-        a[i].direct_fetches != b[i].direct_fetches ||
-        a[i].degraded != b[i].degraded) {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -76,7 +56,7 @@ int main(int argc, char** argv) {
 
   std::vector<core::RunResult> serial = core::run_experiments(tasks, 1);
   std::vector<core::RunResult> fanned = core::run_experiments(tasks, 4);
-  const bool identical = results_identical(serial, fanned);
+  const bool identical = bench::same_results(serial, fanned);
 
   bool all_completed = true;
   std::size_t degraded_runs = 0, direct_fetches = 0;

@@ -108,7 +108,6 @@ bool fleet_identical(const fleet::FleetMetrics& a,
          a.fetch_parse_sec == b.fetch_parse_sec &&
          a.energy_j_total == b.energy_j_total &&
          a.store.hits == b.store.hits && a.store.misses == b.store.misses &&
-         a.store.evictions == b.store.evictions &&
          a.store.bytes_saved == b.store.bytes_saved &&
          a.store.bytes_stored == b.store.bytes_stored &&
          a.compute.completed == b.compute.completed &&

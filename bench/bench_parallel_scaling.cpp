@@ -25,20 +25,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-bool medians_identical(const bench::PageMedians& a,
-                       const bench::PageMedians& b) {
-  auto same = [](const std::vector<double>& x, const std::vector<double>& y) {
-    if (x.size() != y.size()) return false;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      if (x[i] != y[i]) return false;  // bitwise: no tolerance
-    }
-    return true;
-  };
-  return same(a.olt_sec, b.olt_sec) && same(a.tlt_sec, b.tlt_sec) &&
-         same(a.radio_j, b.radio_j) && same(a.cr_j, b.cr_j) &&
-         same(a.requests, b.requests);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -80,8 +66,8 @@ int main(int argc, char** argv) {
     if (j == 0) {
       serial_dir = dir;
       serial_ind = ind;
-    } else if (!medians_identical(dir, serial_dir) ||
-               !medians_identical(ind, serial_ind)) {
+    } else if (!bench::same_medians(dir, serial_dir) ||
+               !bench::same_medians(ind, serial_ind)) {
       identical = false;
     }
     bool oversubscribed = job_levels[j] > hw;

@@ -117,20 +117,6 @@ WorkloadResult scan_workload(const bench::Corpus& corpus, int loads_per_page,
   return r;
 }
 
-bool medians_identical(const bench::PageMedians& a,
-                       const bench::PageMedians& b) {
-  auto same = [](const std::vector<double>& x, const std::vector<double>& y) {
-    if (x.size() != y.size()) return false;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      if (x[i] != y[i]) return false;  // bitwise: no tolerance
-    }
-    return true;
-  };
-  return same(a.olt_sec, b.olt_sec) && same(a.tlt_sec, b.tlt_sec) &&
-         same(a.radio_j, b.radio_j) && same(a.cr_j, b.cr_j) &&
-         same(a.requests, b.requests);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,8 +176,8 @@ int main(int argc, char** argv) {
                                                   opts.jobs);
   web::ParseCache::Stats es = web::ParseCache::instance().stats();
 
-  bool identical = medians_identical(cold_dir, warm_dir) &&
-                   medians_identical(cold_ind, warm_ind);
+  bool identical = bench::same_medians(cold_dir, warm_dir) &&
+                   bench::same_medians(cold_ind, warm_ind);
   std::printf("\nend-to-end grid (DIR + PARCEL(IND), %d rounds, jobs=%d):\n",
               rounds, opts.jobs);
   std::printf("  warm cache hit rate %.1f%%\n", 100.0 * es.hit_rate());

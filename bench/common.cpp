@@ -289,10 +289,6 @@ BenchOptions parse_options(int argc, char** argv,
     if (!pages_given) opts.pages = 10;
     if (!rounds_given) opts.rounds = 1;
   }
-  // parcel-lint: allow(nondet-getenv) sanctioned bench toggle; the seed is echoed into BENCH_*.json so every run stays reproducible
-  if (const char* env = std::getenv("PARCEL_FAULT_SEED")) {
-    opts.faults.seed = parse_u64_or_die("PARCEL_FAULT_SEED", env);
-  }
   g_fault_plan = opts.faults;
   return opts;
 }
@@ -302,6 +298,36 @@ core::RunConfig replay_run_config(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.testbed.faults = g_fault_plan;
   return cfg;
+}
+
+bool same_medians(const PageMedians& a, const PageMedians& b) {
+  return a.olt_sec == b.olt_sec && a.tlt_sec == b.tlt_sec &&
+         a.radio_j == b.radio_j && a.cr_j == b.cr_j &&
+         a.requests == b.requests;
+}
+
+bool same_results(const std::vector<core::RunResult>& a,
+                  const std::vector<core::RunResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const core::RunResult& x = a[i];
+    const core::RunResult& y = b[i];
+    if (x.ok != y.ok || x.olt.sec() != y.olt.sec() ||
+        x.tlt.sec() != y.tlt.sec() ||
+        x.radio.total.j() != y.radio.total.j() ||
+        x.downlink_bytes != y.downlink_bytes ||
+        x.uplink_bytes != y.uplink_bytes || x.bundles != y.bundles ||
+        x.retransmits != y.retransmits || x.fault_drops != y.fault_drops ||
+        x.fault_deferrals != y.fault_deferrals ||
+        x.direct_fetches != y.direct_fetches || x.degraded != y.degraded ||
+        x.ctrl_retunes != y.ctrl_retunes ||
+        x.ctrl_goodput_bps != y.ctrl_goodput_bps ||
+        x.ctrl_rtt_us != y.ctrl_rtt_us ||
+        x.ctrl_threshold != y.ctrl_threshold) {
+      return false;
+    }
+  }
+  return true;
 }
 
 PageMedians run_corpus(core::Scheme scheme, const Corpus& corpus, int rounds,

@@ -89,9 +89,8 @@ struct BenchOptions {
 /// --faults SPEC / --fade SPEC / --mix NAME from argv
 /// (see sim::FaultPlan::parse for the fault grammar; "off" disables).
 /// --quick means --pages 10 --rounds 1 unless either is given explicitly,
-/// before or after it. The PARCEL_FAULT_SEED environment variable
-/// overrides the plan's seed. Malformed values abort with a clear error
-/// on stderr. Arguments that do not start with '-' are appended to
+/// before or after it. Malformed values abort with a clear error on
+/// stderr. Arguments that do not start with '-' are appended to
 /// `positional` when it is given and are unknown flags otherwise.
 BenchOptions parse_options(int argc, char** argv,
                            std::vector<std::string>* positional = nullptr);
@@ -135,6 +134,16 @@ struct PageMedians {
 
 PageMedians run_corpus(core::Scheme scheme, const Corpus& corpus, int rounds,
                        const core::RunConfig& base, int jobs = 1);
+
+/// Bitwise equality (no tolerance) of the OLT, TLT, radio, CR-energy and
+/// request medians: the determinism gates' comparison of two grids.
+bool same_medians(const PageMedians& a, const PageMedians& b);
+
+/// Bitwise equality (no tolerance) of two result lists, run by run:
+/// load metrics, bytes, bundles, fault and degradation counters, and the
+/// controller telemetry.
+bool same_results(const std::vector<core::RunResult>& a,
+                  const std::vector<core::RunResult>& b);
 
 void print_header(const char* figure, const char* caption);
 

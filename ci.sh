@@ -153,7 +153,7 @@ echo "==> Parse cache smoke (2-page corpus, hit rate must be > 0)"
 echo "==> Faulted smoke (fixed seed: must complete and exercise fallback)"
 # bench_fault_recovery exits nonzero unless every run completes, the
 # planned crash forces direct-to-origin fallback, and jobs=1 == jobs=4.
-(cd build-ci/bench && PARCEL_FAULT_SEED=7 ./bench_fault_recovery --quick)
+(cd build-ci/bench && ./bench_fault_recovery --quick)
 
 # bench_fleet_scaling exits nonzero unless every leg holds: amplification,
 # knee and shedding; bitwise identity across --jobs 1 and 4; the shard

@@ -50,18 +50,28 @@ void CloudBrowserProxy::handle(const net::HttpRequest& request,
     return;
   }
 
-  // POST = interaction event: /click/<index>.
-  if (!engine_) {
+  // POST = interaction event: /click/<index>. The index arrives off the
+  // wire, so a click before any load (400) or on a handler the page
+  // never registered (404 — e.g. its script failed under origin errors)
+  // is answered, not trusted.
+  auto reject = [&](int status) {
     net::HttpResponse resp;
-    resp.status = 400;
+    resp.status = status;
     resp.url = request.url;
     resp.body_bytes = 128;
     respond(resp);
+  };
+  if (!engine_) {
+    reject(400);
     return;
   }
   const std::string& path = request.url.path();
   auto slash = path.rfind('/');
   int index = std::stoi(path.substr(slash + 1));
+  if (!engine_->has_click_handler(index)) {
+    reject(404);
+    return;
+  }
   auto respond_ptr = std::make_shared<std::function<void(net::HttpResponse)>>(
       std::move(respond));
   net::Url url = request.url;

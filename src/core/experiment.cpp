@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "browser/cloud_browser.hpp"
@@ -179,9 +180,13 @@ RunResult run_parcel(Scheme scheme, const web::WebPage& page,
   ParcelSessionConfig session_cfg;
   session_cfg.proxy.fetch = proxy_fetch_config();
   session_cfg.proxy.bundle = bundle_for(scheme);
-  if (config.parcel_threshold_override > 0 &&
-      session_cfg.proxy.bundle.policy == BundlePolicy::kThreshold) {
-    session_cfg.proxy.bundle.threshold = config.parcel_threshold_override;
+  if (scheme == Scheme::kParcelAdaptive) {
+    // Start inside the controller's target clamps: the default clamps
+    // contain 512K, and pinned clamps start (and stay) at their value.
+    config.ctrl.validate();
+    session_cfg.proxy.bundle.threshold =
+        std::clamp(session_cfg.proxy.bundle.threshold, config.ctrl.min_target,
+                   config.ctrl.max_target);
   }
   session_cfg.proxy.inactivity_window = config.proxy_inactivity_window;
   session_cfg.client_engine = client_engine_config(config.device);

@@ -31,8 +31,8 @@ enum class Scheme : std::uint8_t {
   kCloudBrowser,  // cloud-heavy baseline (CB)
   /// PARCEL(X) with the ctrl::BundleController retuning X mid-load from
   /// the live capture (DESIGN.md §15). With the controller's target
-  /// clamps pinned (min_target == max_target == the initial threshold)
-  /// this is byte-for-byte the fixed scheme at that threshold.
+  /// clamps pinned (min_target == max_target == X) this is byte-for-byte
+  /// the fixed scheme at threshold X.
   kParcelAdaptive,
 };
 
@@ -50,13 +50,10 @@ struct RunConfig {
   util::Duration proxy_inactivity_window = util::Duration::seconds(1.5);
   /// Controller parameters for kParcelAdaptive runs (ISSUE 10); ignored
   /// by every other scheme. The estimator's RRC timers are synced to
-  /// testbed.radio.rrc by the harness so the gate matches the radio.
+  /// testbed.radio.rrc by the harness so the gate matches the radio. The
+  /// run starts at 512K clamped into [min_target, max_target], so pinned
+  /// clamps (min_target == max_target == X) run the fixed PARCEL(X).
   ctrl::ControllerConfig ctrl;
-  /// Non-zero: override the threshold of any kThreshold bundle policy
-  /// (including kParcelAdaptive's starting point). This is how
-  /// bench_adaptive sweeps a fixed-size grid through the existing
-  /// run_experiments fan-out without a Scheme enumerator per size.
-  util::Bytes parcel_threshold_override = 0;
 };
 
 struct RunResult {

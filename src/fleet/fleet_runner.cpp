@@ -56,9 +56,6 @@ void FleetConfig::validate() const {
         "FleetConfig: diurnal_amplitude must be in [0, 1) so the arrival "
         "rate stays positive");
   }
-  if (store_capacity < 0) {
-    throw std::invalid_argument("FleetConfig: store_capacity must be >= 0");
-  }
   if (epoch_min_sessions < 1) {
     throw std::invalid_argument(
         "FleetConfig: epoch_min_sessions must be >= 1");
@@ -66,9 +63,6 @@ void FleetConfig::validate() const {
   if (shards < 1) {
     throw std::invalid_argument("FleetConfig: shards must be >= 1, got " +
                                 std::to_string(shards));
-  }
-  if (l2_capacity < 0) {
-    throw std::invalid_argument("FleetConfig: l2_capacity must be >= 0");
   }
   compute.validate();
   base.testbed.faults.validate();
@@ -126,17 +120,10 @@ ClientColumns derive_client_columns(const FleetConfig& config,
   util::TimePoint t = util::TimePoint::origin();
   for (int k = 0; k < config.clients; ++k) {
     if (k > 0 && !config.mean_interarrival.is_zero()) {
-      // kPoisson keeps the historical expression verbatim so existing
-      // fleets replay byte-identically; the modulated processes divide
-      // the mean by m(t) at the current simulation time.
-      if (config.arrivals == ArrivalProcess::kPoisson) {
-        t += util::Duration::seconds(
-            arrivals.exponential(config.mean_interarrival.sec()));
-      } else {
-        t += util::Duration::seconds(arrivals.exponential(
-            config.mean_interarrival.sec() /
-            arrival_rate_multiplier(config, t)));
-      }
+      // The mean is divided by m(t) at the current simulation time;
+      // kPoisson's m(t) is exactly 1.0, and x / 1.0 == x.
+      t += util::Duration::seconds(arrivals.exponential(
+          config.mean_interarrival.sec() / arrival_rate_multiplier(config, t)));
     }
     auto uk = static_cast<std::uint64_t>(k);
     cols.arrival_sec.push_back(t.sec());
@@ -154,33 +141,9 @@ ClientColumns derive_client_columns(const FleetConfig& config,
 
 namespace {
 
-/// Sum src's flow counters into dst. bytes_stored is a point-in-time
-/// gauge, not a flow — callers set it from the final snapshot explicitly.
-void fold_store(SharedObjectStore::Stats& dst,
-                const SharedObjectStore::Stats& src) {
-  dst.hits += src.hits;
-  dst.misses += src.misses;
-  dst.evictions += src.evictions;
-  dst.bytes_saved += src.bytes_saved;
-}
-
-void fold_compute(ProxyCompute::Stats& dst, const ProxyCompute::Stats& src) {
-  dst.completed += src.completed;
-  dst.fetch_busy_sec += src.fetch_busy_sec;
-  dst.parse_busy_sec += src.parse_busy_sec;
-  dst.bundle_busy_sec += src.bundle_busy_sec;
-  dst.transfer_busy_sec += src.transfer_busy_sec;
-  dst.crash_killed += src.crash_killed;
-  dst.last_finish = std::max(dst.last_finish, src.last_finish);
-}
-
 /// Per-epoch aggregate: everything a finished epoch contributes
 /// to FleetMetrics, plus the state the boundary invariant check needs.
 struct EpochAgg {
-  explicit EpochAgg(const core::LogHistogram::Layout& layout)
-      : olt(layout), tlt(layout), wait(layout), energy(layout),
-        recovery(layout) {}
-
   int admitted = 0;
   int shed = 0;
   std::uint64_t sessions_ok = 0;
@@ -269,7 +232,7 @@ EpochAgg run_epoch(const std::vector<const web::WebPage*>& corpus,
                    const ShardSnapshot* start, const ShardSnapshot* next,
                    const FleetConfig& config, int jobs,
                    FleetClientResult* sink) {
-  EpochAgg agg(config.sketch);
+  EpochAgg agg;
   const std::size_t n = epoch.end - epoch.begin;
 
   // The macro scheduler heap bumps out of the epoch's arena; micro-runs
@@ -350,13 +313,13 @@ void fold_epoch(FleetMetrics& m, const EpochAgg& agg) {
   m.wait_stats.merge(agg.wait);
   m.energy_stats.merge(agg.energy);
   m.recovery_stats.merge(agg.recovery);
-  fold_store(m.store, agg.fleet.l1_total());
+  m.store += agg.fleet.l1_total();
   for (std::size_t s = 0; s < agg.fleet.l1.size() && s < m.l1_shards.size();
        ++s) {
-    fold_store(m.l1_shards[s], agg.fleet.l1[s]);
+    m.l1_shards[s] += agg.fleet.l1[s];
   }
-  fold_store(m.l2, agg.fleet.l2);
-  fold_compute(m.compute, agg.fleet.compute);
+  m.l2 += agg.fleet.l2;
+  m.compute += agg.fleet.compute;
   m.crash_handoffs += agg.fleet.crash_handoffs;
   m.crash_killed_tasks += agg.fleet.crash_killed_tasks;
   m.redo_sec_total += agg.fleet.redo_sec_total;
@@ -406,11 +369,6 @@ FleetMetrics run_fleet(const std::vector<const web::WebPage*>& corpus,
   m.epochs = static_cast<int>(epochs);
   m.epoch_parallel = epochs > 1;
   m.epoch_degrade_reason = plan.degrade_reason;
-  m.olt_stats = core::StreamingStats(config.sketch);
-  m.tlt_stats = core::StreamingStats(config.sketch);
-  m.wait_stats = core::StreamingStats(config.sketch);
-  m.energy_stats = core::StreamingStats(config.sketch);
-  m.recovery_stats = core::StreamingStats(config.sketch);
   if (!config.streaming) m.clients.resize(cols.size());
   FleetClientResult* sink = config.streaming ? nullptr : m.clients.data();
 
@@ -431,7 +389,7 @@ FleetMetrics run_fleet(const std::vector<const web::WebPage*>& corpus,
 
   // Two or more epochs spread across the runner, each running its
   // micro-sims inline; a single epoch spreads its micro-sims instead.
-  std::vector<EpochAgg> aggs(epochs, EpochAgg(config.sketch));
+  std::vector<EpochAgg> aggs(epochs);
   const int inner_jobs = epochs > 1 ? 1 : config.jobs;
   core::ParallelRunner(config.jobs).for_each_index(epochs, [&](std::size_t e) {
     aggs[e] = run_epoch(corpus, cols, plan.epochs[e],

@@ -81,8 +81,6 @@ struct FleetConfig {
   util::Duration diurnal_period = util::Duration::seconds(20);
   double diurnal_amplitude = 0.8;
   ProxyComputeConfig compute;
-  /// Shared-store capacity (0 = unbounded).
-  util::Bytes store_capacity = 0;
   /// Per-client base run configuration; per-client seeds are derived from
   /// base.seed and the client index. base.testbed.faults composes: the
   /// plan reaches both the per-session testbeds and the proxy compute
@@ -96,17 +94,12 @@ struct FleetConfig {
 
   /// Sharded proxy fleet (ISSUE 8, tentpole). 1 keeps §10's single-proxy
   /// model bit-for-bit; N > 1 stands up N independent proxies — each with
-  /// its own L1 SharedObjectStore (capacity store_capacity) and its own
-  /// ProxyCompute pool (this `compute` config per shard) — behind a
-  /// rendezvous-hash front (shard_router.hpp) keyed on the client id.
-  int shards = 1;
-  /// Rendezvous salt for the routing front (part of the run's identity:
-  /// same salt + same fleet = same routing on every host and --jobs).
-  std::uint64_t route_salt = 0x5ca1ab1e2014ULL;
-  /// Shared L2 tier capacity (0 = unbounded); consulted only when
-  /// shards > 1. An L1 miss that hits the L2 costs one kTransfer task
+  /// its own L1 SharedObjectStore and its own ProxyCompute pool (this
+  /// `compute` config per shard) — behind a rendezvous-hash front
+  /// (shard_router.hpp) keyed on the client id, over one shared L2 store.
+  /// An L1 miss that hits the L2 costs one kTransfer task
   /// (compute.costs.transfer_*) instead of origin fetch + parse.
-  util::Bytes l2_capacity = 0;
+  int shards = 1;
   /// Fleet-layer fault plan: proxy_crash_at / proxy_restart_after name
   /// the seeded crash whose victim *shard* dies mid-run (queued and
   /// in-flight sessions hand off to survivors; restart rejoins with a
@@ -128,8 +121,6 @@ struct FleetConfig {
   /// Minimum sessions per epoch (the planner also enforces >= K/1024 so
   /// epoch-merge state is O(1) in K).
   int epoch_min_sessions = 512;
-  /// Bin geometry for the streaming sketches.
-  core::LogHistogram::Layout sketch;
 
   /// Throws std::invalid_argument on nonsense (clients < 1, negative
   /// inter-arrival, invalid compute config, malformed fault plan).
@@ -138,8 +129,8 @@ struct FleetConfig {
 
 /// SoA columns for the fleet's per-client bookkeeping: 28 bytes per
 /// client, each column scanned linearly by the macro epoch loop. Fleets
-/// are uniform in scheme/weight (config.scheme, weight 1.0), so only the
-/// per-client varying fields get columns; index k is the client id.
+/// are uniform in scheme (config.scheme), so only the per-client varying
+/// fields get columns; index k is the client id.
 struct ClientColumns {
   std::vector<double> arrival_sec;
   std::vector<std::uint32_t> page_index;

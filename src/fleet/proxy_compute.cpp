@@ -56,7 +56,6 @@ TaskCosts TaskCosts::idle() {
 ProxyComputeConfig ProxyComputeConfig::idle() {
   ProxyComputeConfig cfg;
   cfg.workers = 1;
-  cfg.policy = QueuePolicy::kFifo;
   cfg.max_queue = 0;
   cfg.costs = TaskCosts::idle();
   return cfg;
@@ -108,53 +107,15 @@ bool ProxyCompute::can_accept(std::size_t tasks, Duration batch_cost) const {
   return true;
 }
 
-void ProxyCompute::submit(int client, double weight, TaskKind kind,
-                          Bytes bytes, Done done) {
+void ProxyCompute::submit(TaskKind kind, Bytes bytes, Done done) {
   Task task;
-  task.seq = next_seq_++;
-  task.client = client;
   task.kind = kind;
   task.cost = config_.costs.service_time(kind, bytes);
   task.submitted = sched_.now();
-  if (config_.policy == QueuePolicy::kWeightedFair) {
-    // Classic virtual-time WFQ: a client's next task finishes (in virtual
-    // time) cost/weight after the later of "now" and its previous finish.
-    if (client >= 0 &&
-        static_cast<std::size_t>(client) >= client_vfinish_.size()) {
-      client_vfinish_.resize(static_cast<std::size_t>(client) + 1, 0.0);
-    }
-    double v = sched_.now().sec();
-    double w = weight > 0.0 ? weight : 1.0;
-    double start_v =
-        client >= 0
-            ? std::max(v, client_vfinish_[static_cast<std::size_t>(client)])
-            : v;
-    task.virtual_finish = start_v + task.cost.sec() / w;
-    if (client >= 0) {
-      client_vfinish_[static_cast<std::size_t>(client)] = task.virtual_finish;
-    }
-  }
   task.done = std::move(done);
   backlog_ += task.cost;
   queue_.push_back(std::move(task));
   dispatch();
-}
-
-std::size_t ProxyCompute::pick_next() const {
-  if (config_.policy == QueuePolicy::kFifo) {
-    // Queue is append-only in seq order; the head is the oldest.
-    return 0;
-  }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < queue_.size(); ++i) {
-    const Task& cand = queue_[i];
-    const Task& cur = queue_[best];
-    if (cand.virtual_finish < cur.virtual_finish ||
-        (cand.virtual_finish == cur.virtual_finish && cand.seq < cur.seq)) {
-      best = i;
-    }
-  }
-  return best;
 }
 
 TimePoint ProxyCompute::defer_past_blackouts(TimePoint start) const {
@@ -199,9 +160,8 @@ void ProxyCompute::restart() {
 
 void ProxyCompute::dispatch() {
   while (!dead_ && idle_workers_ > 0 && !queue_.empty()) {
-    std::size_t i = pick_next();
-    Task task = std::move(queue_[i]);
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+    Task task = std::move(queue_.front());
+    queue_.pop_front();
     backlog_ -= task.cost;
     --idle_workers_;
     TimePoint start = defer_past_blackouts(sched_.now());
@@ -226,7 +186,6 @@ void ProxyCompute::dispatch() {
         case TaskKind::kBundle: stats_.bundle_busy_sec += cost_sec; break;
         case TaskKind::kTransfer: stats_.transfer_busy_sec += cost_sec; break;
       }
-      waits_.add(waited.sec());
       ++idle_workers_;
       if (done) done(finish, waited);
       dispatch();

@@ -7,8 +7,8 @@
 // latency, dominates once many clients share one engine host. ProxyCompute
 // supplies that axis: a fixed pool of workers on a sim::Scheduler
 // timeline, per-task service costs for the proxy's three work kinds
-// (origin fetch, parse/scan, bundle assembly), FIFO or weighted-fair
-// per-client dispatch, and a bounded queue for admission control.
+// (origin fetch, parse/scan, bundle assembly), FIFO dispatch, and a
+// bounded queue for admission control.
 //
 // Only *waiting* (queueing delay plus outage deferral) is exported to the
 // fleet timeline: the service time itself is already inside the
@@ -16,11 +16,9 @@
 // (DESIGN.md §10). Service costs exist to occupy workers and create the
 // contention that produces the waits.
 //
-// Determinism: dispatch order is a pure function of the submission
-// sequence — FIFO picks the lowest sequence number; weighted-fair picks
-// the lowest virtual finish time with the sequence number as tie-break.
-// Blackout windows from a sim::FaultPlan (the proxy shares the weather
-// with the rest of the run) defer service starts to the window's end.
+// Determinism: dispatch order is the submission order. Blackout windows
+// from a sim::FaultPlan (the proxy shares the weather with the rest of
+// the run) defer service starts to the window's end.
 //
 // Lock discipline (DESIGN.md §14.3): none — the pool model mutates only
 // on the single macro-simulation timeline. Future mutable state shared
@@ -28,13 +26,13 @@
 // (src/util/thread_annotations.hpp); parcel-lint enforces the annotation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <vector>
 
 #include "sim/fault_plan.hpp"
 #include "sim/scheduler.hpp"
-#include "util/stats.hpp"
 #include "util/units.hpp"
 
 namespace parcel::fleet {
@@ -72,15 +70,9 @@ struct TaskCosts {
   static TaskCosts idle();
 };
 
-enum class QueuePolicy : std::uint8_t {
-  kFifo,          // strict submission order
-  kWeightedFair,  // per-client WFQ on virtual finish times
-};
-
 struct ProxyComputeConfig {
   /// Concurrent service slots (the proxy's cores). Must be >= 1.
   int workers = 4;
-  QueuePolicy policy = QueuePolicy::kFifo;
   /// Admission bounds — a client's whole task batch is refused (503-style
   /// shed, FleetRunner) when either would be exceeded; 0 / zero disables.
   /// max_queue bounds *tasks* waiting (not in service); max_backlog
@@ -122,10 +114,8 @@ class ProxyCompute {
     return config_.costs.service_time(kind, bytes);
   }
 
-  /// Enqueue one task for `client`. `weight` > 0 matters only under
-  /// weighted-fair dispatch (higher weight = more service share).
-  void submit(int client, double weight, TaskKind kind, Bytes bytes,
-              Done done);
+  /// Enqueue one task; tasks enter service in submission order.
+  void submit(TaskKind kind, Bytes bytes, Done done);
 
   /// Kill the pool at the current scheduler instant (a shard crash,
   /// ISSUE 8): every queued task is dropped and every in-service task is
@@ -166,10 +156,19 @@ class ProxyCompute {
     [[nodiscard]] double fetch_parse_sec() const {
       return fetch_busy_sec + parse_busy_sec;
     }
+    /// Fold another pool's stats in: sums, and the later last_finish.
+    Stats& operator+=(const Stats& o) {
+      completed += o.completed;
+      fetch_busy_sec += o.fetch_busy_sec;
+      parse_busy_sec += o.parse_busy_sec;
+      bundle_busy_sec += o.bundle_busy_sec;
+      transfer_busy_sec += o.transfer_busy_sec;
+      crash_killed += o.crash_killed;
+      last_finish = std::max(last_finish, o.last_finish);
+      return *this;
+    }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  /// Every completed task's queueing delay, in submission order.
-  [[nodiscard]] const util::Summary& waits() const { return waits_; }
   [[nodiscard]] std::size_t queued() const { return queue_.size(); }
   /// Service seconds currently waiting (not yet in service).
   [[nodiscard]] Duration backlog() const { return backlog_; }
@@ -177,38 +176,29 @@ class ProxyCompute {
 
  private:
   struct Task {
-    std::uint64_t seq = 0;
-    int client = 0;
     TaskKind kind = TaskKind::kFetch;
     Duration cost = Duration::zero();
     TimePoint submitted;
-    double virtual_finish = 0.0;  // WFQ ordering key
     Done done;
   };
 
   void dispatch();
-  [[nodiscard]] std::size_t pick_next() const;
   [[nodiscard]] TimePoint defer_past_blackouts(TimePoint start) const;
 
   sim::Scheduler& sched_;
   ProxyComputeConfig config_;
   const sim::FaultPlan* faults_ = nullptr;
 
-  std::uint64_t next_seq_ = 0;
   int idle_workers_ = 0;
   /// Crash state: while dead_, nothing dispatches. generation_ bumps on
   /// every crash; completion events carry the generation they started
   /// under and void themselves when it no longer matches.
   bool dead_ = false;
   std::uint64_t generation_ = 0;
-  /// Waiting tasks (not in service). Small fleets keep this short; the
-  /// linear WFQ scan is deterministic and cheap at model scale.
-  std::vector<Task> queue_;
+  /// Waiting tasks (not in service), oldest at the front.
+  std::deque<Task> queue_;
   Duration backlog_ = Duration::zero();
-  /// Per-client WFQ virtual finish times, grown on demand.
-  std::vector<double> client_vfinish_;
   Stats stats_;
-  util::Summary waits_;
 };
 
 }  // namespace parcel::fleet

@@ -11,11 +11,8 @@ namespace parcel::fleet {
 SharedObjectStore::Stats ShardedFleetStats::l1_total() const {
   SharedObjectStore::Stats t;
   for (const SharedObjectStore::Stats& s : l1) {
-    t.hits += s.hits;
-    t.misses += s.misses;
-    t.evictions += s.evictions;
-    t.bytes_saved += s.bytes_saved;
-    t.bytes_stored += s.bytes_stored;
+    t += s;
+    t.bytes_stored += s.bytes_stored;  // the gauge sums across shards too
   }
   return t;
 }
@@ -24,9 +21,8 @@ ShardedFleet::ShardedFleet(sim::Scheduler& sched, const FleetConfig& config,
                            const ShardSnapshot* start)
     : sched_(sched),
       config_(config),
-      router_(config.shards, config.route_salt),
-      l2_(start != nullptr ? start->l2.fork_contents()
-                           : SharedObjectStore(config.l2_capacity)),
+      router_(config.shards),
+      l2_(start != nullptr ? start->l2.fork_contents() : SharedObjectStore()),
       l2_enabled_(config.shards > 1) {
   if (start != nullptr &&
       start->l1.size() != static_cast<std::size_t>(config.shards)) {
@@ -42,7 +38,7 @@ ShardedFleet::ShardedFleet(sim::Scheduler& sched, const FleetConfig& config,
   for (int s = 0; s < config.shards; ++s) {
     SharedObjectStore l1 =
         start != nullptr ? start->l1[static_cast<std::size_t>(s)].fork_contents()
-                         : SharedObjectStore(config.store_capacity);
+                         : SharedObjectStore();
     // ProxyCompute holds the scheduler by reference, so nodes live behind
     // unique_ptr (the vector must never relocate a pool).
     nodes_.push_back(std::make_unique<ProxyShard>(s, sched, config.compute,
@@ -139,11 +135,11 @@ void ShardedFleet::on_arrival(const std::vector<const web::WebPage*>& corpus,
     return;
   }
   shard_of_[i] = s;
-  submit_batch(i, s, page, client, out, /*redo=*/false);
+  submit_batch(i, s, page, out, /*redo=*/false);
 }
 
 void ShardedFleet::submit_batch(std::size_t i, int s, const web::WebPage& page,
-                                int client, MacroOut& out, bool redo) {
+                                MacroOut& out, bool redo) {
   ProxyShard& node = *nodes_[static_cast<std::size_t>(s)];
   auto on_done = [this, &out, i](util::TimePoint finished,
                                  util::Duration waited) {
@@ -164,7 +160,7 @@ void ShardedFleet::submit_batch(std::size_t i, int s, const web::WebPage& page,
       }
     }
     ++outstanding_[i];
-    node.compute.submit(client, /*weight=*/1.0, kind, bytes, on_done);
+    node.compute.submit(kind, bytes, on_done);
   };
   for (const web::WebObject* object : page.objects()) {
     SharedObjectStore::Outcome o1 = node.l1.request(*object);
@@ -210,7 +206,7 @@ void ShardedFleet::on_crash(const std::vector<const web::WebPage*>& corpus,
     shard_of_[i] = target;
     ++out.handoffs[i];
     ++crash_handoffs_;
-    submit_batch(i, target, page, client, out, /*redo=*/true);
+    submit_batch(i, target, page, out, /*redo=*/true);
   }
 }
 
@@ -219,14 +215,7 @@ ShardedFleetStats ShardedFleet::stats() const {
   st.l1.reserve(nodes_.size());
   for (const std::unique_ptr<ProxyShard>& node : nodes_) {
     st.l1.push_back(node->l1.stats());
-    const ProxyCompute::Stats& c = node->compute.stats();
-    st.compute.completed += c.completed;
-    st.compute.fetch_busy_sec += c.fetch_busy_sec;
-    st.compute.parse_busy_sec += c.parse_busy_sec;
-    st.compute.bundle_busy_sec += c.bundle_busy_sec;
-    st.compute.transfer_busy_sec += c.transfer_busy_sec;
-    st.compute.crash_killed += c.crash_killed;
-    st.compute.last_finish = std::max(st.compute.last_finish, c.last_finish);
+    st.compute += node->compute.stats();
   }
   st.l2 = l2_.stats();
   st.crash_handoffs = crash_handoffs_;
@@ -256,11 +245,7 @@ bool ShardedFleet::snapshot_equal(const ShardSnapshot& other) const {
 
 ShardSnapshot make_cold_snapshot(const FleetConfig& config) {
   ShardSnapshot snap;
-  snap.l1.reserve(static_cast<std::size_t>(config.shards));
-  for (int s = 0; s < config.shards; ++s) {
-    snap.l1.emplace_back(config.store_capacity);
-  }
-  snap.l2 = SharedObjectStore(config.l2_capacity);
+  snap.l1.resize(static_cast<std::size_t>(config.shards));
   return snap;
 }
 
@@ -272,7 +257,7 @@ void replay_store_requests(const std::vector<const web::WebPage*>& corpus,
   // index order (sorted times, FIFO tie-break), each requesting L1 then —
   // only on a miss, only when sharded — the L2. Valid exactly when no
   // shedding and no crash can occur (plan_epochs degrades otherwise).
-  ShardRouter router(config.shards, config.route_salt);
+  ShardRouter router(config.shards);
   const bool l2_on = config.shards > 1;
   for (std::size_t i = begin; i < end; ++i) {
     int s = router.route(ShardRouter::client_key(static_cast<int>(i)));

@@ -51,10 +51,10 @@
 
 namespace parcel::fleet {
 
-/// SoA view of the macro timeline's inputs. Element i is client base + i
-/// with weight 1.0; `base` is the global index of element 0, so epoch
-/// subspans keep one client identity (for routing and WFQ) no matter how
-/// the timeline was partitioned.
+/// SoA view of the macro timeline's inputs. Element i is client base + i;
+/// `base` is the global index of element 0, so epoch subspans keep one
+/// client identity (for routing) no matter how the timeline was
+/// partitioned.
 struct MacroColumns {
   std::span<const double> arrival_sec;
   std::span<const std::uint32_t> page_index;
@@ -137,7 +137,7 @@ class ShardedFleet {
  public:
   /// `config` must outlive *this (the blackout plan pointer is borrowed).
   /// `start` seeds the store tiers (epoch-parallel execution); null means
-  /// every tier starts cold with the configured capacities.
+  /// every tier starts cold.
   ShardedFleet(sim::Scheduler& sched, const FleetConfig& config,
                const ShardSnapshot* start = nullptr);
 
@@ -166,7 +166,7 @@ class ShardedFleet {
   /// on shard `s`; when `redo` is set, accumulate handoff redo accounting
   /// into `out`.
   void submit_batch(std::size_t i, int s, const web::WebPage& page,
-                    int client, MacroOut& out, bool redo);
+                    MacroOut& out, bool redo);
 
   sim::Scheduler& sched_;
   const FleetConfig& config_;
@@ -188,8 +188,8 @@ class ShardedFleet {
   util::Bytes redo_bytes_total_ = 0;
 };
 
-/// Build the cold starting snapshot for `config` (per-shard L1 capacity =
-/// store_capacity, L2 capacity = l2_capacity).
+/// Build the cold starting snapshot for `config`: one empty L1 per shard
+/// and an empty L2.
 [[nodiscard]] ShardSnapshot make_cold_snapshot(const FleetConfig& config);
 
 /// Advance `snap` by the store-only effects of clients [begin, end) of

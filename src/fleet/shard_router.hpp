@@ -32,10 +32,13 @@ namespace parcel::fleet {
 
 class ShardRouter {
  public:
+  /// The fleet's routing salt (part of a sharded run's identity).
+  static constexpr std::uint64_t kRouteSalt = 0x5ca1ab1e2014ULL;
+
   /// `shards` >= 1; throws std::invalid_argument otherwise. All shards
   /// start alive. `salt` seeds the score stream (same salt + same key =>
   /// same score on every host).
-  explicit ShardRouter(int shards, std::uint64_t salt = 0x5ca1ab1e2014ULL);
+  explicit ShardRouter(int shards, std::uint64_t salt = kRouteSalt);
 
   [[nodiscard]] int shards() const { return static_cast<int>(alive_.size()); }
   [[nodiscard]] int alive_count() const;

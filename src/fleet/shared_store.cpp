@@ -37,41 +37,21 @@ SharedObjectStore::Outcome SharedObjectStore::request(
   entry.pin = object.content;
   stats_.bytes_stored += entry.size;
   entries_.emplace(key, std::move(entry));
-  fifo_.push_back(key);
-  evict_to_fit();
   return Outcome{false, 0};
 }
 
-void SharedObjectStore::evict_to_fit() {
-  if (capacity_bytes_ <= 0) return;
-  // FIFO: evict oldest-inserted entries until we fit, but never the entry
-  // just inserted (a single object larger than capacity passes through).
-  while (stats_.bytes_stored > capacity_bytes_ && fifo_.size() > 1) {
-    Key victim = fifo_.front();
-    fifo_.pop_front();
-    auto it = entries_.find(victim);
-    if (it == entries_.end()) continue;
-    stats_.bytes_stored -= it->second.size;
-    entries_.erase(it);
-    ++stats_.evictions;
-  }
-}
-
 SharedObjectStore SharedObjectStore::fork_contents() const {
-  SharedObjectStore fork(capacity_bytes_);
+  SharedObjectStore fork;
   fork.entries_ = entries_;
-  fork.fifo_ = fifo_;
-  // bytes_stored is resident state (evict_to_fit keys on it), not a
-  // counter; everything else restarts at zero for the new epoch.
+  // bytes_stored is resident state, not a counter; everything else
+  // restarts at zero for the new epoch.
   fork.stats_.bytes_stored = stats_.bytes_stored;
   return fork;
 }
 
 bool SharedObjectStore::contents_equal(const SharedObjectStore& other) const {
-  if (capacity_bytes_ != other.capacity_bytes_ ||
-      entries_.size() != other.entries_.size() ||
-      stats_.bytes_stored != other.stats_.bytes_stored ||
-      fifo_ != other.fifo_) {
+  if (entries_.size() != other.entries_.size() ||
+      stats_.bytes_stored != other.stats_.bytes_stored) {
     return false;
   }
   // parcel-lint: allow(unordered-iter) order-independent conjunction: every entry is looked up in the other map, so iteration order cannot reach the result
@@ -86,7 +66,6 @@ bool SharedObjectStore::contents_equal(const SharedObjectStore& other) const {
 
 void SharedObjectStore::clear() {
   entries_.clear();
-  fifo_.clear();
   stats_.bytes_stored = 0;
 }
 

@@ -17,10 +17,9 @@
 // lives. Opaque bodies (images, media — no content string in the model)
 // are keyed by interned URL id + size.
 //
-// Capacity is optional (capacity_bytes = 0 means unbounded); a bounded
-// store evicts in strict insertion (FIFO) order, so eviction — like every
-// other part of the fleet model — is a pure function of the request
-// sequence and replays bit-for-bit.
+// The store is unbounded: nothing is ever evicted, so its contents — like
+// every other part of the fleet model — are a pure function of the
+// request sequence and replay bit-for-bit.
 //
 // Lock discipline (DESIGN.md §14.3): none, by contract. The store
 // belongs to the fleet macro-simulation, which runs on a single
@@ -34,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 
@@ -46,9 +44,6 @@ namespace parcel::fleet {
 
 class SharedObjectStore {
  public:
-  explicit SharedObjectStore(util::Bytes capacity_bytes = 0)
-      : capacity_bytes_(capacity_bytes) {}
-
   /// Would a request for `object` hit the store right now? (No state
   /// change — admission control peeks before a client commits.)
   [[nodiscard]] bool contains(const web::WebObject& object) const;
@@ -60,14 +55,13 @@ class SharedObjectStore {
   };
 
   /// Record one session's need for `object`: a hit bumps the counters and
-  /// saves the fetch; a miss inserts the artifact (evicting FIFO if over
-  /// capacity) so the *next* session hits.
+  /// saves the fetch; a miss inserts the artifact so the *next* session
+  /// hits.
   Outcome request(const web::WebObject& object);
 
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
     util::Bytes bytes_saved = 0;   // cumulative, over all hits
     util::Bytes bytes_stored = 0;  // currently resident
     [[nodiscard]] double hit_rate() const {
@@ -76,22 +70,28 @@ class SharedObjectStore {
                         : static_cast<double>(hits) /
                               static_cast<double>(total);
     }
+    /// Sum another store's flow counters in. bytes_stored is a
+    /// point-in-time gauge, not a flow, so it is left alone.
+    Stats& operator+=(const Stats& o) {
+      hits += o.hits;
+      misses += o.misses;
+      bytes_saved += o.bytes_saved;
+      return *this;
+    }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t entries() const { return entries_.size(); }
-  [[nodiscard]] util::Bytes capacity_bytes() const { return capacity_bytes_; }
 
   /// Drop every entry; counters are kept (a fleet run's totals survive).
   void clear();
 
   /// Contents-only copy for epoch-parallel fleet execution (ISSUE 7): the
-  /// resident entries, their FIFO eviction order, capacity and
-  /// bytes_stored carry over; the hit/miss/eviction/bytes_saved counters
-  /// start at zero so per-epoch stats merge by plain summation.
+  /// resident entries and bytes_stored carry over; the hit/miss/
+  /// bytes_saved counters start at zero so per-epoch stats merge by plain
+  /// summation.
   [[nodiscard]] SharedObjectStore fork_contents() const;
 
-  /// Same resident contents (keys, sizes, FIFO order) and capacity?
-  /// Counters are ignored — this is the epoch boundary invariant check:
+  /// Same resident contents (keys and sizes)? Counters are ignored — this is the epoch boundary invariant check:
   /// epoch E's ending store must equal epoch E+1's starting snapshot.
   [[nodiscard]] bool contents_equal(const SharedObjectStore& other) const;
 
@@ -123,12 +123,8 @@ class SharedObjectStore {
   };
 
   static Key key_for(const web::WebObject& object);
-  void evict_to_fit();
 
-  util::Bytes capacity_bytes_ = 0;
   std::unordered_map<Key, Entry, KeyHash> entries_;
-  /// Insertion order for FIFO eviction (never iterated out of order).
-  std::deque<Key> fifo_;
   Stats stats_;
 };
 

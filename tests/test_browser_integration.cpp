@@ -112,6 +112,31 @@ TEST(CloudBrowserIntegration, LoadAndInteract) {
   EXPECT_EQ(client.ledger().count(), 2u);  // snapshot + click delta
 }
 
+TEST(CloudBrowserIntegration, ClickOnUnregisteredHandlerFails) {
+  // The click index reaches the proxy off the wire; one the page never
+  // registered (its script may have failed under origin errors) is a
+  // failed request, not a proxy abort.
+  Testbed testbed{TestbedConfig{}};
+  testbed.host_page(fixture_page());
+  CloudBrowserConfig cfg;
+  CloudBrowserProxy proxy(testbed.network(), cfg, util::Rng(1));
+  testbed.register_proxy_endpoint("cb.proxy.example", proxy);
+  CloudBrowserClient client(testbed.network(), "cb.proxy.example", cfg);
+  bool loaded = false;
+  client.load(fixture_page().main_url(), [&](util::TimePoint) { loaded = true; });
+  testbed.scheduler().run_until(util::TimePoint::at_seconds(60));
+  ASSERT_TRUE(loaded);
+
+  bool clicked = false;
+  client.click(9999, [&] { clicked = true; });
+  testbed.scheduler().run_until(util::TimePoint::at_seconds(120));
+  EXPECT_TRUE(clicked);
+  ASSERT_EQ(client.ledger().count(), 2u);
+  const LedgerEntry& click = client.ledger().entries().back();
+  EXPECT_TRUE(click.completed);
+  EXPECT_TRUE(click.failed);
+}
+
 TEST(CloudBrowserIntegration, ClientCpuIsThin) {
   Testbed testbed{TestbedConfig{}};
   testbed.host_page(fixture_page());

@@ -666,32 +666,39 @@ TEST(AdaptiveE2E, JobsFanOutIsBitwiseIdenticalUnderFaults) {
   }
 }
 
-// With min_target == max_target == 512K the controller is installed and
-// taps every burst but can never move the threshold, so kParcelAdaptive
-// must be exactly the fixed 512K scheme: the tap observes, never steers.
-void expect_pinned_matches_fixed(core::RunConfig cfg) {
-  cfg.ctrl.min_target = cfg.ctrl.max_target = util::kib(512);
+// With min_target == max_target == X the controller is installed and taps
+// every burst but can never move the threshold, so kParcelAdaptive must be
+// exactly the fixed PARCEL(X) `scheme`: the tap observes, never steers.
+void expect_pinned_matches_fixed(core::RunConfig cfg, util::Bytes x,
+                                 core::Scheme scheme) {
+  cfg.ctrl.min_target = cfg.ctrl.max_target = x;
   for (std::uint64_t seed : {11ULL, 12ULL, 13ULL, 14ULL}) {
     cfg.seed = seed;
     const core::RunResult pinned = core::ExperimentRunner::run(
         core::Scheme::kParcelAdaptive, ctrl_page(), cfg);
-    const core::RunResult fixed = core::ExperimentRunner::run(
-        core::Scheme::kParcel512K, ctrl_page(), cfg);
-    EXPECT_EQ(pinned.ctrl_retunes, 0u) << "seed " << seed;
-    EXPECT_EQ(pinned.ctrl_threshold, util::kib(512)) << "seed " << seed;
-    EXPECT_EQ(pinned.trace.serialize(), fixed.trace.serialize())
-        << "seed " << seed;
-    EXPECT_EQ(pinned.olt.sec(), fixed.olt.sec()) << "seed " << seed;
-    EXPECT_EQ(pinned.tlt.sec(), fixed.tlt.sec()) << "seed " << seed;
-    EXPECT_EQ(pinned.radio.total.j(), fixed.radio.total.j())
-        << "seed " << seed;
-    EXPECT_EQ(pinned.events_executed, fixed.events_executed)
-        << "seed " << seed;
+    const core::RunResult fixed =
+        core::ExperimentRunner::run(scheme, ctrl_page(), cfg);
+    const std::string at =
+        core::to_string(scheme) + " seed " + std::to_string(seed);
+    EXPECT_EQ(pinned.ctrl_retunes, 0u) << at;
+    EXPECT_EQ(pinned.ctrl_threshold, x) << at;
+    EXPECT_EQ(pinned.trace.serialize(), fixed.trace.serialize()) << at;
+    EXPECT_EQ(pinned.olt.sec(), fixed.olt.sec()) << at;
+    EXPECT_EQ(pinned.tlt.sec(), fixed.tlt.sec()) << at;
+    EXPECT_EQ(pinned.radio.total.j(), fixed.radio.total.j()) << at;
+    EXPECT_EQ(pinned.events_executed, fixed.events_executed) << at;
   }
 }
 
+// Every size a fixed enumerator covers.
+void expect_pinned_matches_every_fixed(const core::RunConfig& cfg) {
+  expect_pinned_matches_fixed(cfg, util::kib(512), core::Scheme::kParcel512K);
+  expect_pinned_matches_fixed(cfg, util::mib(1), core::Scheme::kParcel1M);
+  expect_pinned_matches_fixed(cfg, util::mib(2), core::Scheme::kParcel2M);
+}
+
 TEST(AdaptiveE2E, PinnedClampsMatchFixedScheme) {
-  expect_pinned_matches_fixed(adaptive_config());
+  expect_pinned_matches_every_fixed(adaptive_config());
 }
 
 TEST(AdaptiveE2E, PinnedClampsMatchFixedSchemeUnderFaults) {
@@ -700,7 +707,7 @@ TEST(AdaptiveE2E, PinnedClampsMatchFixedSchemeUnderFaults) {
   cfg.testbed.faults.blackouts.push_back(
       {util::TimePoint::at_seconds(1.0), util::Duration::millis(400)});
   cfg.testbed.faults.server_error_probability = 0.05;
-  expect_pinned_matches_fixed(cfg);
+  expect_pinned_matches_every_fixed(cfg);
 }
 
 }  // namespace

@@ -163,33 +163,6 @@ TEST(SharedStore, TextAndOpaqueKeysAreIndependent) {
   EXPECT_EQ(store.entries(), 2u);
 }
 
-TEST(SharedStore, FifoEvictionUnderCapacity) {
-  SharedObjectStore store(250);
-  web::WebObject a = text_object("http://e.example.com/a", 100);
-  web::WebObject b = text_object("http://e.example.com/b", 100);
-  web::WebObject c = text_object("http://e.example.com/c", 100);
-  store.request(a);
-  store.request(b);
-  EXPECT_EQ(store.stats().evictions, 0u);
-  store.request(c);  // 300 > 250: evict the oldest (a)
-  EXPECT_EQ(store.stats().evictions, 1u);
-  EXPECT_EQ(store.entries(), 2u);
-  EXPECT_EQ(store.stats().bytes_stored, 200);
-  EXPECT_FALSE(store.contains(a));
-  EXPECT_TRUE(store.contains(b));
-  EXPECT_TRUE(store.contains(c));
-}
-
-TEST(SharedStore, OversizedEntryIsNeverItsOwnVictim) {
-  SharedObjectStore store(250);
-  web::WebObject big = text_object("http://e.example.com/big", 400);
-  store.request(big);
-  // A single artifact larger than capacity passes through resident.
-  EXPECT_EQ(store.entries(), 1u);
-  EXPECT_TRUE(store.contains(big));
-  EXPECT_EQ(store.stats().evictions, 0u);
-}
-
 TEST(SharedStore, ClearDropsEntriesKeepsCounters) {
   SharedObjectStore store;
   web::WebObject a = text_object("http://c.example.com/a", 64);
@@ -226,7 +199,7 @@ TEST(ProxyCompute, FifoWaitsAreExactWithOneWorker) {
     waited.push_back(w.sec());
   };
   for (int i = 0; i < 3; ++i) {
-    compute.submit(0, 1.0, TaskKind::kFetch, 0, done);
+    compute.submit(TaskKind::kFetch, 0, done);
   }
   sched.run();
   ASSERT_EQ(waited.size(), 3u);
@@ -240,35 +213,12 @@ TEST(ProxyCompute, FifoWaitsAreExactWithOneWorker) {
   EXPECT_EQ(compute.queued(), 0u);
 }
 
-TEST(ProxyCompute, WeightedFairServesHeavyClientFirst) {
-  sim::Scheduler sched;
-  ProxyComputeConfig cfg = flat_cost_config(1, 0.040);
-  cfg.policy = QueuePolicy::kWeightedFair;
-  ProxyCompute compute(sched, cfg);
-  std::vector<int> order;
-  auto track = [&](int client) {
-    return [&order, client](util::TimePoint, util::Duration) {
-      order.push_back(client);
-    };
-  };
-  // Client 0 occupies the worker; clients 1 (weight 1) and 2 (weight 4)
-  // queue alternately. WFQ must drain the heavy client's backlog first
-  // even though submission order interleaves.
-  compute.submit(0, 1.0, TaskKind::kBundle, 0, track(0));
-  compute.submit(1, 1.0, TaskKind::kFetch, 0, track(1));
-  compute.submit(2, 4.0, TaskKind::kFetch, 0, track(2));
-  compute.submit(1, 1.0, TaskKind::kFetch, 0, track(1));
-  compute.submit(2, 4.0, TaskKind::kFetch, 0, track(2));
-  sched.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 2, 2, 1, 1}));
-}
-
 TEST(ProxyCompute, FifoBreaksTiesBySubmissionOrder) {
   sim::Scheduler sched;
   ProxyCompute compute(sched, flat_cost_config(1, 0.005));
   std::vector<int> order;
   for (int i = 0; i < 4; ++i) {
-    compute.submit(i, 1.0, TaskKind::kParse, 0,
+    compute.submit(TaskKind::kParse, 0,
                    [&order, i](util::TimePoint, util::Duration) {
                      order.push_back(i);
                    });
@@ -283,10 +233,10 @@ TEST(ProxyCompute, TaskQueueAdmissionBound) {
   cfg.max_queue = 2;
   ProxyCompute compute(sched, cfg);
   auto nop = [](util::TimePoint, util::Duration) {};
-  compute.submit(0, 1.0, TaskKind::kFetch, 0, nop);  // into service
+  compute.submit(TaskKind::kFetch, 0, nop);  // into service
   EXPECT_TRUE(compute.can_accept(2));
-  compute.submit(0, 1.0, TaskKind::kFetch, 0, nop);
-  compute.submit(0, 1.0, TaskKind::kFetch, 0, nop);
+  compute.submit(TaskKind::kFetch, 0, nop);
+  compute.submit(TaskKind::kFetch, 0, nop);
   EXPECT_EQ(compute.queued(), 2u);
   EXPECT_FALSE(compute.can_accept(1));
   sched.run();
@@ -299,10 +249,10 @@ TEST(ProxyCompute, BacklogAdmissionBound) {
   cfg.max_backlog = util::Duration::millis(50);
   ProxyCompute compute(sched, cfg);
   auto nop = [](util::TimePoint, util::Duration) {};
-  compute.submit(0, 1.0, TaskKind::kFetch, 0, nop);  // in service, no backlog
+  compute.submit(TaskKind::kFetch, 0, nop);  // in service, no backlog
   EXPECT_DOUBLE_EQ(compute.backlog().sec(), 0.0);
   EXPECT_TRUE(compute.can_accept(1, util::Duration::millis(40)));
-  compute.submit(0, 1.0, TaskKind::kFetch, 0, nop);  // queued: 40 ms backlog
+  compute.submit(TaskKind::kFetch, 0, nop);  // queued: 40 ms backlog
   EXPECT_DOUBLE_EQ(compute.backlog().sec(), 0.040);
   EXPECT_FALSE(compute.can_accept(1, util::Duration::millis(20)));
   EXPECT_TRUE(compute.can_accept(1, util::Duration::millis(10)));
@@ -317,7 +267,7 @@ TEST(ProxyCompute, BlackoutDefersServiceStart) {
                                             util::Duration::millis(100)});
   ProxyCompute compute(sched, flat_cost_config(1, 0.010), &plan);
   double waited = -1.0, finished = -1.0;
-  compute.submit(0, 1.0, TaskKind::kFetch, 0,
+  compute.submit(TaskKind::kFetch, 0,
                  [&](util::TimePoint f, util::Duration w) {
                    finished = f.sec();
                    waited = w.sec();
@@ -537,7 +487,6 @@ void expect_store_identical(const SharedObjectStore::Stats& a,
                             const SharedObjectStore::Stats& b) {
   EXPECT_EQ(a.hits, b.hits);
   EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.evictions, b.evictions);
   EXPECT_EQ(a.bytes_saved, b.bytes_saved);
   EXPECT_EQ(a.bytes_stored, b.bytes_stored);
 }
@@ -620,7 +569,6 @@ TEST(FleetStreaming, MatchesExactModeWithinDocumentedBound) {
   EXPECT_EQ(stream.shed, exact.shed);
   EXPECT_EQ(stream.store.hits, exact.store.hits);
   EXPECT_EQ(stream.store.misses, exact.store.misses);
-  EXPECT_EQ(stream.store.evictions, exact.store.evictions);
   EXPECT_EQ(stream.store.bytes_saved, exact.store.bytes_saved);
   EXPECT_EQ(stream.store.bytes_stored, exact.store.bytes_stored);
   EXPECT_EQ(stream.compute.completed, exact.compute.completed);

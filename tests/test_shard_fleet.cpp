@@ -186,7 +186,7 @@ TEST(ProxyComputeCrash, CrashDropsQueueVoidsInFlightAndRestartRecovers) {
   int completions = 0;
   auto done = [&](util::TimePoint, util::Duration) { ++completions; };
   for (int i = 0; i < 3; ++i) {
-    compute.submit(0, 1.0, TaskKind::kFetch, 0, done);
+    compute.submit(TaskKind::kFetch, 0, done);
   }
   // Crash mid-service of task 0: one in-flight + two queued die.
   sched.schedule_at(
@@ -209,7 +209,7 @@ TEST(ProxyComputeCrash, CrashDropsQueueVoidsInFlightAndRestartRecovers) {
   compute.restart();
   EXPECT_FALSE(compute.dead());
   EXPECT_TRUE(compute.can_accept(1));
-  compute.submit(0, 1.0, TaskKind::kFetch, 0, done);
+  compute.submit(TaskKind::kFetch, 0, done);
   sched.run();
   EXPECT_EQ(completions, 1);
   EXPECT_EQ(compute.stats().completed, 1u);
@@ -225,7 +225,7 @@ TEST(ProxyComputeCrash, TransferTasksAreCostedAndCounted) {
   cfg.costs.transfer_bytes_per_sec = 1e6;  // 1 MB/s backplane
   ProxyCompute compute(sched, cfg);
   std::vector<double> finished;
-  compute.submit(0, 1.0, TaskKind::kTransfer, 500000,
+  compute.submit(TaskKind::kTransfer, 500000,
                  [&](util::TimePoint f, util::Duration) {
                    finished.push_back(f.sec());
                  });
@@ -249,10 +249,6 @@ TEST(ShardedFleetConfig, ValidateRejectsShardNonsense) {
   bad.shards = 0;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
 
-  bad = cfg;
-  bad.l2_capacity = -1;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-
   // A crash needs a survivor: shards == 1 plus a crash plan is nonsense.
   bad = cfg;
   bad.shards = 1;
@@ -267,9 +263,8 @@ TEST(ShardedFleetConfig, ValidateRejectsShardNonsense) {
 
 TEST(ShardedFleet, SingleShardKeepsTheSingleProxySurface) {
   // shards == 1 must present §10's surface: no per-shard stats, an idle
-  // L2 (even if a capacity was configured), and zero crash counters.
+  // L2, and zero crash counters.
   FleetConfig cfg = sharded_config(1, 8);
-  cfg.l2_capacity = util::mib(64);
   FleetMetrics m = run_fleet(test_corpus(), cfg);
   EXPECT_EQ(m.shards, 1);
   EXPECT_TRUE(m.l1_shards.empty());
