@@ -7,12 +7,12 @@
 // 1. "scan workload": the corpus's parse work replayed for the grid's
 //    repetition count, fresh scans vs through web::ParseCache. This is
 //    the CPU the cache removes, isolated from simulated network time.
-// 2. "end-to-end": run_corpus (DIR + PARCEL(IND)) on a cold cache (right
-//    after clear(), so every first lookup misses and scans), then warm,
-//    asserting the medians stay bitwise identical — the cache must be
-//    invisible in results. This leg reports the warm hit rate but no
-//    timing: the grid takes hundredths of a second, so a cold/warm wall
-//    ratio would measure scheduling noise, not the cache.
+// 2. "end-to-end": the DIR + PARCEL(IND) grid (core::run_grid) on a cold
+//    cache (right after clear(), so every first lookup misses and scans),
+//    then warm, asserting the medians stay bitwise identical — the cache
+//    must be invisible in results. This leg reports the warm hit rate but
+//    no timing: the grid takes hundredths of a second, so a cold/warm
+//    wall ratio would measure scheduling noise, not the cache.
 //
 // Results go to stdout and BENCH_parse_cache.json. Exits 1 when the scan
 // workload's hit rate is zero or the cache changes end-to-end results.
@@ -161,23 +161,18 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ws.js_misses));
 
   // --- 2. End-to-end: the grid on a cold cache, then warm ---------------
+  const std::vector<core::Scheme> schemes{core::Scheme::kDir,
+                                          core::Scheme::kParcelInd};
   web::ParseCache::instance().clear();
-  bench::PageMedians cold_dir =
-      bench::run_corpus(core::Scheme::kDir, corpus, rounds, cfg, opts.jobs);
-  bench::PageMedians cold_ind = bench::run_corpus(core::Scheme::kParcelInd,
-                                                  corpus, rounds, cfg,
-                                                  opts.jobs);
+  const std::vector<core::PageMedians> cold =
+      core::run_grid(corpus.replayed, schemes, rounds, cfg, {}, opts.jobs);
 
   web::ParseCache::instance().reset_stats();
-  bench::PageMedians warm_dir =
-      bench::run_corpus(core::Scheme::kDir, corpus, rounds, cfg, opts.jobs);
-  bench::PageMedians warm_ind = bench::run_corpus(core::Scheme::kParcelInd,
-                                                  corpus, rounds, cfg,
-                                                  opts.jobs);
+  const std::vector<core::PageMedians> warm =
+      core::run_grid(corpus.replayed, schemes, rounds, cfg, {}, opts.jobs);
   web::ParseCache::Stats es = web::ParseCache::instance().stats();
 
-  bool identical = bench::same_medians(cold_dir, warm_dir) &&
-                   bench::same_medians(cold_ind, warm_ind);
+  const bool identical = cold == warm;
   std::printf("\nend-to-end grid (DIR + PARCEL(IND), %d rounds, jobs=%d):\n",
               rounds, opts.jobs);
   std::printf("  warm cache hit rate %.1f%%\n", 100.0 * es.hit_rate());

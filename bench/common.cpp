@@ -300,12 +300,6 @@ core::RunConfig replay_run_config(std::uint64_t seed) {
   return cfg;
 }
 
-bool same_medians(const PageMedians& a, const PageMedians& b) {
-  return a.olt_sec == b.olt_sec && a.tlt_sec == b.tlt_sec &&
-         a.radio_j == b.radio_j && a.cr_j == b.cr_j &&
-         a.requests == b.requests;
-}
-
 bool same_results(const std::vector<core::RunResult>& a,
                   const std::vector<core::RunResult>& b) {
   if (a.size() != b.size()) return false;
@@ -328,50 +322,6 @@ bool same_results(const std::vector<core::RunResult>& a,
     }
   }
   return true;
-}
-
-PageMedians run_corpus(core::Scheme scheme, const Corpus& corpus, int rounds,
-                       const core::RunConfig& base, int jobs) {
-  // The (page × round) grid is embarrassingly parallel: each run derives
-  // its seeds from (base, p, r) below and builds a private testbed. The
-  // corpus is shared read-only across workers. Results land in grid slots,
-  // so the per-page medians are bitwise identical for any jobs value.
-  std::vector<core::ExperimentTask> tasks;
-  tasks.reserve(corpus.replayed.size() * static_cast<std::size_t>(rounds));
-  for (std::size_t p = 0; p < corpus.replayed.size(); ++p) {
-    for (int r = 0; r < rounds; ++r) {
-      core::RunConfig cfg = base;
-      cfg.seed = base.seed + 101ULL * p + 13ULL * r + 1;
-      if (cfg.testbed.fade) {
-        cfg.testbed.fade_seed = cfg.seed * 7 + 3;
-      }
-      tasks.push_back(core::ExperimentTask{scheme, corpus.replayed[p], cfg});
-    }
-  }
-  std::vector<core::RunResult> results = core::run_experiments(tasks, jobs);
-
-  PageMedians out;
-  for (std::size_t p = 0; p < corpus.replayed.size(); ++p) {
-    util::Summary olt, tlt, radio, cr, reqs;
-    for (int r = 0; r < rounds; ++r) {
-      const core::RunResult& result =
-          results[p * static_cast<std::size_t>(rounds) +
-                  static_cast<std::size_t>(r)];
-      olt.add(result.olt.sec());
-      tlt.add(result.tlt.sec());
-      radio.add(result.radio.total.j());
-      cr.add(result.radio.cr.j());
-      reqs.add(static_cast<double>(result.radio_http_requests));
-    }
-    out.olt_sec.push_back(olt.median());
-    out.tlt_sec.push_back(tlt.median());
-    out.radio_j.push_back(radio.median());
-    out.cr_j.push_back(cr.median());
-    out.requests.push_back(reqs.median());
-    out.page_bytes.push_back(
-        static_cast<double>(corpus.replayed[p]->total_bytes()));
-  }
-  return out;
 }
 
 void print_header(const char* figure, const char* caption) {

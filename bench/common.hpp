@@ -121,24 +121,6 @@ web::PageMix parse_page_mix(const char* flag, const char* text);
 /// --faults plan.
 core::RunConfig replay_run_config(std::uint64_t seed);
 
-/// Run `scheme` across the corpus with `rounds` per page (distinct
-/// seeds), returning per-page median metrics.
-struct PageMedians {
-  std::vector<double> olt_sec;
-  std::vector<double> tlt_sec;
-  std::vector<double> radio_j;
-  std::vector<double> cr_j;
-  std::vector<double> requests;
-  std::vector<double> page_bytes;
-};
-
-PageMedians run_corpus(core::Scheme scheme, const Corpus& corpus, int rounds,
-                       const core::RunConfig& base, int jobs = 1);
-
-/// Bitwise equality (no tolerance) of the OLT, TLT, radio, CR-energy and
-/// request medians: the determinism gates' comparison of two grids.
-bool same_medians(const PageMedians& a, const PageMedians& b);
-
 /// Bitwise equality (no tolerance) of two result lists, run by run:
 /// load metrics, bytes, bundles, fault and degradation counters, and the
 /// controller telemetry.

@@ -14,7 +14,6 @@
 #include <functional>
 #include <initializer_list>
 #include <iterator>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -49,19 +48,28 @@ void print_cdf(const char* label, const std::vector<double>& samples) {
   std::printf("%s", cdf.to_table(16).c_str());
 }
 
+/// `schemes`' per-page medians over `pages` on `base`, with --rounds
+/// runs per page fanned over --jobs workers.
+std::vector<core::PageMedians> grid(
+    const BenchOptions& opts, const std::vector<const web::WebPage*>& pages,
+    const std::vector<core::Scheme>& schemes, const core::RunConfig& base,
+    const core::GridSeeds& seeds = {}) {
+  return core::run_grid(pages, schemes, opts.rounds, base, seeds, opts.jobs);
+}
+
 /// DIR and PARCEL(IND) per-page medians over the --pages corpus on the
 /// replay configuration seeded `seed`.
 struct DirVsInd {
-  bench::PageMedians dir, ind;
+  core::PageMedians dir, ind;
 };
 
 DirVsInd dir_vs_ind(const BenchOptions& opts, std::uint64_t seed) {
   const bench::Corpus corpus = bench::build_corpus(opts.pages);
-  const core::RunConfig cfg = bench::replay_run_config(seed);
-  return {bench::run_corpus(core::Scheme::kDir, corpus, opts.rounds, cfg,
-                            opts.jobs),
-          bench::run_corpus(core::Scheme::kParcelInd, corpus, opts.rounds,
-                            cfg, opts.jobs)};
+  std::vector<core::PageMedians> m =
+      grid(opts, corpus.replayed,
+           {core::Scheme::kDir, core::Scheme::kParcelInd},
+           bench::replay_run_config(seed));
+  return {std::move(m[0]), std::move(m[1])};
 }
 
 /// DIR on the paper's handset (Galaxy S3 parse and JS speed).
@@ -127,55 +135,22 @@ core::TestbedConfig wired_testbed_config() {
   return cfg;
 }
 
-/// Seeds of the live grid: run r of page p uses seed
-/// base + per_page * p + per_round * r and fade seed seed * fade_mul + 1.
-struct LiveSeeds {
-  std::uint64_t base, per_page, per_round, fade_mul;
-};
-
-/// Figs 10 and 11 (§8.4, live mode): DIR and PARCEL(512K) against the
-/// *unnormalized* --pages corpus (fetchRand active), --rounds runs per
-/// page. Returns the per-page medians of `metric`, DIR first.
-std::pair<std::vector<double>, std::vector<double>> live_grid(
-    const BenchOptions& opts, LiveSeeds seeds,
-    double (*metric)(const core::RunResult&)) {
+/// Figs 10 and 11 (§8.4, live mode): DIR and PARCEL(512K) per-page
+/// medians against the *unnormalized* --pages corpus (fetchRand active),
+/// --rounds runs per page, on the live configuration seeded `seed`.
+std::vector<core::PageMedians> live_grid(const BenchOptions& opts,
+                                         std::uint64_t seed,
+                                         const core::GridSeeds& seeds) {
   const bench::Corpus corpus = bench::build_corpus(opts.pages);
+  std::vector<const web::WebPage*> pages;
+  for (const auto& page : corpus.live_pages) pages.push_back(page.get());
   // §8.4 live configuration: heterogeneous server delays + signal fading.
-  core::RunConfig cfg = bench::replay_run_config(seeds.base);
+  core::RunConfig cfg = bench::replay_run_config(seed);
   cfg.testbed.heterogeneous_server_delays = true;
-  cfg.testbed.topology_seed = seeds.base * 31 + 7;
+  cfg.testbed.topology_seed = seed * 31 + 7;
   cfg.testbed.fade = lte::FadeProcess::Params{};
-
-  // Fan the whole (page × round × scheme) grid across workers; slot
-  // indexing keeps the medians identical to the serial loops.
-  std::vector<core::ExperimentTask> tasks;
-  for (std::size_t p = 0; p < corpus.live_pages.size(); ++p) {
-    for (int r = 0; r < opts.rounds; ++r) {
-      core::RunConfig run_cfg = cfg;
-      run_cfg.seed = cfg.seed + seeds.per_page * p + seeds.per_round * r;
-      run_cfg.testbed.fade_seed = run_cfg.seed * seeds.fade_mul + 1;
-      for (core::Scheme scheme :
-           {core::Scheme::kDir, core::Scheme::kParcel512K}) {
-        tasks.push_back(core::ExperimentTask{
-            scheme, corpus.live_pages[p].get(), run_cfg});
-      }
-    }
-  }
-  std::vector<core::RunResult> results =
-      core::run_experiments(tasks, opts.jobs);
-
-  std::pair<std::vector<double>, std::vector<double>> out;
-  std::size_t slot = 0;
-  for (std::size_t p = 0; p < corpus.live_pages.size(); ++p) {
-    util::Summary dir_s, parcel_s;
-    for (int r = 0; r < opts.rounds; ++r) {
-      dir_s.add(metric(results[slot++]));
-      parcel_s.add(metric(results[slot++]));
-    }
-    out.first.push_back(dir_s.median());
-    out.second.push_back(parcel_s.median());
-  }
-  return out;
+  return grid(opts, pages, {core::Scheme::kDir, core::Scheme::kParcel512K},
+              cfg, seeds);
 }
 
 // ------------------------------------------------------------- figures
@@ -253,10 +228,10 @@ void fig3(const BenchOptions& opts) {
   core::RunConfig wired = cellular;
   wired.testbed = wired_testbed_config();
 
-  bench::PageMedians cell =
-      bench::run_corpus(core::Scheme::kDir, corpus, opts.rounds, cellular, opts.jobs);
-  bench::PageMedians wire =
-      bench::run_corpus(core::Scheme::kDir, corpus, opts.rounds, wired, opts.jobs);
+  const core::PageMedians cell =
+      grid(opts, corpus.replayed, {core::Scheme::kDir}, cellular)[0];
+  const core::PageMedians wire =
+      grid(opts, corpus.replayed, {core::Scheme::kDir}, wired)[0];
 
   print_cdf("Cellular download OLT (s)", cell.olt_sec);
   print_cdf("Wired download OLT (s)", wire.olt_sec);
@@ -297,30 +272,20 @@ void table1(const BenchOptions& opts) {
        "yes"},
   };
 
-  // All (scheme × page) runs fan out together; slots are read back
-  // scheme-major, page-minor — the serial loop's order.
-  std::vector<core::ExperimentTask> tasks;
-  for (const Row& row : rows) {
-    for (const web::WebPage* page : corpus.replayed) {
-      tasks.push_back(core::ExperimentTask{row.scheme, page, cfg});
-    }
-  }
-  std::vector<core::RunResult> results =
-      core::run_experiments(tasks, opts.jobs);
+  // One run per (scheme, page), every one seeded 3.
+  std::vector<core::Scheme> schemes;
+  for (const Row& row : rows) schemes.push_back(row.scheme);
+  const std::vector<core::PageMedians> m = core::run_grid(
+      corpus.replayed, schemes, 1, cfg,
+      {.per_page = 0, .per_round = 0, .offset = 0}, opts.jobs);
 
   std::printf("%-22s %10s %12s %10s %12s %10s\n", "scheme", "tcp-conns",
               "http-reqs", "obj-ident", "interactJS", "cell-frndly");
-  std::size_t slot = 0;
-  for (const Row& row : rows) {
-    util::Summary conns, reqs;
-    for (std::size_t p = 0; p < corpus.replayed.size(); ++p) {
-      const core::RunResult& r = results[slot++];
-      conns.add(static_cast<double>(r.tcp_connections));
-      reqs.add(static_cast<double>(r.radio_http_requests));
-    }
-    std::printf("%-22s %10.0f %12.0f %10s %10s %12s\n", row.name,
-                conns.median(), reqs.median(), row.object_id,
-                row.interactive_js, row.cellular_friendly);
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    std::printf("%-22s %10.0f %12.0f %10s %10s %12s\n", rows[i].name,
+                util::median(m[i].tcp_connections),
+                util::median(m[i].requests), rows[i].object_id,
+                rows[i].interactive_js, rows[i].cellular_friendly);
   }
   std::printf("\npaper: PARCEL = single connection, single request, proxy\n"
               "identification, client JS, cellular-friendly transfer.\n");
@@ -778,23 +743,24 @@ void fig9(const BenchOptions& opts) {
   bench::Corpus corpus = bench::build_corpus(opts.pages);
   core::RunConfig cfg = bench::replay_run_config(91);
 
-  bench::PageMedians ind =
-      bench::run_corpus(core::Scheme::kParcelInd, corpus, opts.rounds, cfg, opts.jobs);
+  std::vector<core::PageMedians> m = grid(
+      opts, corpus.replayed,
+      {core::Scheme::kParcelInd, core::Scheme::kParcel512K,
+       core::Scheme::kParcel1M, core::Scheme::kParcel2M,
+       core::Scheme::kParcelOnld},
+      cfg);
+  const core::PageMedians& ind = m[0];
 
   struct Variant {
-    core::Scheme scheme;
     const char* name;
-    bench::PageMedians medians;
+    const core::PageMedians& medians;
   };
-  std::vector<Variant> variants{
-      {core::Scheme::kParcel512K, "PARCEL(512K)", {}},
-      {core::Scheme::kParcel1M, "PARCEL(1M)", {}},
-      {core::Scheme::kParcel2M, "PARCEL(2M)", {}},
-      {core::Scheme::kParcelOnld, "PARCEL(ONLD)", {}},
+  const Variant variants[] = {
+      {"PARCEL(512K)", m[1]},
+      {"PARCEL(1M)", m[2]},
+      {"PARCEL(2M)", m[3]},
+      {"PARCEL(ONLD)", m[4]},
   };
-  for (auto& v : variants) {
-    v.medians = bench::run_corpus(v.scheme, corpus, opts.rounds, cfg, opts.jobs);
-  }
 
   std::printf("\n--- Fig 9a: OLT increase vs IND (s) ---\n");
   for (const auto& v : variants) {
@@ -856,10 +822,11 @@ void delay_sensitivity(const BenchOptions& opts) {
   for (double one_way_ms : {10.0, 30.0}) {
     core::RunConfig cfg = bench::replay_run_config(71);
     cfg.testbed.server_delay = util::Duration::millis(one_way_ms);
-    bench::PageMedians ind =
-        bench::run_corpus(core::Scheme::kParcelInd, corpus, opts.rounds, cfg, opts.jobs);
-    bench::PageMedians onld =
-        bench::run_corpus(core::Scheme::kParcelOnld, corpus, opts.rounds, cfg, opts.jobs);
+    const std::vector<core::PageMedians> m =
+        grid(opts, corpus.replayed,
+             {core::Scheme::kParcelInd, core::Scheme::kParcelOnld}, cfg);
+    const core::PageMedians& ind = m[0];
+    const core::PageMedians& onld = m[1];
 
     std::vector<double> olt_penalty, energy_delta;
     for (std::size_t i = 0; i < ind.olt_sec.size(); ++i) {
@@ -882,9 +849,11 @@ void delay_sensitivity(const BenchOptions& opts) {
 void fig10(const BenchOptions& opts) {
   bench::print_header("Figure 10", "OLT with real web servers (live mode)");
 
-  const auto [dir_olt, parcel_olt] =
-      live_grid(opts, {101, 211, 13, 3},
-                [](const core::RunResult& r) { return r.olt.sec(); });
+  const std::vector<core::PageMedians> m = live_grid(
+      opts, 101,
+      {.per_page = 211, .per_round = 13, .offset = 0, .fade_mul = 3});
+  const std::vector<double>& dir_olt = m[0].olt_sec;
+  const std::vector<double>& parcel_olt = m[1].olt_sec;
 
   print_cdf("PARCEL(512K) OLT (s)", parcel_olt);
   print_cdf("DIR OLT (s)", dir_olt);
@@ -906,9 +875,11 @@ void fig11(const BenchOptions& opts) {
   bench::print_header("Figure 11",
                       "radio energy with real web servers (live mode)");
 
-  const auto [dir_j, parcel_j] =
-      live_grid(opts, {111, 223, 19, 5},
-                [](const core::RunResult& r) { return r.radio.total.j(); });
+  const std::vector<core::PageMedians> m = live_grid(
+      opts, 111,
+      {.per_page = 223, .per_round = 19, .offset = 0, .fade_mul = 5});
+  const std::vector<double>& dir_j = m[0].radio_j;
+  const std::vector<double>& parcel_j = m[1].radio_j;
 
   print_cdf("PARCEL(512K) radio energy (J)", parcel_j);
   print_cdf("DIR radio energy (J)", dir_j);
@@ -931,30 +902,32 @@ void headline(const BenchOptions& opts) {
   bench::Corpus corpus = bench::build_corpus(opts.pages);
   core::RunConfig cfg = bench::replay_run_config(201);
 
-  const core::Scheme schemes[] = {
+  const std::vector<core::Scheme> schemes = {
       core::Scheme::kDir,        core::Scheme::kHttpProxy,
       core::Scheme::kSpdyProxy,  core::Scheme::kParcelInd,
       core::Scheme::kParcel512K, core::Scheme::kParcel1M,
       core::Scheme::kParcelOnld, core::Scheme::kCloudBrowser,
       core::Scheme::kParcelAdaptive,
   };
-  std::map<core::Scheme, bench::PageMedians> results;
-  for (core::Scheme s : schemes) {
-    results[s] = bench::run_corpus(s, corpus, opts.rounds, cfg, opts.jobs);
-  }
+  const std::vector<core::PageMedians> results =
+      grid(opts, corpus.replayed, schemes, cfg);
+  auto medians_of = [&](core::Scheme s) -> const core::PageMedians& {
+    return results[static_cast<std::size_t>(
+        std::find(schemes.begin(), schemes.end(), s) - schemes.begin())];
+  };
 
   std::printf("%-14s %10s %10s %12s %10s\n", "scheme", "med OLT", "med TLT",
               "med radio", "mean radio");
-  for (core::Scheme s : schemes) {
-    const auto& m = results[s];
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    const core::PageMedians& m = results[i];
     std::printf("%-14s %9.2fs %9.2fs %11.2fJ %9.2fJ\n",
-                core::to_string(s).c_str(), util::median(m.olt_sec),
+                core::to_string(schemes[i]).c_str(), util::median(m.olt_sec),
                 util::median(m.tlt_sec), util::median(m.radio_j),
                 util::mean(m.radio_j));
   }
 
-  const auto& dir = results[core::Scheme::kDir];
-  const auto& ind = results[core::Scheme::kParcelInd];
+  const core::PageMedians& dir = medians_of(core::Scheme::kDir);
+  const core::PageMedians& ind = medians_of(core::Scheme::kParcelInd);
   std::vector<double> olt_red, j_red;
   for (std::size_t i = 0; i < dir.olt_sec.size(); ++i) {
     olt_red.push_back(100.0 * (1 - ind.olt_sec[i] / dir.olt_sec[i]));

@@ -104,9 +104,6 @@ echo "==> Scheduler allocation regression + microbenchmarks (smoke)"
 # google-benchmark versions; these filters are fast regardless)
 ./build-ci/bench/bench_micro --benchmark_filter='Scheduler|Rng|ParseCache'
 
-echo "==> Parallel scaling bench (writes BENCH_parallel.json)"
-(cd build-ci/bench && ./bench_parallel_scaling --quick)
-
 echo "==> Kernel throughput gate (events/sec, replay, bytes-per-load)"
 # Full mode: the checked-in BENCH_kernel.json baseline was recorded in
 # full mode, and quick mode's smaller working set measures a different
@@ -178,7 +175,7 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPARCEL_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target parcel_tests
 ./build-tsan/tests/parcel_tests \
-  --gtest_filter='ParallelRunner.*:RunExperiments.*:RunRounds.*:ParseCacheTest.*:FaultedRuns.*:FleetRunner.*:FleetStreaming.*:SharedStore.*:ProxyCompute.*:ShardRouter.*:ProxyComputeCrash.*:ShardedFleet.*:ShardedStreaming.*:AdaptiveE2E.*:FleetArrivals.*'
+  --gtest_filter='ParallelRunner.*:RunExperiments.*:RunGrid.*:ParseCacheTest.*:FaultedRuns.*:FleetRunner.*:FleetStreaming.*:SharedStore.*:ProxyCompute.*:ShardRouter.*:ProxyComputeCrash.*:ShardedFleet.*:ShardedStreaming.*:AdaptiveE2E.*:FleetArrivals.*'
 
 echo "==> AddressSanitizer: full suite (zero-copy views must not dangle)"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -119,10 +119,6 @@ void finalize_common(RunResult& result, Testbed& testbed,
     result.fault_deferrals = faults->deferrals();
     result.recovery = trace::TraceAnalyzer::recovery_time(result.trace);
   }
-  if (const lte::FadeProcess* fade = testbed.fade()) {
-    result.mean_signal_dbm = fade->mean_signal_dbm(
-        util::TimePoint::origin() + result.tlt);
-  }
 }
 
 /// The load tail every callback-driven scheme shares: onload and
@@ -381,92 +377,68 @@ RunResult ExperimentRunner::run(Scheme scheme, const web::WebPage& page,
   return result;
 }
 
-namespace {
-
-std::vector<double> collect(const SchemeSeries& s,
-                            double (*get)(const RunResult&)) {
-  std::vector<double> out;
-  out.reserve(s.runs.size());
-  for (const auto& r : s.runs) out.push_back(get(r));
-  return out;
-}
-
-}  // namespace
-
-double SchemeSeries::median_olt_sec() const {
-  return util::median(
-      collect(*this, [](const RunResult& r) { return r.olt.sec(); }));
-}
-double SchemeSeries::median_tlt_sec() const {
-  return util::median(
-      collect(*this, [](const RunResult& r) { return r.tlt.sec(); }));
-}
-double SchemeSeries::median_radio_j() const {
-  return util::median(
-      collect(*this, [](const RunResult& r) { return r.radio.total.j(); }));
-}
-double SchemeSeries::median_cr_j() const {
-  return util::median(
-      collect(*this, [](const RunResult& r) { return r.radio.cr.j(); }));
-}
-
-RoundsOutcome run_rounds(const web::WebPage& page,
-                         const std::vector<Scheme>& schemes,
-                         const RoundsConfig& config) {
-  if (config.rounds <= 0) {
-    throw std::invalid_argument("run_rounds: rounds must be positive, got " +
-                                std::to_string(config.rounds));
-  }
-  if (config.signal_tolerance_db < 0) {
-    throw std::invalid_argument(
-        "run_rounds: signal_tolerance_db must be >= 0, got " +
-        std::to_string(config.signal_tolerance_db));
+std::vector<PageMedians> run_grid(const std::vector<const web::WebPage*>& pages,
+                                  const std::vector<Scheme>& schemes,
+                                  int rounds, const RunConfig& base,
+                                  const GridSeeds& seeds, int jobs) {
+  if (rounds <= 0) {
+    throw std::invalid_argument("run_grid: rounds must be positive, got " +
+                                std::to_string(rounds));
   }
   // Surface a malformed fault plan here with one clear error instead of
-  // once per (round x scheme) testbed construction.
-  config.base.testbed.faults.validate();
+  // once per testbed construction on some worker.
+  base.testbed.faults.validate();
 
-  RoundsOutcome outcome;
-  outcome.rounds_total = config.rounds;
-  if (schemes.empty()) return outcome;
+  // Slot (p, r, s) holds the metrics the medians read; traces are dropped
+  // on the worker that produced them.
+  struct Sample {
+    double olt, tlt, radio, cr, requests, conns;
+  };
+  const auto n_rounds = static_cast<std::size_t>(rounds);
+  const std::size_t n_schemes = schemes.size();
+  std::vector<Sample> samples(pages.size() * n_rounds * n_schemes);
+  ParallelRunner(jobs).for_each_index(samples.size(), [&](std::size_t i) {
+    const std::size_t p = i / (n_rounds * n_schemes);
+    const std::size_t r = i / n_schemes % n_rounds;
+    RunConfig cfg = base;
+    cfg.seed = base.seed + seeds.offset + seeds.per_page * p +
+               seeds.per_round * r;
+    // Read by the testbed only when an AR(1) fade is configured.
+    cfg.testbed.fade_seed = cfg.seed * seeds.fade_mul + 1;
+    const RunResult result =
+        ExperimentRunner::run(schemes[i % n_schemes], *pages[p], cfg);
+    samples[i] = {result.olt.sec(),
+                  result.tlt.sec(),
+                  result.radio.total.j(),
+                  result.radio.cr.j(),
+                  static_cast<double>(result.radio_http_requests),
+                  static_cast<double>(result.tcp_connections)};
+  });
 
-  // Every run's seeds are a pure function of (base seed, round, scheme
-  // slot), so the whole (round × scheme) grid can fan out across workers;
-  // results land in their grid slot and the filtering below reads them in
-  // the original serial order.
-  std::vector<ExperimentTask> tasks;
-  tasks.reserve(static_cast<std::size_t>(config.rounds) * schemes.size());
-  for (int round = 0; round < config.rounds; ++round) {
-    for (std::size_t i = 0; i < schemes.size(); ++i) {
-      RunConfig run_cfg = config.base;
-      // Back-to-back runs see different instantaneous radio conditions:
-      // fade and workload seeds vary per (round, scheme) slot.
-      run_cfg.seed = config.base.seed + 1000003ULL * round + 97ULL * i;
-      run_cfg.testbed.fade_seed =
-          config.base.testbed.fade_seed + 7919ULL * round + 31ULL * i + 1;
-      tasks.push_back(ExperimentTask{schemes[i], &page, run_cfg});
+  std::vector<PageMedians> out(n_schemes);
+  for (std::size_t s = 0; s < n_schemes; ++s) {
+    PageMedians& m = out[s];
+    for (std::size_t p = 0; p < pages.size(); ++p) {
+      util::Summary olt, tlt, radio, cr, requests, conns;
+      for (std::size_t r = 0; r < n_rounds; ++r) {
+        const Sample& x = samples[(p * n_rounds + r) * n_schemes + s];
+        olt.add(x.olt);
+        tlt.add(x.tlt);
+        radio.add(x.radio);
+        cr.add(x.cr);
+        requests.add(x.requests);
+        conns.add(x.conns);
+      }
+      m.olt_sec.push_back(olt.median());
+      m.tlt_sec.push_back(tlt.median());
+      m.radio_j.push_back(radio.median());
+      m.cr_j.push_back(cr.median());
+      m.requests.push_back(requests.median());
+      m.tcp_connections.push_back(conns.median());
+      m.page_bytes.push_back(static_cast<double>(pages[p]->total_bytes()));
     }
   }
-  std::vector<RunResult> results = run_experiments(tasks, config.jobs);
-
-  for (int round = 0; round < config.rounds; ++round) {
-    auto* round_results =
-        &results[static_cast<std::size_t>(round) * schemes.size()];
-    if (config.discard_first_round && round == 0) continue;
-    // Signal comparability filter (§7.2).
-    double lo = round_results[0].mean_signal_dbm;
-    double hi = lo;
-    for (std::size_t i = 0; i < schemes.size(); ++i) {
-      lo = std::min(lo, round_results[i].mean_signal_dbm);
-      hi = std::max(hi, round_results[i].mean_signal_dbm);
-    }
-    if (hi - lo > config.signal_tolerance_db) continue;
-    ++outcome.rounds_kept;
-    for (std::size_t i = 0; i < schemes.size(); ++i) {
-      outcome.series[schemes[i]].runs.push_back(std::move(round_results[i]));
-    }
-  }
-  return outcome;
+  return out;
 }
 
 }  // namespace parcel::core

@@ -1,10 +1,8 @@
 // Experiment harness implementing the paper's methodology (§7):
-// single-run execution for every scheme, rounds of back-to-back runs,
-// signal-comparability filtering, first-round discard, and per-page
-// median reporting.
+// single-run execution for every scheme, and the (page × round × scheme)
+// grid reduced to per-page medians.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -73,7 +71,6 @@ struct RunResult {
   std::size_t fallbacks = 0;
   util::Bytes downlink_bytes = 0;
   util::Bytes uplink_bytes = 0;
-  double mean_signal_dbm = -90.0;
 
   // Fault-robustness surface (all zero in fault-free runs).
   std::uint64_t retransmits = 0;      // client-side TCP RTO retransmissions
@@ -115,41 +112,44 @@ class ExperimentRunner {
                        const RunConfig& config);
 };
 
-/// Per-scheme collection across runs with median accessors.
-struct SchemeSeries {
-  std::vector<RunResult> runs;
-
-  [[nodiscard]] double median_olt_sec() const;
-  [[nodiscard]] double median_tlt_sec() const;
-  [[nodiscard]] double median_radio_j() const;
-  [[nodiscard]] double median_cr_j() const;
+/// Seed strides of a (page × round) grid. Run r of page p uses
+///   seed      = base.seed + offset + per_page·p + per_round·r
+///   fade_seed = seed·fade_mul + 1
+/// and every scheme of one (p, r) shares both, so the schemes face the
+/// same workload draws and the same fade trajectory (DESIGN.md §4). The
+/// defaults are the replay-configuration grids' strides; those grids run
+/// without fade, so their fade seed reaches no simulation.
+struct GridSeeds {
+  std::uint64_t per_page = 101;
+  std::uint64_t per_round = 13;
+  std::uint64_t offset = 1;
+  std::uint64_t fade_mul = 7;
 };
 
-struct RoundsConfig {
-  int rounds = 5;
-  /// Drop rounds where the schemes saw signal differing by more than this
-  /// (paper §7.2 discarded ~50% of rounds for incomparable signal).
-  double signal_tolerance_db = 3.0;
-  /// Paper ignores the first run of each round (warm-up effects).
-  bool discard_first_round = true;
-  /// Worker threads fanning the (round × scheme) runs out. Every run's
-  /// seed is derived from (base seed, round, scheme slot) up front, so any
-  /// jobs value produces bitwise-identical results; 1 runs inline on the
-  /// calling thread, <= 0 selects hardware_concurrency.
-  int jobs = 1;
-  RunConfig base;
+/// One scheme's per-page medians over the grid's rounds, in page order.
+struct PageMedians {
+  std::vector<double> olt_sec;
+  std::vector<double> tlt_sec;
+  std::vector<double> radio_j;
+  std::vector<double> cr_j;
+  std::vector<double> requests;
+  std::vector<double> tcp_connections;
+  std::vector<double> page_bytes;
+
+  /// Exact equality (no tolerance): the determinism gates' comparison.
+  bool operator==(const PageMedians&) const = default;
 };
 
-struct RoundsOutcome {
-  std::map<Scheme, SchemeSeries> series;
-  int rounds_total = 0;
-  int rounds_kept = 0;
-};
-
-/// Run `schemes` back-to-back per round with per-run fade seeds derived
-/// from the round, filter incomparable rounds, and return the kept runs.
-RoundsOutcome run_rounds(const web::WebPage& page,
-                         const std::vector<Scheme>& schemes,
-                         const RoundsConfig& config);
+/// Load every page `rounds` times under each scheme and return one
+/// PageMedians per scheme, in `schemes` order. Every run builds its own
+/// testbed from seeds that are a pure function of (base, seeds, p, r), so
+/// the grid fans out over `jobs` workers (1 runs inline, <= 0 selects
+/// hardware_concurrency) with bitwise-identical results for any jobs
+/// value. Throws std::invalid_argument when rounds <= 0 or base's fault
+/// plan is malformed. Pages are borrowed for the call.
+[[nodiscard]] std::vector<PageMedians> run_grid(
+    const std::vector<const web::WebPage*>& pages,
+    const std::vector<Scheme>& schemes, int rounds, const RunConfig& base,
+    const GridSeeds& seeds = {}, int jobs = 1);
 
 }  // namespace parcel::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace parcel::lte {
@@ -100,16 +99,6 @@ double FadeProcess::scale_at(TimePoint t) const {
                                       params_.step.sec());
   if (idx >= steps_.size()) idx = steps_.size() - 1;
   return steps_[idx];
-}
-
-double FadeProcess::mean_scale_until(TimePoint t) const {
-  auto idx = static_cast<std::size_t>(std::max(0.0, t.sec()) /
-                                      params_.step.sec());
-  idx = std::min(idx + 1, steps_.size());
-  return std::accumulate(steps_.begin(),
-                         steps_.begin() + static_cast<std::ptrdiff_t>(idx),
-                         0.0) /
-         static_cast<double>(idx);
 }
 
 RadioLinkHalf::RadioLinkHalf(sim::Scheduler& sched, std::string name,

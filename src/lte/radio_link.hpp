@@ -38,15 +38,6 @@ class FadeProcess {
   /// Fade multiplier in effect at time t (in (0, 1]).
   [[nodiscard]] double scale_at(TimePoint t) const;
 
-  /// Mean multiplier over [0, t]; the experiment harness converts this to
-  /// a pseudo-RSRP for its signal-comparability filter (§7.2).
-  [[nodiscard]] double mean_scale_until(TimePoint t) const;
-
-  /// Pseudo signal strength in dBm for filtering/logging.
-  [[nodiscard]] double mean_signal_dbm(TimePoint t) const {
-    return -120.0 + 30.0 * mean_scale_until(t);
-  }
-
  private:
   FadeProcess() = default;
 

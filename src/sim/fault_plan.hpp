@@ -73,7 +73,7 @@ struct FaultPlan {
 
   /// Reject malformed plans (probabilities outside [0, 1], negative
   /// durations, restart without crash) with a descriptive
-  /// std::invalid_argument. Called by Testbed and run_rounds.
+  /// std::invalid_argument. Called by Testbed and core::run_grid.
   void validate() const;
 
   /// Canonical spec string (round-trips through parse()).

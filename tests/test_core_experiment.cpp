@@ -2,23 +2,32 @@
 
 #include "core/experiment.hpp"
 #include "replay/replay_store.hpp"
+#include "util/stats.hpp"
 #include "web/generator.hpp"
 
 namespace parcel::core {
 namespace {
 
+const web::WebPage& replayed_page(const std::string& site, int objects,
+                                  std::uint64_t seed) {
+  static replay::ReplayStore store;
+  web::PageSpec spec;
+  spec.site = site;
+  spec.object_count = objects;
+  spec.total_bytes = util::kib(500);
+  spec.seed = seed;
+  store.record(web::PageGenerator::generate(spec));
+  return *store.find("http://" + site + "/");
+}
+
 const web::WebPage& test_page() {
-  static web::WebPage* page = [] {
-    web::PageSpec spec;
-    spec.site = "exp.example.com";
-    spec.object_count = 40;
-    spec.total_bytes = util::kib(500);
-    spec.seed = 17;
-    static replay::ReplayStore store;
-    store.record(web::PageGenerator::generate(spec));
-    return const_cast<web::WebPage*>(store.find("http://exp.example.com/"));
-  }();
-  return *page;
+  static const web::WebPage& page = replayed_page("exp.example.com", 40, 17);
+  return page;
+}
+
+const web::WebPage& second_page() {
+  static const web::WebPage& page = replayed_page("exp2.example.com", 30, 18);
+  return page;
 }
 
 TEST(ExperimentRunner, DirRunBasicInvariants) {
@@ -103,37 +112,79 @@ TEST(ExperimentRunner, SchemeNamesAndHelpers) {
   EXPECT_THROW((void)bundle_for(Scheme::kDir), std::invalid_argument);
 }
 
-TEST(RunRounds, FiltersAndAggregates) {
-  RoundsConfig cfg;
-  cfg.rounds = 3;
-  cfg.discard_first_round = true;
-  cfg.base.testbed.fade = lte::FadeProcess::Params{};
-  std::vector<Scheme> schemes{Scheme::kDir, Scheme::kParcelInd};
-  RoundsOutcome outcome = run_rounds(test_page(), schemes, cfg);
-  EXPECT_EQ(outcome.rounds_total, 3);
-  EXPECT_LE(outcome.rounds_kept, 2);  // first round always discarded
-  if (outcome.rounds_kept > 0) {
-    ASSERT_TRUE(outcome.series.contains(Scheme::kDir));
-    const SchemeSeries& dir = outcome.series.at(Scheme::kDir);
-    EXPECT_EQ(dir.runs.size(),
-              static_cast<std::size_t>(outcome.rounds_kept));
-    EXPECT_GT(dir.median_olt_sec(), 0.0);
-    EXPECT_GT(dir.median_radio_j(), 0.0);
-    EXPECT_GE(dir.median_radio_j(), dir.median_cr_j());
+TEST(RunGrid, AggregatesPerPageMedians) {
+  RunConfig base;
+  base.testbed.fade = lte::FadeProcess::Params{};
+  const std::vector<PageMedians> grid = run_grid(
+      {&test_page()}, {Scheme::kDir, Scheme::kParcelInd}, 3, base);
+  ASSERT_EQ(grid.size(), 2u);
+  for (const PageMedians& m : grid) {
+    ASSERT_EQ(m.olt_sec.size(), 1u);
+    EXPECT_GT(m.olt_sec[0], 0.0);
+    EXPECT_GE(m.tlt_sec[0], m.olt_sec[0]);
+    EXPECT_GT(m.radio_j[0], 0.0);
+    EXPECT_GE(m.radio_j[0], m.cr_j[0]);
+    EXPECT_EQ(m.page_bytes[0], static_cast<double>(test_page().total_bytes()));
   }
+  // Table 1's columns: PARCEL loads over a single connection.
+  EXPECT_GT(grid[0].tcp_connections[0], 1.0);
+  EXPECT_EQ(grid[1].tcp_connections[0], 1.0);
 }
 
-TEST(RunRounds, SignalToleranceZeroDropsEverything) {
-  RoundsConfig cfg;
-  cfg.rounds = 2;
-  cfg.discard_first_round = false;
-  cfg.signal_tolerance_db = 0.0;
-  cfg.base.testbed.fade = lte::FadeProcess::Params{};
-  std::vector<Scheme> schemes{Scheme::kDir, Scheme::kParcelInd};
-  RoundsOutcome outcome = run_rounds(test_page(), schemes, cfg);
-  // Distinct per-scheme fade seeds make identical mean signal all but
-  // impossible.
-  EXPECT_EQ(outcome.rounds_kept, 0);
+TEST(RunGrid, SeedsFollowTheStrideFormula) {
+  // Fig 10's strides: run r of page p is seeded 101 + 211 p + 13 r, its
+  // fade 3 seed + 1, and both schemes of one (p, r) share the seeds. Every
+  // figure's bytes depend on this formula, so recompute it by hand.
+  const std::vector<const web::WebPage*> pages{&test_page(), &second_page()};
+  const std::vector<Scheme> schemes{Scheme::kDir, Scheme::kParcelInd};
+  constexpr int kRounds = 2;
+  RunConfig base;
+  base.seed = 101;
+  base.testbed.fade = lte::FadeProcess::Params{};
+  const std::vector<PageMedians> grid = run_grid(
+      pages, schemes, kRounds, base,
+      {.per_page = 211, .per_round = 13, .offset = 0, .fade_mul = 3});
+  ASSERT_EQ(grid.size(), schemes.size());
+
+  bool rounds_differ = false;
+  for (std::size_t s = 0; s < schemes.size(); ++s) {
+    SCOPED_TRACE(to_string(schemes[s]));
+    PageMedians expected;
+    for (std::size_t p = 0; p < pages.size(); ++p) {
+      std::vector<RunResult> runs;
+      for (std::uint64_t r = 0; r < kRounds; ++r) {
+        RunConfig cfg = base;
+        cfg.seed = 101 + 211 * p + 13 * r;
+        cfg.testbed.fade_seed = cfg.seed * 3 + 1;
+        runs.push_back(ExperimentRunner::run(schemes[s], *pages[p], cfg));
+      }
+      auto median_of = [&runs](auto metric) {
+        std::vector<double> values;
+        for (const RunResult& r : runs) values.push_back(metric(r));
+        return util::median(values);
+      };
+      expected.olt_sec.push_back(
+          median_of([](const RunResult& r) { return r.olt.sec(); }));
+      expected.tlt_sec.push_back(
+          median_of([](const RunResult& r) { return r.tlt.sec(); }));
+      expected.radio_j.push_back(
+          median_of([](const RunResult& r) { return r.radio.total.j(); }));
+      expected.cr_j.push_back(
+          median_of([](const RunResult& r) { return r.radio.cr.j(); }));
+      expected.requests.push_back(median_of([](const RunResult& r) {
+        return static_cast<double>(r.radio_http_requests);
+      }));
+      expected.tcp_connections.push_back(median_of([](const RunResult& r) {
+        return static_cast<double>(r.tcp_connections);
+      }));
+      expected.page_bytes.push_back(
+          static_cast<double>(pages[p]->total_bytes()));
+      rounds_differ = rounds_differ || runs[0].olt.sec() != runs[1].olt.sec();
+    }
+    EXPECT_TRUE(grid[s] == expected);
+  }
+  // The seeds reach the simulation, so the pin is not vacuous.
+  EXPECT_TRUE(rounds_differ);
 }
 
 }  // namespace

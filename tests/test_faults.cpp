@@ -331,19 +331,14 @@ TEST(FaultedRuns, FaultsOffTracesCarryNoFaultLines) {
   EXPECT_NE(text.rfind("F ", 0), 0u);  // no leading fault line either
 }
 
-TEST(RunRounds, RejectsBadConfigsWithClearErrors) {
-  std::vector<core::Scheme> schemes{core::Scheme::kDir};
-  core::RoundsConfig cfg;
-  cfg.rounds = 0;
-  EXPECT_THROW(core::run_rounds(test_page(), schemes, cfg),
+TEST(RunGrid, RejectsBadConfigsWithClearErrors) {
+  const std::vector<const web::WebPage*> pages{&test_page()};
+  const std::vector<core::Scheme> schemes{core::Scheme::kDir};
+  core::RunConfig base;
+  EXPECT_THROW((void)core::run_grid(pages, schemes, 0, base),
                std::invalid_argument);
-  cfg.rounds = 2;
-  cfg.signal_tolerance_db = -1.0;
-  EXPECT_THROW(core::run_rounds(test_page(), schemes, cfg),
-               std::invalid_argument);
-  cfg.signal_tolerance_db = 3.0;
-  cfg.base.testbed.faults.loss_probability = 2.0;  // malformed plan
-  EXPECT_THROW(core::run_rounds(test_page(), schemes, cfg),
+  base.testbed.faults.loss_probability = 2.0;  // malformed plan
+  EXPECT_THROW((void)core::run_grid(pages, schemes, 2, base),
                std::invalid_argument);
 }
 

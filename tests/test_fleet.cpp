@@ -350,39 +350,31 @@ TEST(FleetRunner, SingleClientIdleComputeReproducesExperimentRunner) {
   EXPECT_EQ(r.tlt.sec(), expected.tlt.sec());
 }
 
-TEST(FleetRunner, ExplicitSpecsMirrorRunRoundsByteForByte) {
-  // Same grid, two harnesses: run_rounds' (round x scheme) sweep vs one
-  // derived fleet per scheme i. Client k's seeds are base.seed +
-  // 1000003 k + 1 and base.fade_seed + 7919 k + 1; offsetting the bases
-  // by 97 i - 1 and 31 i gives exactly run_rounds' seeds for round k.
-  std::vector<core::Scheme> schemes{core::Scheme::kDir,
-                                    core::Scheme::kParcelInd};
-  core::RoundsConfig rounds_cfg;
-  rounds_cfg.rounds = 2;
-  rounds_cfg.discard_first_round = false;
-  rounds_cfg.base.seed = 21;
-  core::RoundsOutcome rounds =
-      core::run_rounds(test_page(), schemes, rounds_cfg);
-  ASSERT_EQ(rounds.rounds_kept, 2);
-
+TEST(FleetRunner, ExplicitSpecsMirrorStandaloneRunsByteForByte) {
+  // An idle-compute fleet is K standalone runs: client k is
+  // ExperimentRunner::run seeded base.seed + 1000003 k + 1 with fade seed
+  // base.fade_seed + 7919 k + 1 (derive_client_columns).
   std::vector<const web::WebPage*> corpus{&test_page()};
-  for (std::size_t i = 0; i < schemes.size(); ++i) {
+  for (core::Scheme scheme : {core::Scheme::kDir, core::Scheme::kParcelInd}) {
     FleetConfig cfg;
-    cfg.clients = rounds_cfg.rounds;
-    cfg.scheme = schemes[i];
+    cfg.clients = 2;
+    cfg.scheme = scheme;
     cfg.compute = ProxyComputeConfig::idle();
-    cfg.base = rounds_cfg.base;
-    cfg.base.seed = rounds_cfg.base.seed + 97ULL * i - 1;
-    cfg.base.testbed.fade_seed = rounds_cfg.base.testbed.fade_seed + 31ULL * i;
+    cfg.base.seed = 21;
     FleetMetrics metrics = run_fleet(corpus, cfg);
-    ASSERT_EQ(metrics.admitted, rounds_cfg.rounds);
+    ASSERT_EQ(metrics.admitted, cfg.clients);
 
-    for (int round = 0; round < rounds_cfg.rounds; ++round) {
-      SCOPED_TRACE("round " + std::to_string(round) + " " +
-                   core::to_string(schemes[i]));
-      const auto k = static_cast<std::size_t>(round);
-      expect_identical(metrics.clients[k].session,
-                       rounds.series.at(schemes[i]).runs[k]);
+    for (int k = 0; k < cfg.clients; ++k) {
+      SCOPED_TRACE("client " + std::to_string(k) + " " +
+                   core::to_string(scheme));
+      const auto uk = static_cast<std::uint64_t>(k);
+      core::RunConfig expected_cfg = cfg.base;
+      expected_cfg.seed = cfg.base.seed + 1000003ULL * uk + 1;
+      expected_cfg.testbed.fade_seed =
+          cfg.base.testbed.fade_seed + 7919ULL * uk + 1;
+      expect_identical(metrics.clients[static_cast<std::size_t>(k)].session,
+                       core::ExperimentRunner::run(scheme, test_page(),
+                                                   expected_cfg));
     }
   }
 }

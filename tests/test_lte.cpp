@@ -162,8 +162,6 @@ TEST(FadeProcess, DeterministicAndBounded) {
     EXPECT_GE(s, params.floor);
     EXPECT_LE(s, 1.0);
   }
-  EXPECT_GT(a.mean_signal_dbm(TimePoint::at_seconds(30)), -120.0);
-  EXPECT_LT(a.mean_signal_dbm(TimePoint::at_seconds(30)), -90.0);
 }
 
 TEST(RadioLink, PromotionDelaysFirstTransfer) {

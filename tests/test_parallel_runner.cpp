@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "core/parallel_runner.hpp"
 #include "replay/replay_store.hpp"
 #include "web/generator.hpp"
@@ -52,7 +54,6 @@ void expect_identical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.fallbacks, b.fallbacks);
   EXPECT_EQ(a.downlink_bytes, b.downlink_bytes);
   EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);
-  EXPECT_EQ(a.mean_signal_dbm, b.mean_signal_dbm);
   EXPECT_EQ(a.trace.size(), b.trace.size());
 }
 
@@ -101,6 +102,8 @@ TEST(RunExperiments, ParallelMatchesSerialForEveryScheme) {
   for (Scheme s : all_schemes()) {
     RunConfig cfg;
     cfg.seed = seed++;
+    cfg.testbed.fade = lte::FadeProcess::Params{};
+    cfg.testbed.fade_seed = cfg.seed * 7 + 1;
     tasks.push_back(ExperimentTask{s, &test_page(), cfg});
   }
   std::vector<RunResult> serial = run_experiments(tasks, 1);
@@ -144,56 +147,50 @@ TEST(RunExperiments, ColdParseCacheBitwiseIdenticalToWarm) {
   web::ParseCache::instance().clear();
 }
 
-TEST(RunRounds, Jobs4BitwiseIdenticalToJobs1) {
-  RoundsConfig cfg;
-  cfg.rounds = 3;
-  cfg.base.testbed.fade = lte::FadeProcess::Params{};
-  std::vector<Scheme> schemes = all_schemes();
+TEST(RunGrid, Jobs4BitwiseIdenticalToJobs1) {
+  RunConfig base;
+  base.testbed.fade = lte::FadeProcess::Params{};
+  const std::vector<Scheme> schemes = all_schemes();
 
-  cfg.jobs = 1;
-  RoundsOutcome serial = run_rounds(test_page(), schemes, cfg);
-  cfg.jobs = 4;
-  RoundsOutcome parallel = run_rounds(test_page(), schemes, cfg);
+  const std::vector<PageMedians> serial =
+      run_grid({&test_page()}, schemes, 3, base, {}, 1);
+  const std::vector<PageMedians> parallel =
+      run_grid({&test_page()}, schemes, 3, base, {}, 4);
 
-  EXPECT_EQ(serial.rounds_total, parallel.rounds_total);
-  EXPECT_EQ(serial.rounds_kept, parallel.rounds_kept);
-  ASSERT_EQ(serial.series.size(), parallel.series.size());
-  for (const auto& [scheme, series] : serial.series) {
-    SCOPED_TRACE(to_string(scheme));
-    ASSERT_TRUE(parallel.series.contains(scheme));
-    const SchemeSeries& other = parallel.series.at(scheme);
-    ASSERT_EQ(series.runs.size(), other.runs.size());
-    for (std::size_t i = 0; i < series.runs.size(); ++i) {
-      expect_identical(series.runs[i], other.runs[i]);
-    }
-    // The figures are built from these medians; they must not move.
-    EXPECT_EQ(series.median_olt_sec(), other.median_olt_sec());
-    EXPECT_EQ(series.median_tlt_sec(), other.median_tlt_sec());
-    EXPECT_EQ(series.median_radio_j(), other.median_radio_j());
-    EXPECT_EQ(series.median_cr_j(), other.median_cr_j());
-  }
+  // The figures are built from these medians; they must not move.
+  ASSERT_EQ(serial.size(), schemes.size());
+  EXPECT_TRUE(serial == parallel);
 }
 
-TEST(RunRounds, OversubscribedJobsStillIdentical) {
+TEST(RunGrid, OversubscribedJobsStillIdentical) {
   // More workers than tasks must not change anything either.
-  RoundsConfig cfg;
-  cfg.rounds = 2;
-  cfg.discard_first_round = false;
-  std::vector<Scheme> schemes{Scheme::kDir, Scheme::kParcelInd};
+  const std::vector<Scheme> schemes{Scheme::kDir, Scheme::kParcelInd};
+  const RunConfig base;
+  const std::vector<PageMedians> serial =
+      run_grid({&test_page()}, schemes, 2, base, {}, 1);
+  const std::vector<PageMedians> parallel =
+      run_grid({&test_page()}, schemes, 2, base, {}, 16);
+  EXPECT_TRUE(serial == parallel);
+}
 
-  cfg.jobs = 1;
-  RoundsOutcome serial = run_rounds(test_page(), schemes, cfg);
-  cfg.jobs = 16;
-  RoundsOutcome parallel = run_rounds(test_page(), schemes, cfg);
-
-  EXPECT_EQ(serial.rounds_kept, parallel.rounds_kept);
-  for (const auto& [scheme, series] : serial.series) {
-    const SchemeSeries& other = parallel.series.at(scheme);
-    ASSERT_EQ(series.runs.size(), other.runs.size());
-    for (std::size_t i = 0; i < series.runs.size(); ++i) {
-      expect_identical(series.runs[i], other.runs[i]);
-    }
-  }
+TEST(RunGrid, CorpusFromColdCacheIdenticalAtEveryJobsLevel) {
+  // The figures' DIR + PARCEL(IND) corpus grid at jobs 1, 2 and
+  // max(4, hardware threads). Each level starts from a cold parse cache,
+  // so concurrent misses are covered as well as hits, and even a
+  // single-core host runs the 2- and N-thread levels on real workers.
+  const bench::Corpus corpus = bench::build_corpus(6);
+  const RunConfig base = bench::replay_run_config(42);
+  const std::vector<Scheme> schemes{Scheme::kDir, Scheme::kParcelInd};
+  auto run_at = [&](int jobs) {
+    web::ParseCache::instance().clear();
+    return run_grid(corpus.replayed, schemes, 2, base, {}, jobs);
+  };
+  const std::vector<PageMedians> serial = run_at(1);
+  ASSERT_EQ(serial.size(), schemes.size());
+  ASSERT_EQ(serial[0].olt_sec.size(), corpus.replayed.size());
+  EXPECT_TRUE(run_at(2) == serial);
+  EXPECT_TRUE(run_at(std::max(4, default_jobs())) == serial);
+  web::ParseCache::instance().clear();
 }
 
 }  // namespace
