@@ -57,17 +57,17 @@ struct BenchOptions {
   /// (results are bitwise identical either way).
   int jobs = core::default_jobs();
   bool quick = false;
-  /// Fleet knobs (bench_fleet_scaling): concurrent client sessions, proxy
+  /// Fleet knobs (the fleet harness): concurrent client sessions, proxy
   /// compute workers, and the arrival-process seed.
   int clients = 16;
   int workers = 2;
   std::uint64_t arrival_seed = 2014;
-  /// Session count for the streaming-fleet leg (bench_fleet_scaling;
-  /// ISSUE 7). Large by design — streaming mode never materializes
-  /// per-session results, so this scales far past --clients.
+  /// Session count for the fleet harness's streaming leg. Large by
+  /// design — streaming mode never materializes per-session results, so
+  /// this scales far past --clients.
   int stream_clients = 100000;
-  /// Sharded-fleet knobs (bench_fleet_scaling; ISSUE 8): the largest
-  /// shard count in the N-shards sweep, and the L2 backplane transfer
+  /// Sharded-fleet knobs (the fleet harness): the largest shard count
+  /// in the N-shards sweep, and the L2 backplane transfer
   /// cost in milliseconds per MiB moved (the kTransfer byte rate is
   /// derived as 1 MiB / (l2_cost_ms_per_mib / 1000)). 0 keeps the task's
   /// base cost only.
@@ -77,9 +77,9 @@ struct BenchOptions {
   /// (see replay_run_config / live_run_config). Off by default, so the
   /// BENCH_*.json baselines stay byte-comparable across builds.
   sim::FaultPlan faults;
-  /// Adaptive-bundling knobs (bench_adaptive; ISSUE 10). --fade SPEC
-  /// picks the radio bandwidth trajectory, --mix NAME picks the PageMix
-  /// family handed to build_corpus.
+  /// Adaptive-bundling knobs (the adaptive harness). --fade SPEC picks
+  /// the radio bandwidth trajectory, --mix NAME picks the PageMix family
+  /// handed to build_corpus.
   FadeOption fade;
   web::PageMix mix = web::PageMix::kAlexa34;
 };
@@ -136,5 +136,14 @@ bool write_json(const std::string& path, const json::Value& doc);
 /// Reads and parses one JSON file; throws std::invalid_argument naming
 /// `path` when it cannot be read or is malformed.
 json::Value read_json(const std::string& path);
+
+/// parcel_figures' harness entries, one translation unit each
+/// (bench/adaptive.cpp, faults.cpp, fleet.cpp, parse_cache.cpp). Each
+/// prints its report, writes its BENCH_*.json into the working directory,
+/// and returns 0, or 1 when one of its gates fails.
+int adaptive_harness(const BenchOptions& opts);
+int faults_harness(const BenchOptions& opts);
+int fleet_harness(const BenchOptions& opts);
+int parse_cache_harness(const BenchOptions& opts);
 
 }  // namespace parcel::bench

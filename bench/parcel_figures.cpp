@@ -1,13 +1,16 @@
-// parcel_figures: the paper's evaluation as one binary. Each registry
-// entry reproduces one figure, table or summary (§2.1, §6, §7-§8: Table 1,
-// Figs 3 and 6a-11, the headline numbers) or one experiment beyond the
-// paper (ablations, a browsing session), and prints the measured rows
-// next to the paper's values.
+// parcel_figures: the paper's evaluation and the harnesses beyond it as
+// one binary. Each paper entry reproduces one figure, table or summary
+// (§2.1, §6, §7-§8: Table 1, Figs 3 and 6a-11, the headline numbers) or
+// one experiment beyond the paper (ablations, a browsing session), and
+// prints the measured rows next to the paper's values. Each harness entry
+// (adaptive, faults, fleet, parse-cache) also writes a BENCH_*.json into
+// the working directory and gates its own invariants.
 //
 // Usage: parcel_figures [bench flags] ID... | all
 //   The bench flags are bench::parse_options' (--pages N, --rounds N,
-//   --jobs N, --quick, --faults SPEC, ...). `all` runs every entry in
-//   table order. An unknown id is a usage error (exit 2).
+//   --jobs N, --quick, --faults SPEC, ...). The ids run in the order
+//   given; `all` runs every paper entry in table order. Exits 1 if any
+//   harness gate failed; an unknown id is a usage error (exit 2).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -1128,23 +1131,49 @@ void browsing_session(const BenchOptions&) {
 
 // ------------------------------------------------------------ registry
 
-struct Figure {
+struct Entry {
   const char* id;
-  void (*run)(const BenchOptions&);
+  int (*run)(const BenchOptions&);
+  /// Paper entries make up `all`; harness entries write files and gate,
+  /// so they run only when named.
+  bool paper;
 };
 
-constexpr Figure kFigures[] = {
-    {"corpus", corpus_stats}, {"fig3", fig3},         {"table1", table1},
-    {"fig6a", fig6a},         {"fig6b", fig6b},       {"fig6c", fig6c},
-    {"fig7a", fig7a},         {"fig7b", fig7b},       {"fig7c", fig7c},
-    {"fig8", fig8},           {"sec6", sec6},         {"fig9", fig9},
-    {"delay", delay_sensitivity}, {"fig10", fig10},   {"fig11", fig11},
-    {"headline", headline},   {"ablation", ablation}, {"session", browsing_session},
+/// A paper entry's runner: figures print and never fail.
+template <void (*Print)(const BenchOptions&)>
+int figure(const BenchOptions& opts) {
+  Print(opts);
+  return 0;
+}
+
+constexpr Entry kEntries[] = {
+    {"corpus", figure<corpus_stats>, true},
+    {"fig3", figure<fig3>, true},
+    {"table1", figure<table1>, true},
+    {"fig6a", figure<fig6a>, true},
+    {"fig6b", figure<fig6b>, true},
+    {"fig6c", figure<fig6c>, true},
+    {"fig7a", figure<fig7a>, true},
+    {"fig7b", figure<fig7b>, true},
+    {"fig7c", figure<fig7c>, true},
+    {"fig8", figure<fig8>, true},
+    {"sec6", figure<sec6>, true},
+    {"fig9", figure<fig9>, true},
+    {"delay", figure<delay_sensitivity>, true},
+    {"fig10", figure<fig10>, true},
+    {"fig11", figure<fig11>, true},
+    {"headline", figure<headline>, true},
+    {"ablation", figure<ablation>, true},
+    {"session", figure<browsing_session>, true},
+    {"adaptive", bench::adaptive_harness, false},
+    {"faults", bench::faults_harness, false},
+    {"fleet", bench::fleet_harness, false},
+    {"parse-cache", bench::parse_cache_harness, false},
 };
 
 [[noreturn]] void usage_error(const std::string& message) {
   std::fprintf(stderr, "error: %s\nfigures:", message.c_str());
-  for (const Figure& figure : kFigures) std::fprintf(stderr, " %s", figure.id);
+  for (const Entry& entry : kEntries) std::fprintf(stderr, " %s", entry.id);
   std::fprintf(stderr, " (or all)\n");
   std::exit(2);
 }
@@ -1154,19 +1183,24 @@ constexpr Figure kFigures[] = {
 int main(int argc, char** argv) {
   std::vector<std::string> ids;
   const BenchOptions opts = bench::parse_options(argc, argv, &ids);
-  std::vector<const Figure*> plan;
+  std::vector<const Entry*> plan;
   for (const std::string& id : ids) {
     if (id == "all") {
-      for (const Figure& figure : kFigures) plan.push_back(&figure);
+      for (const Entry& entry : kEntries) {
+        if (entry.paper) plan.push_back(&entry);
+      }
       continue;
     }
-    const Figure* figure =
-        std::find_if(std::begin(kFigures), std::end(kFigures),
-                     [&](const Figure& f) { return id == f.id; });
-    if (figure == std::end(kFigures)) usage_error("unknown figure " + id);
-    plan.push_back(figure);
+    const Entry* entry =
+        std::find_if(std::begin(kEntries), std::end(kEntries),
+                     [&](const Entry& e) { return id == e.id; });
+    if (entry == std::end(kEntries)) usage_error("unknown figure " + id);
+    plan.push_back(entry);
   }
   if (plan.empty()) usage_error("no figure given");
-  for (const Figure* figure : plan) figure->run(opts);
-  return 0;
+  int status = 0;
+  for (const Entry* entry : plan) {
+    if (entry->run(opts) != 0) status = 1;
+  }
+  return status;
 }

@@ -1,21 +1,22 @@
 #!/usr/bin/env bash
 # Minimal CI: Release build (warnings are errors tree-wide) + full test
-# suite (which runs every paper figure in --quick mode), the figure
-# driver's full-size --jobs 1 vs --jobs 4 byte identity and its
-# unknown-id rejection, parcel_bench's own unit tests (benchmark/tests,
-# which cover the JSON library every BENCH_*.json goes through), the
-# parcel-lint determinism gate, the kernel-throughput gate (current
-# numbers vs the checked-in BENCH_kernel.json baseline, >10% regression
-# fails; doctored baselines and a garbled value must be rejected), then
-# the bench smokes (parse cache, faulted, fleet, adaptive), whose exit
+# suite (which checks every paper figure in --quick mode and the faults,
+# adaptive and parse-cache harnesses against their golden stdout, and
+# runs the allocation guards), the figure driver's full-size --jobs 1 vs
+# --jobs 4 byte identity and its unknown-id rejection, parcel_bench's own
+# unit tests (benchmark/tests, which cover the JSON library every
+# BENCH_*.json goes through), the parcel-lint determinism gate, the
+# kernel-throughput gate (current numbers vs the checked-in
+# BENCH_kernel.json baseline, >10% regression fails; doctored baselines
+# and a garbled value must be rejected), then the harness smokes
+# (parcel_figures parse-cache, faults, fleet and adaptive), whose exit
 # codes are the gates. Then a ThreadSanitizer build that runs the
 # parallel-runner and parse-cache tests to prove the fan-out is
-# race-free, an
-# AddressSanitizer build that runs the full suite once to prove the
-# zero-copy string_view plumbing never dangles (the arena poisons memory
-# its containers release, so a view into it is reported too), and an
-# UndefinedBehaviorSanitizer build (-fno-sanitize-recover: first report
-# aborts) over the full suite.
+# race-free, an AddressSanitizer build that runs the full suite once to
+# prove the zero-copy string_view plumbing never dangles (the arena
+# poisons memory its containers release, so a view into it is reported
+# too), and an UndefinedBehaviorSanitizer build (-fno-sanitize-recover:
+# first report aborts) over the full suite.
 # Usage: ./ci.sh [jobs]
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -99,11 +100,6 @@ else
   echo "SKIPPED: clang-tidy not installed on this runner"
 fi
 
-echo "==> Scheduler allocation regression + microbenchmarks (smoke)"
-# (no --benchmark_min_time: the flag's value syntax changed across
-# google-benchmark versions; these filters are fast regardless)
-./build-ci/bench/bench_micro --benchmark_filter='Scheduler|Rng|ParseCache'
-
 echo "==> Kernel throughput gate (events/sec, replay, bytes-per-load)"
 # Full mode: the checked-in BENCH_kernel.json baseline was recorded in
 # full mode, and quick mode's smaller working set measures a different
@@ -143,17 +139,17 @@ must_fail_kernel_gate "a garbled gated value" 2 \
   build-ci/bench/BENCH_kernel_garbled.json BENCH_kernel.json
 
 echo "==> Parse cache smoke (2-page corpus, hit rate must be > 0)"
-# bench_parse_cache exits nonzero when the scan-workload hit rate is zero
-# or a warm cache's end-to-end results differ from a cold one's.
-(cd build-ci/bench && ./bench_parse_cache --pages 2 --rounds 1)
+# parse-cache exits nonzero when the scan-workload hit rate is zero or a
+# warm cache's end-to-end results differ from a cold one's.
+(cd build-ci/bench && ./parcel_figures parse-cache --pages 2 --rounds 1)
 
 echo "==> Faulted smoke (fixed seed: must complete and exercise fallback)"
-# bench_fault_recovery exits nonzero unless every run completes, the
-# planned crash forces direct-to-origin fallback, and jobs=1 == jobs=4.
-(cd build-ci/bench && ./bench_fault_recovery --quick)
+# faults exits nonzero unless every run completes, the planned crash
+# forces direct-to-origin fallback, and jobs=1 == jobs=4.
+(cd build-ci/bench && ./parcel_figures faults --quick)
 
-# bench_fleet_scaling exits nonzero unless every leg holds: amplification,
-# knee and shedding; bitwise identity across --jobs 1 and 4; the shard
+# fleet exits nonzero unless every leg holds: amplification, knee and
+# shedding; bitwise identity across --jobs 1 and 4; the shard
 # sweep's tiering physics; 100% completion and engaged handoffs after the
 # crash; and, on the streaming leg, epoch-parallel identity plus the
 # peak-RSS ceiling (sub-linear memory in K). The defaults are the run
@@ -161,14 +157,14 @@ echo "==> Faulted smoke (fixed seed: must complete and exercise fallback)"
 # shedding), the K=100000 streaming leg, the N=1..8 shard sweep and the
 # N=4 mid-run crash handoff.
 echo "==> Fleet smoke (knee, K=100000 streaming, shard sweep, crash handoff)"
-(cd build-ci/bench && ./bench_fleet_scaling)
+(cd build-ci/bench && ./parcel_figures fleet)
 
 echo "==> Adaptive bundling smoke (fade sweep: controller vs fixed grid)"
-# bench_adaptive exits nonzero unless the closed-loop controller beats
-# every fixed bundle size on the canonical fade sweep, jobs=1 and jobs=4
-# runs are bitwise identical, and a controller whose target clamps are
+# adaptive exits nonzero unless the closed-loop controller beats every
+# fixed bundle size on the canonical fade sweep, jobs=1 and jobs=4 runs
+# are bitwise identical, and a controller whose target clamps are
 # pinned to 512K leaves the trace byte-for-byte the fixed 512K scheme's.
-(cd build-ci/bench && ./bench_adaptive --quick)
+(cd build-ci/bench && ./parcel_figures adaptive --quick)
 
 echo "==> ThreadSanitizer: parallel runner + parse cache + fleet race-free"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -21,7 +21,8 @@
 // bundles the load pays (n-1) DRX resume promotions on top of B/s
 // serialization, so mean OLT is minimized near b* = √(s·B·promo) — the
 // same √(sB) law with alpha' = √(promo_sec). That is the preset
-// bench_adaptive races against the fixed-size grid.
+// the adaptive harness (parcel_figures adaptive) races against the
+// fixed-size grid.
 //
 // Determinism: integer arithmetic throughout (isqrt is Newton on
 // uint64), no RNG, no clocks. The controller only reads capture records,

@@ -1,0 +1,182 @@
+// Allocation guards, in their own executable because they replace the
+// global operator new with a counting hook. The scheduler kernel must not
+// allocate per event, and a full page load must divert a healthy share of
+// its container allocations into the per-run arena (DESIGN.md §11) while
+// keeping its global heap traffic within a per-event and per-load budget.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <memory_resource>
+#include <new>
+#include <string>
+
+#include "bench/common.hpp"
+#include "core/experiment.hpp"
+#include "sim/scheduler.hpp"
+#include "web/generator.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
+}  // namespace
+
+// noinline on every replaced operator: once GCC inlines a body it sees the
+// raw std::malloc/std::free inside, pairs it against the *other* side of a
+// new/delete pair at some call site, and emits a bogus
+// -Wmismatched-new-delete.  Opaque calls keep the pairing at the operator
+// level, where it is correct by construction (all six route to malloc/free).
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                 std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace {
+
+using namespace parcel;
+
+const web::WebPage& guard_page() {
+  static web::WebPage page = [] {
+    web::PageSpec spec;
+    spec.object_count = 120;
+    spec.total_bytes = util::mib(1.5);
+    spec.seed = 77;
+    return web::PageGenerator::generate(spec);
+  }();
+  return page;
+}
+
+// Counting pmr resource: libstdc++'s new_delete_resource allocates
+// through a path the replaced operator new above cannot interpose (its
+// calls bind inside the library), so pmr traffic is invisible to the
+// malloc hook. Installing this as the process default resource makes
+// every container that falls back to the default resource — pmr traffic
+// that escapes the per-run arena — observable.
+class CountingResource final : public std::pmr::memory_resource {
+ public:
+  [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
+  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
+
+ private:
+  void* do_allocate(std::size_t bytes, std::size_t align) override {
+    ++allocations_;
+    bytes_ += bytes;
+    return std::pmr::new_delete_resource()->allocate(bytes, align);
+  }
+  void do_deallocate(void* p, std::size_t bytes,
+                     std::size_t align) noexcept override {
+    std::pmr::new_delete_resource()->deallocate(p, bytes, align);
+  }
+  [[nodiscard]] bool do_is_equal(
+      const std::pmr::memory_resource& other) const noexcept override {
+    return this == &other;
+  }
+
+  std::uint64_t allocations_ = 0;
+  std::uint64_t bytes_ = 0;
+};
+
+// The kernel fast path: a million fire-and-forget events must not
+// allocate per event (handles are (seq, slot) pairs; keys live in the heap
+// vector and closures in the slot pool, whose regrowth goes through pmr
+// and is not visible to this hook). The budget covers small constant
+// noise only — any per-event std::function or shared_ptr allocation blows
+// it by four orders.
+TEST(AllocationGuard, SchedulerDoesNotAllocatePerEvent) {
+  constexpr std::size_t kEvents = 1'000'000;
+  constexpr std::uint64_t kAllocBudget = 64;
+  sim::Scheduler sched;
+  const std::uint64_t before = g_allocations.load();
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    sched.schedule_after(util::Duration::micros(1), [] {});
+  }
+  ASSERT_EQ(sched.pending_events(), kEvents);
+  sched.run();
+  const std::uint64_t allocs = g_allocations.load() - before;
+  ASSERT_EQ(sched.events_executed(), kEvents);
+  std::printf("scheduler: %llu allocations for %zu schedule+fire events\n",
+              static_cast<unsigned long long>(allocs), kEvents);
+  EXPECT_LE(allocs, kAllocBudget) << "the kernel allocates per event again";
+}
+
+// Per-load heap traffic, in two parts. Arena routing: a page load must
+// divert a material number of container allocations into the bump
+// allocator — the scheduler heap, trace columns and browser bookkeeping
+// all bump instead of hitting the heap; if the count collapses, some hot
+// container silently stopped drawing from run_resource(). Global budget:
+// through the operator-new hook, a DIR and a PARCEL(IND) load must each
+// stay within kMaxAllocsPerEvent global allocations per executed event,
+// and the PARCEL(IND) load within kMaxParcelBytes. Deep-copied burst
+// callbacks or a bundle built as a string and re-parsed on delivery blow
+// these bounds.
+TEST(AllocationGuard, PageLoadUsesArenaWithinGlobalBudget) {
+  constexpr std::size_t kMinSavedAllocs = 100;
+  constexpr double kMaxAllocsPerEvent = 6.0;
+  const auto kMaxParcelBytes = static_cast<std::uint64_t>(util::mib(1.5));
+  const core::RunConfig cfg = bench::replay_run_config(42);
+  const web::WebPage& page = guard_page();
+
+  // Warm the parse cache and lazy singletons so each pass measures the
+  // load itself, not one-time setup.
+  core::ExperimentRunner::run(core::Scheme::kDir, page, cfg);
+  CountingResource counting;
+  std::pmr::memory_resource* saved = std::pmr::set_default_resource(&counting);
+  const core::RunResult routed =
+      core::ExperimentRunner::run(core::Scheme::kDir, page, cfg);
+  std::pmr::set_default_resource(saved);
+  std::printf("arena: %llu default-resource allocations (%llu bytes) per "
+              "load; arena served %zu allocations (%zu bytes)\n",
+              static_cast<unsigned long long>(counting.allocations()),
+              static_cast<unsigned long long>(counting.bytes()),
+              routed.arena_allocations, routed.arena_bytes);
+  EXPECT_GE(routed.arena_allocations, kMinSavedAllocs)
+      << "the arena serves too little";
+
+  for (core::Scheme scheme : {core::Scheme::kDir, core::Scheme::kParcelInd}) {
+    core::ExperimentRunner::run(scheme, page, cfg);  // warm, as above
+    const std::uint64_t allocs_before = g_allocations.load();
+    const std::uint64_t bytes_before = g_alloc_bytes.load();
+    const core::RunResult r = core::ExperimentRunner::run(scheme, page, cfg);
+    const std::uint64_t allocs = g_allocations.load() - allocs_before;
+    const std::uint64_t bytes = g_alloc_bytes.load() - bytes_before;
+    const double per_event =
+        static_cast<double>(allocs) /
+        static_cast<double>(std::max<std::uint64_t>(r.events_executed, 1));
+    const std::string name = core::to_string(scheme);
+    std::printf("%s: %llu global allocations for %llu events (%.2f per "
+                "event), %llu bytes\n",
+                name.c_str(), static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(r.events_executed), per_event,
+                static_cast<unsigned long long>(bytes));
+    EXPECT_LE(per_event, kMaxAllocsPerEvent) << name;
+    if (scheme == core::Scheme::kParcelInd) {
+      EXPECT_LE(bytes, kMaxParcelBytes) << name;
+    }
+  }
+}
+
+}  // namespace

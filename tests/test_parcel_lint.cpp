@@ -168,14 +168,16 @@ TEST(ParcelLint, BenchFilesAreInRepoLintScope) {
       cfg.applies("float-double-drift", "bench/bench_kernel_throughput.cpp"));
   EXPECT_FALSE(cfg.applies("float-double-drift", "bench/bench_pipeline.cpp"));
 
-  // And the shipped lint.rules itself names both bench files in-scope.
+  // And the shipped lint.rules itself names the gated bench files
+  // in-scope.
   std::ifstream rules(std::string(PARCEL_REPO_ROOT) + "/lint.rules");
   ASSERT_TRUE(rules.good());
   std::ostringstream ss;
   ss << rules.rdbuf();
   const std::string text = ss.str();
   EXPECT_NE(text.find("bench/bench_kernel_throughput.cpp"), std::string::npos);
-  EXPECT_NE(text.find("bench/bench_micro.cpp"), std::string::npos);
+  EXPECT_NE(text.find("bench/fleet.cpp"), std::string::npos);
+  EXPECT_NE(text.find("bench/adaptive.cpp"), std::string::npos);
 
   // It exempts no path from nondet-getenv: a getenv anywhere in src/
   // fails the tree.
