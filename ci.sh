@@ -3,16 +3,16 @@
 # suite (which checks every paper figure in --quick mode and the faults,
 # adaptive and parse-cache harnesses against their golden stdout, and
 # runs the allocation guards), the figure driver's full-size --jobs 1 vs
-# --jobs 4 byte identity and its unknown-id rejection, parcel_bench's own
-# unit tests (benchmark/tests, which cover the JSON library every
-# BENCH_*.json goes through), the parcel-lint determinism gate, the
-# kernel-throughput gate (current numbers vs the checked-in
-# BENCH_kernel.json baseline, >10% regression fails; doctored baselines
-# and a garbled value must be rejected), then the harness smokes
+# --jobs 4 byte identity, its full-size golden and its unknown-id
+# rejection, parcel_bench's own unit tests (benchmark/tests, which cover
+# the JSON library every BENCH_*.json goes through), the parcel-lint
+# determinism gate, the kernel-throughput gate (current numbers vs the
+# checked-in BENCH_kernel.json baseline, >10% regression fails; doctored
+# baselines and a garbled value must be rejected), then the harness smokes
 # (parcel_figures parse-cache, faults, fleet and adaptive), whose exit
 # codes are the gates. Then a ThreadSanitizer build that runs the
-# parallel-runner and parse-cache tests to prove the fan-out is
-# race-free, an AddressSanitizer build that runs the full suite once to
+# parallel-runner, parse-cache and callback tests to prove the fan-out
+# and the per-thread callback block cache race-free, an AddressSanitizer build that runs the full suite once to
 # prove the zero-copy string_view plumbing never dangles (the arena
 # poisons memory its containers release, so a view into it is reported
 # too), and an UndefinedBehaviorSanitizer build (-fno-sanitize-recover:
@@ -36,6 +36,10 @@ FIGURES=./build-ci/bench/parcel_figures
 "$FIGURES" all --jobs 4 > build-ci/figures_jobs4.txt
 cmp build-ci/figures_jobs1.txt build-ci/figures_jobs4.txt
 echo "parcel_figures all: --jobs 1 and --jobs 4 byte-identical"
+# ...and against the pinned default-grid output (re-pin recipe:
+# EXPERIMENTS.md "Golden outputs").
+cmp build-ci/figures_jobs1.txt tests/golden/parcel_figures_all.txt
+echo "parcel_figures all: byte-identical to tests/golden/parcel_figures_all.txt"
 rc=0
 "$FIGURES" nope 2> /dev/null || rc=$?
 if [ "$rc" -ne 2 ]; then
@@ -166,12 +170,12 @@ echo "==> Adaptive bundling smoke (fade sweep: controller vs fixed grid)"
 # pinned to 512K leaves the trace byte-for-byte the fixed 512K scheme's.
 (cd build-ci/bench && ./parcel_figures adaptive --quick)
 
-echo "==> ThreadSanitizer: parallel runner + parse cache + fleet race-free"
+echo "==> ThreadSanitizer: parallel runner + parse cache + fleet + callback cache race-free"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPARCEL_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target parcel_tests
 ./build-tsan/tests/parcel_tests \
-  --gtest_filter='ParallelRunner.*:RunExperiments.*:RunGrid.*:ParseCacheTest.*:FaultedRuns.*:FleetRunner.*:FleetStreaming.*:SharedStore.*:ProxyCompute.*:ShardRouter.*:ProxyComputeCrash.*:ShardedFleet.*:ShardedStreaming.*:AdaptiveE2E.*:FleetArrivals.*'
+  --gtest_filter='Callback.*:ParallelRunner.*:RunExperiments.*:RunGrid.*:ParseCacheTest.*:FaultedRuns.*:FleetRunner.*:FleetStreaming.*:SharedStore.*:ProxyCompute.*:ShardRouter.*:ProxyComputeCrash.*:ShardedFleet.*:ShardedStreaming.*:AdaptiveE2E.*:FleetArrivals.*'
 
 echo "==> AddressSanitizer: full suite (zero-copy views must not dangle)"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -12,7 +12,7 @@ CloudBrowserProxy::CloudBrowserProxy(net::Network& network,
     : network_(network), config_(config), rng_(std::move(rng)) {}
 
 void CloudBrowserProxy::handle(const net::HttpRequest& request,
-                               std::function<void(net::HttpResponse)> respond) {
+                               Responder respond) {
   if (request.method == net::HttpMethod::kGet) {
     // Fresh engine per page load (one page per session in our runs).
     fetcher_ = std::make_unique<NetworkFetcher>(network_, "proxy",
@@ -21,9 +21,9 @@ void CloudBrowserProxy::handle(const net::HttpRequest& request,
     engine_ = std::make_unique<BrowserEngine>(
         network_.scheduler(), *fetcher_, config_.proxy_fetch.engine,
         rng_.fork(), "cb-proxy");
-    auto respond_ptr =
-        std::make_shared<std::function<void(net::HttpResponse)>>(
-            std::move(respond));
+    // The onload hook is a copyable std::function, so it shares the
+    // move-only responder.
+    auto respond_ptr = std::make_shared<Responder>(std::move(respond));
     net::Url page_url = request.url;
     BrowserEngine::Callbacks cbs;
     cbs.on_onload = [this, page_url, respond_ptr](TimePoint) {
@@ -72,8 +72,7 @@ void CloudBrowserProxy::handle(const net::HttpRequest& request,
     reject(404);
     return;
   }
-  auto respond_ptr = std::make_shared<std::function<void(net::HttpResponse)>>(
-      std::move(respond));
+  auto respond_ptr = std::make_shared<Responder>(std::move(respond));
   net::Url url = request.url;
   engine_->click(index, [this, url, respond_ptr] {
     net::HttpResponse resp;

@@ -41,7 +41,7 @@ class CloudBrowserProxy final : public net::HttpEndpoint {
                     util::Rng rng);
 
   void handle(const net::HttpRequest& request,
-              std::function<void(net::HttpResponse)> respond) override;
+              Responder respond) override;
 
   [[nodiscard]] const BrowserEngine* engine() const { return engine_.get(); }
 

@@ -24,7 +24,7 @@ RelayProxy::RelayProxy(net::Network& network, DirConfig fetch_config,
           fetch_config.max_total_connections) {}
 
 void RelayProxy::handle(const net::HttpRequest& request,
-                        std::function<void(net::HttpResponse)> respond) {
+                        Responder respond) {
   ++relayed_;
   net::HttpRequest upstream = request;
   dns_.resolve(request.url.host_id(),

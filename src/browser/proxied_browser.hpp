@@ -31,7 +31,7 @@ class RelayProxy final : public net::HttpEndpoint {
   RelayProxy(net::Network& network, DirConfig fetch_config, util::Rng rng);
 
   void handle(const net::HttpRequest& request,
-              std::function<void(net::HttpResponse)> respond) override;
+              Responder respond) override;
 
   [[nodiscard]] std::size_t relayed() const { return relayed_; }
 

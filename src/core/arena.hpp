@@ -40,13 +40,8 @@
 #include <new>
 #include <vector>
 
-#if defined(__SANITIZE_ADDRESS__)
-#define PARCEL_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define PARCEL_ASAN 1
-#endif
-#endif
+#include "util/sanitizer.hpp"
+
 #ifdef PARCEL_ASAN
 #include <sanitizer/asan_interface.h>
 #endif

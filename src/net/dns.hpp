@@ -18,13 +18,14 @@
 #include "net/path.hpp"
 #include "net/url.hpp"
 #include "sim/scheduler.hpp"
+#include "util/callback.hpp"
 #include "util/rng.hpp"
 
 namespace parcel::net {
 
 class DnsClient {
  public:
-  using Callback = std::function<void()>;
+  using Callback = util::Callback<void()>;
 
   DnsClient(sim::Scheduler& sched, Path path_to_resolver,
             Duration mean_server_latency, util::Rng rng,

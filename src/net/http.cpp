@@ -113,39 +113,30 @@ std::uint64_t HttpClientPool::retransmits() const {
   return n;
 }
 
-std::size_t HttpClientPool::busy_connections() const {
-  std::size_t n = 0;
-  for (const auto& [_, state] : domains_) {
-    for (const auto& c : state.conns) {
-      if (c->busy()) ++n;
-    }
-  }
-  return n;
-}
-
 void HttpClientPool::dispatch_all() {
   for (auto& [domain, state] : domains_) {
-    if (!state.backlog.empty()) dispatch(domain);
+    if (backlog_ == 0 ||
+        busy_ >= static_cast<std::size_t>(max_total_connections_)) {
+      return;
+    }
+    if (!state.backlog.empty()) dispatch(domain, state);
   }
 }
 
 void HttpClientPool::fetch(HttpRequest request, std::uint32_t object_id,
                            HttpConnection::ResponseCallback on_response) {
-  std::string domain = request.url.host();
-  auto& state = domains_[domain];
-  state.backlog.emplace_back(std::move(request), object_id,
-                             std::move(on_response));
-  dispatch(domain);
+  // try_emplace copies the host only when the domain is new.
+  auto it = domains_.try_emplace(request.url.host()).first;
+  it->second.backlog.emplace_back(std::move(request), object_id,
+                                  std::move(on_response));
+  ++backlog_;
+  dispatch(it->first, it->second);
 }
 
-void HttpClientPool::dispatch(const std::string& domain) {
-  auto& state = domains_[domain];
+void HttpClientPool::dispatch(const std::string& domain, DomainState& state) {
   while (!state.backlog.empty()) {
     // Browsers cap concurrent connections globally as well as per domain.
-    if (busy_connections() >=
-        static_cast<std::size_t>(max_total_connections_)) {
-      return;
-    }
+    if (busy_ >= static_cast<std::size_t>(max_total_connections_)) return;
     // Prefer an idle existing connection.
     HttpConnection* conn = nullptr;
     for (auto& c : state.conns) {
@@ -172,10 +163,14 @@ void HttpClientPool::dispatch(const std::string& domain) {
     }
     auto [request, object_id, cb] = std::move(state.backlog.front());
     state.backlog.pop_front();
+    --backlog_;
     ++requests_issued_;
-    peak_concurrency_ = std::max(peak_concurrency_, busy_connections() + 1);
+    ++busy_;
+    peak_concurrency_ = std::max(peak_concurrency_, busy_);
     conn->fetch(std::move(request), object_id,
                 [this, cb = std::move(cb)](const HttpResponse& resp) {
+                  // The connection is idle again by the time it answers.
+                  --busy_;
                   cb(resp);
                   dispatch_all();
                 });

@@ -4,20 +4,24 @@
 // serialized FIFO (no pipelining, matching deployed HTTP/1.1), responses
 // stream back through TcpConnection's windowed sender. HttpClientPool
 // implements the browser rule of at most N parallel connections per
-// domain (the paper observes 6 for the DIR browser).
+// domain (the paper observes 6 for the DIR browser) under a global cap
+// (17), and keeps running counts of busy connections and backlogged
+// requests so that a dispatch never rescans the pool.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/tcp.hpp"
 #include "net/url.hpp"
 #include "sim/scheduler.hpp"
+#include "util/callback.hpp"
+#include "util/fifo.hpp"
 
 namespace parcel::net {
 
@@ -54,9 +58,12 @@ struct HttpResponse {
 /// callback, possibly after simulated processing time.
 class HttpEndpoint {
  public:
+  /// Called once with the response; move-only, like every per-request
+  /// continuation on the connection's path.
+  using Responder = util::Callback<void(HttpResponse)>;
+
   virtual ~HttpEndpoint() = default;
-  virtual void handle(const HttpRequest& request,
-                      std::function<void(HttpResponse)> respond) = 0;
+  virtual void handle(const HttpRequest& request, Responder respond) = 0;
 };
 
 /// One persistent client connection to an endpoint.
@@ -67,7 +74,7 @@ class HttpEndpoint {
 /// without waiting, response bytes interleaving on the wire).
 class HttpConnection {
  public:
-  using ResponseCallback = std::function<void(const HttpResponse&)>;
+  using ResponseCallback = util::Callback<void(const HttpResponse&)>;
 
   HttpConnection(sim::Scheduler& sched, Path path, HttpEndpoint& endpoint,
                  TcpParams params, std::uint32_t conn_id,
@@ -101,10 +108,20 @@ class HttpConnection {
   bool connected_ = false;
   bool connecting_ = false;
   int in_flight_ = 0;
-  std::deque<Pending> queue_;
+  util::Fifo<Pending> queue_;
 };
 
 /// Browser-style per-domain connection pool.
+///
+/// Requests wait in a per-domain FIFO backlog and go to an idle
+/// connection of their domain, or to a new one below the per-domain cap,
+/// while fewer than max_total_connections are busy. The pool hands a
+/// request only to an idle connection, so each pooled connection carries
+/// at most one request and `busy_` (requests issued minus responses
+/// received) equals the number of busy connections. A connection broken
+/// by loss never answers, so its slot stays busy for the rest of the run.
+/// When a response frees a slot, the backlogs are offered it in domain
+/// order: the ordered map fixes which domain wins under the global cap.
 class HttpClientPool {
  public:
   using PathFactory = std::function<Path(const std::string& domain)>;
@@ -139,14 +156,13 @@ class HttpClientPool {
  private:
   struct DomainState {
     std::vector<std::unique_ptr<HttpConnection>> conns;
-    std::deque<std::tuple<HttpRequest, std::uint32_t,
+    util::Fifo<std::tuple<HttpRequest, std::uint32_t,
                           HttpConnection::ResponseCallback>>
         backlog;
   };
 
-  void dispatch(const std::string& domain);
+  void dispatch(const std::string& domain, DomainState& state);
   void dispatch_all();
-  [[nodiscard]] std::size_t busy_connections() const;
 
   sim::Scheduler& sched_;
   PathFactory path_factory_;
@@ -158,6 +174,10 @@ class HttpClientPool {
   std::size_t connections_opened_ = 0;
   std::size_t requests_issued_ = 0;
   std::size_t peak_concurrency_ = 0;
+  /// Connections holding a request: the global cap's measure.
+  std::size_t busy_ = 0;
+  /// Requests waiting in any domain's backlog.
+  std::size_t backlog_ = 0;
   std::map<std::string, DomainState> domains_;
 };
 

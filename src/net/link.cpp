@@ -43,11 +43,16 @@ void Link::finish_transmit(TimePoint delivery, Bytes bytes,
                            const BurstInfo& info,
                            DeliveryCallback on_delivered) {
   bytes_carried_ += bytes;
-  sched_.schedule_at(delivery, [this, delivery, bytes, info,
-                                on_delivered = std::move(on_delivered)] {
-    if (tap_) tap_(delivery, bytes, info);
-    on_delivered(delivery);
-  });
+  in_flight_.push_back(InFlight{delivery, bytes, info, std::move(on_delivered)});
+  sched_.schedule_at(delivery, [this] { deliver_front(); });
+}
+
+void Link::deliver_front() {
+  // Move the burst out first: its callback may transmit on this link.
+  InFlight burst = std::move(in_flight_.front());
+  in_flight_.pop_front();
+  if (tap_) tap_(burst.delivery, burst.bytes, burst.info);
+  burst.on_delivered(burst.delivery);
 }
 
 void Link::transmit(Bytes bytes, const BurstInfo& info,

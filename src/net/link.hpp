@@ -9,12 +9,14 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 
 #include "sim/scheduler.hpp"
 #include "trace/packet_trace.hpp"
+#include "util/callback.hpp"
 #include "util/units.hpp"
 
 namespace parcel::net {
@@ -36,7 +38,9 @@ struct BurstInfo {
 
 class Link {
  public:
-  using DeliveryCallback = std::function<void(TimePoint)>;
+  /// Move-only: a burst's continuation moves down its relay -> TCP ->
+  /// HTTP chain and fires at most once.
+  using DeliveryCallback = util::Callback<void(TimePoint)>;
   using Tap = std::function<void(TimePoint delivery, Bytes bytes,
                                  const BurstInfo& info)>;
 
@@ -83,14 +87,29 @@ class Link {
   /// the sender's job (TCP RTO).
   bool fault_drop(Bytes bytes, const BurstInfo& info);
 
-  /// Schedule the delivery. Takes the callback by value and moves it into
-  /// the event: it carries the burst's whole relay -> TCP -> HTTP chain.
+  /// Schedule the delivery. The burst (its metadata and `on_delivered`,
+  /// the burst's relay -> TCP -> HTTP chain) waits in the link's in-flight
+  /// FIFO, and the event's closure is just `this`, which fits a scheduler
+  /// slot inline. A link serializes FIFO and never frees up earlier than
+  /// it did, so deliveries are non-decreasing in time in enqueue order and
+  /// same-time events fire in scheduling order: the n-th delivery event
+  /// of a link always finds the n-th enqueued burst at the front.
   void finish_transmit(TimePoint delivery, Bytes bytes, const BurstInfo& info,
                        DeliveryCallback on_delivered);
 
   sim::Scheduler& sched_;
 
  private:
+  struct InFlight {
+    TimePoint delivery;
+    Bytes bytes;
+    BurstInfo info;
+    DeliveryCallback on_delivered;
+  };
+
+  /// Fire the front burst of the in-flight FIFO.
+  void deliver_front();
+
   std::string name_;
   BitRate rate_;
   Duration prop_delay_;
@@ -99,6 +118,11 @@ class Link {
   TimePoint next_free_ = TimePoint::origin();
   Bytes bytes_carried_ = 0;
   Tap tap_;
+  /// Bursts scheduled but not yet delivered, oldest first. A deque, not a
+  /// util::Fifo ring: a blackout can leave hundreds of bursts in flight,
+  /// and a ring doubled to hold them all keeps (and, while growing, twice
+  /// holds) far more memory than the blocks a deque adds and drops.
+  std::deque<InFlight> in_flight_;
 };
 
 /// A bidirectional link: independent uplink and downlink serialization,

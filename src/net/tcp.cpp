@@ -152,23 +152,36 @@ void TcpConnection::start_next_stream() {
   // of this call; by the time we get here bytes includes header overhead
   // and is positive. Defend anyway.
   Bytes total = std::max<Bytes>(item.bytes, 1);
-  auto on_complete =
-      std::make_shared<ArrivalCallback>(std::move(item.on_complete));
-  send_round(total, total, item.object_id, std::move(on_complete));
+  send_round(total, item.object_id, std::move(item.on_complete));
 }
 
-void TcpConnection::send_round(Bytes remaining, Bytes total,
-                               std::uint32_t object_id,
-                               std::shared_ptr<ArrivalCallback> on_complete) {
+void TcpConnection::send_round(Bytes remaining, std::uint32_t object_id,
+                               ArrivalCallback on_complete) {
   Bytes burst = std::min(remaining, cwnd_bytes());
   BurstInfo info{trace::PacketKind::kData, conn_id_, object_id};
   TimePoint round_start = sched_.now();
   Bytes left = remaining - burst;
 
+  if (left > 0) {
+    // The completion callback rides with the next round, not this burst.
+    send_guarded(false, burst, info,
+                 [this](TimePoint t) { last_activity_ = t; });
+    // ACK clock: the next window opens one RTT after this round began,
+    // or when the bottleneck drains this burst, whichever is later.
+    Duration pace = std::max(path_.base_rtt(),
+                             path_.bottleneck_down().transmit_time(burst));
+    cwnd_segments_ = std::min(cwnd_segments_ * 2, params_.max_cwnd_segments);
+    sched_.schedule_at(round_start + pace,
+                       [this, left, object_id,
+                        on_complete = std::move(on_complete)]() mutable {
+                         send_round(left, object_id, std::move(on_complete));
+                       });
+    return;
+  }
   send_guarded(false, burst, info,
-               [this, left, object_id, on_complete](TimePoint t) {
+               [this, object_id,
+                on_complete = std::move(on_complete)](TimePoint t) {
                  last_activity_ = t;
-                 if (left > 0) return;  // next round already scheduled
                  // Client acknowledges the final burst; this uplink
                  // control packet is what the paper's "last ACK"
                  // measurement anchors on, and it keeps the radio's
@@ -176,28 +189,13 @@ void TcpConnection::send_round(Bytes remaining, Bytes total,
                  BurstInfo ack{trace::PacketKind::kAck, conn_id_, object_id};
                  send_guarded(true, params_.control_bytes, ack,
                               [](TimePoint) {});
-                 if (*on_complete) (*on_complete)(t);
+                 if (on_complete) on_complete(t);
                });
-
-  if (left > 0) {
-    // ACK clock: the next window opens one RTT after this round began,
-    // or when the bottleneck drains this burst, whichever is later.
-    Duration pace = std::max(path_.base_rtt(),
-                             path_.bottleneck_down().transmit_time(burst));
-    cwnd_segments_ = std::min(cwnd_segments_ * 2, params_.max_cwnd_segments);
-    sched_.schedule_at(round_start + pace,
-                       [this, left, total, object_id,
-                        on_complete = std::move(on_complete)]() mutable {
-                         send_round(left, total, object_id,
-                                    std::move(on_complete));
-                       });
-  } else {
-    // Pipeline: the server keeps writing; the next queued stream item's
-    // bytes follow this one on the wire without waiting for the client's
-    // ACK (persistent-connection behaviour; crucial for IND, where a page
-    // is hundreds of back-to-back pushes).
-    start_next_stream();
-  }
+  // Pipeline: the server keeps writing; the next queued stream item's
+  // bytes follow this one on the wire without waiting for the client's
+  // ACK (persistent-connection behaviour; crucial for IND, where a page
+  // is hundreds of back-to-back pushes).
+  start_next_stream();
 }
 
 void TcpConnection::close(Callback on_closed) {

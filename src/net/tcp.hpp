@@ -12,12 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 
 #include "net/path.hpp"
 #include "sim/scheduler.hpp"
+#include "util/fifo.hpp"
 
 namespace parcel::net {
 
@@ -43,8 +42,8 @@ struct TcpParams {
 /// side (path end). Single-threaded, driven entirely by the scheduler.
 class TcpConnection {
  public:
-  using Callback = std::function<void()>;
-  using ArrivalCallback = std::function<void(TimePoint)>;
+  using Callback = util::Callback<void()>;
+  using ArrivalCallback = util::Callback<void(TimePoint)>;
 
   TcpConnection(sim::Scheduler& sched, Path path, TcpParams params,
                 std::uint32_t conn_id);
@@ -106,8 +105,8 @@ class TcpConnection {
   struct GuardState;
 
   void start_next_stream();
-  void send_round(Bytes remaining, Bytes total, std::uint32_t object_id,
-                  std::shared_ptr<ArrivalCallback> on_complete);
+  void send_round(Bytes remaining, std::uint32_t object_id,
+                  ArrivalCallback on_complete);
   void maybe_restart_slow_start();
 
   /// Send one burst, retransmitting on RTO expiry when loss recovery is
@@ -136,7 +135,7 @@ class TcpConnection {
   TimePoint last_activity_ = TimePoint::origin();
 
   bool stream_active_ = false;
-  std::deque<StreamItem> stream_queue_;
+  util::Fifo<StreamItem> stream_queue_;
 };
 
 }  // namespace parcel::net

@@ -15,7 +15,7 @@ bool EventHandle::pending() const {
   return owner && (*owner)->pending_event(seq_, slot_);
 }
 
-EventHandle Scheduler::schedule_at(TimePoint when, std::function<void()> fn) {
+EventHandle Scheduler::schedule_at(TimePoint when, Callback fn) {
   if (!fn) throw std::invalid_argument("schedule_at: empty callback");
   if (when < now_) when = now_;
   const std::uint64_t seq = next_seq_++;
@@ -35,11 +35,6 @@ EventHandle Scheduler::schedule_at(TimePoint when, std::function<void()> fn) {
   return EventHandle{self_, seq, slot};
 }
 
-EventHandle Scheduler::schedule_after(Duration delay,
-                                      std::function<void()> fn) {
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
 void Scheduler::cancel_event(std::uint64_t seq, std::uint32_t slot) {
   // A slot reused by a later event carries a different seq, so a stale
   // handle can neither cancel nor observe its successor.
@@ -50,15 +45,14 @@ bool Scheduler::pending_event(std::uint64_t seq, std::uint32_t slot) const {
   return slots_[slot].seq == seq && !slots_[slot].cancelled;
 }
 
-std::function<void()> Scheduler::pop_front() {
+Scheduler::Callback Scheduler::pop_front() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Key key = heap_.back();
   heap_.pop_back();
-  // Move the closure out before it runs: it may schedule events, and a
-  // slots_ regrowth must not relocate a closure mid-call.
+  // Move the closure out before it runs: the slot goes back on the free
+  // list now, and an event the closure schedules may reuse it.
   Slot& s = slots_[key.slot];
-  std::function<void()> fn = std::move(s.fn);
-  s.fn = nullptr;
+  Callback fn = std::move(s.fn);
   const bool cancelled = s.cancelled;
   s.seq = kFreeSeq;
   s.next_free = free_head_;
@@ -70,7 +64,7 @@ std::function<void()> Scheduler::pop_front() {
 
 bool Scheduler::step() {
   while (!heap_.empty()) {
-    std::function<void()> fn = pop_front();
+    Callback fn = pop_front();
     if (!fn) continue;
     ++executed_;
     fn();

@@ -7,24 +7,30 @@
 // deterministic.
 //
 // Hot-path notes: the heap holds only 24-byte {when, seq, slot} keys, so
-// sift moves touch no closures. Each event's std::function lives in a
-// slot of a pooled vector; slots freed by fired events are recycled
-// through an intrusive free list, so a run's closure storage stops
-// growing once it reaches the peak pending count. Scheduling allocates
-// nothing beyond the closure itself: an EventHandle names its event by
-// (seq, slot), which makes cancel()/pending() O(1) — the slot still holds
-// the event iff its seq matches. Both vectors draw from the per-run arena
-// when one is in scope (core::ArenaScope; DESIGN.md §11), so even their
-// geometric regrowth stops hitting the global allocator.
+// sift moves touch no closures. Each event's closure is a util::Callback
+// in a slot of a pooled deque: schedule_at(when, lambda) builds the
+// lambda into the Callback's 56-byte inline buffer and moves it once,
+// into the slot, with no allocation. Only a closure that wraps another
+// callback (a burst's relay -> TCP -> HTTP continuation) spills, to the
+// thread's callback block cache rather than the global heap
+// (util/callback.hpp). Slots freed by fired events are recycled through
+// an intrusive free list, so a run's closure storage stops growing once
+// it reaches the peak pending count. An EventHandle names its event by
+// (seq, slot), which makes cancel()/pending() O(1): the slot still holds
+// the event iff its seq matches. The heap and the slots draw from the
+// per-run arena when one is in scope (core::ArenaScope; DESIGN.md §11),
+// so even their growth stops hitting the global allocator.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <memory_resource>
+#include <utility>
 #include <vector>
 
 #include "core/arena.hpp"
+#include "util/callback.hpp"
 #include "util/units.hpp"
 
 namespace parcel::sim {
@@ -73,12 +79,20 @@ class Scheduler {
 
   [[nodiscard]] TimePoint now() const { return now_; }
 
-  /// Schedule `fn` to run at absolute time `when`. Scheduling in the past
-  /// is clamped to now() (fires immediately on the next run step).
-  EventHandle schedule_at(TimePoint when, std::function<void()> fn);
+  /// Closure type of an event.
+  using Callback = util::Callback<void()>;
+
+  /// Schedule `fn` to run at absolute time `when`. A lambda argument is
+  /// built straight into the Callback parameter, which moves once, into
+  /// the event's slot. Scheduling in the past is clamped to now() (fires
+  /// immediately on the next run step). Throws std::invalid_argument on
+  /// an empty callable (nullptr, an empty std::function or Callback).
+  EventHandle schedule_at(TimePoint when, Callback fn);
 
   /// Schedule `fn` to run `delay` after now().
-  EventHandle schedule_after(Duration delay, std::function<void()> fn);
+  EventHandle schedule_after(Duration delay, Callback fn) {
+    return schedule_at(now_ + delay, std::move(fn));
+  }
 
   /// Run until the queue empties. Returns the time of the last event.
   TimePoint run();
@@ -113,7 +127,7 @@ class Scheduler {
   static constexpr std::uint64_t kFreeSeq = ~std::uint64_t{0};
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   struct Slot {
-    std::function<void()> fn;
+    Callback fn;
     // Seq of the event this slot holds; kFreeSeq while on the free list.
     std::uint64_t seq = kFreeSeq;
     std::uint32_t next_free = kNoSlot;
@@ -125,7 +139,7 @@ class Scheduler {
                                    std::uint32_t slot) const;
   /// Pop the front key and free its slot. Returns the closure to run and
   /// advances now(), or returns empty for a cancelled tombstone.
-  std::function<void()> pop_front();
+  Callback pop_front();
 
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 0;
@@ -134,7 +148,10 @@ class Scheduler {
   // Cancelled events stay queued as tombstones (their slot keeps the
   // closure) and are destroyed and skipped when popped.
   std::pmr::vector<Key> heap_;
-  std::pmr::vector<Slot> slots_;
+  // A deque, not a vector: growth appends fixed-size blocks and never
+  // relocates a slot, so the arena holds each slot once instead of every
+  // outgrown copy of the array.
+  std::pmr::deque<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   // Liveness token handed to EventHandles as a weak_ptr; expires with the
   // scheduler so stale handles degrade to no-ops instead of dangling.

@@ -30,7 +30,7 @@ const WebObject* OriginServer::lookup(const net::Url& url) const {
 }
 
 void OriginServer::handle(const net::HttpRequest& request,
-                          std::function<void(net::HttpResponse)> respond) {
+                          Responder respond) {
   ++served_;
   if (request.method == net::HttpMethod::kPost) {
     net::HttpResponse resp;

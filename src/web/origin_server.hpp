@@ -30,7 +30,7 @@ class OriginServer final : public net::HttpEndpoint {
   void host(const WebPage& page);
 
   void handle(const net::HttpRequest& request,
-              std::function<void(net::HttpResponse)> respond) override;
+              Responder respond) override;
 
   /// Optional handler for POST bodies; returns the response. When unset,
   /// POSTs get 204 No Content.

@@ -130,13 +130,16 @@ TEST(AllocationGuard, SchedulerDoesNotAllocatePerEvent) {
 // container silently stopped drawing from run_resource(). Global budget:
 // through the operator-new hook, a DIR and a PARCEL(IND) load must each
 // stay within kMaxAllocsPerEvent global allocations per executed event,
-// and the PARCEL(IND) load within kMaxParcelBytes. Deep-copied burst
-// callbacks or a bundle built as a string and re-parsed on delivery blow
-// these bounds.
+// and the PARCEL(IND) load within kMaxParcelBytes. The budgets sit at most
+// 1.25x above the measured loads (1.41 and 2.07 allocations per event,
+// 714,281 bytes): a kernel continuation back on std::function, a per-burst
+// closure that skips the callback block cache, or a queue that allocates
+// per element blows them, and so do deep-copied burst callbacks or a
+// bundle built as a string and re-parsed on delivery.
 TEST(AllocationGuard, PageLoadUsesArenaWithinGlobalBudget) {
   constexpr std::size_t kMinSavedAllocs = 100;
-  constexpr double kMaxAllocsPerEvent = 6.0;
-  const auto kMaxParcelBytes = static_cast<std::uint64_t>(util::mib(1.5));
+  constexpr double kMaxAllocsPerEvent = 2.4;
+  constexpr std::uint64_t kMaxParcelBytes = 850'000;
   const core::RunConfig cfg = bench::replay_run_config(42);
   const web::WebPage& page = guard_page();
 

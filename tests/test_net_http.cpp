@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "net/fault_injector.hpp"
 #include "net/http.hpp"
 #include "net/network.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/scheduler.hpp"
 
 namespace parcel::net {
@@ -20,7 +24,7 @@ class FixedEndpoint final : public HttpEndpoint {
       : sched_(sched), body_(body), think_(think) {}
 
   void handle(const HttpRequest& request,
-              std::function<void(HttpResponse)> respond) override {
+              Responder respond) override {
     ++requests_;
     last_request = request;
     HttpResponse resp;
@@ -141,6 +145,117 @@ TEST_F(HttpFixture, PoolHonorsGlobalCap) {
   // as domains take turns, but never the per-domain x domain-count bound.
   EXPECT_LE(pool.peak_concurrency(), 4u);
   EXPECT_LE(pool.connections_opened(), 12u);
+}
+
+/// Endpoint whose body size depends on the object id carried in the URL
+/// path ("/<id>"), so domains finish out of step and freed slots change
+/// hands; records the object ids in the order requests reach it.
+class SizedEndpoint final : public HttpEndpoint {
+ public:
+  explicit SizedEndpoint(sim::Scheduler& sched) : sched_(sched) {}
+
+  void handle(const HttpRequest& request,
+              Responder respond) override {
+    const auto id = static_cast<std::uint32_t>(
+        std::stoul(std::string(request.url.path()).substr(1)));
+    arrivals.push_back(id);
+    HttpResponse resp;
+    resp.url = request.url;
+    resp.body_bytes = 2'000 + static_cast<util::Bytes>(id % 7) * 9'000;
+    sched_.schedule_after(Duration::millis(5 + id % 3),
+                          [resp, respond = std::move(respond)] {
+                            respond(resp);
+                          });
+  }
+
+  std::vector<std::uint32_t> arrivals;
+
+ private:
+  sim::Scheduler& sched_;
+};
+
+/// Five domains x eight objects against 2 connections per domain and 4 in
+/// total: the global cap, not the per-domain one, decides which domain's
+/// backlog gets each freed slot.
+struct PoolCapFixture : HttpFixture {
+  SizedEndpoint endpoint{sched};
+  Network network{sched};
+  std::vector<std::uint32_t> completed;
+
+  PoolCapFixture() {
+    for (const char* d : {"a.example", "b.example", "c.example", "d.example",
+                          "e.example"}) {
+      network.register_endpoint(d, endpoint);
+    }
+  }
+
+  HttpClientPool make_pool() {
+    return HttpClientPool{
+        sched, [this](const std::string&) { return path; },
+        [this](const std::string& d) { return network.endpoint(d); },
+        [this]() { return network.next_conn_id(); }, params,
+        /*max_conns_per_domain=*/2, /*max_total=*/4};
+  }
+
+  void fetch_all(HttpClientPool& pool) {
+    // Interleave domains in a fixed, non-alphabetical order.
+    std::uint32_t id = 1;
+    for (int round = 0; round < 8; ++round) {
+      for (const char* d : {"c.example", "a.example", "e.example",
+                            "b.example", "d.example"}) {
+        HttpRequest req;
+        req.url = Url::parse(std::string("http://") + d + "/" +
+                             std::to_string(id));
+        pool.fetch(req, id, [this, id](const HttpResponse&) {
+          completed.push_back(id);
+        });
+        ++id;
+      }
+    }
+  }
+};
+
+// Pins the pool's dispatch decisions (which request goes out next, when
+// connections open) so a change to its bookkeeping must reproduce them.
+TEST_F(PoolCapFixture, DispatchOrderUnderGlobalCapIsPinned) {
+  HttpClientPool pool = make_pool();
+  fetch_all(pool);
+  sched.run();
+  const std::vector<std::uint32_t> want_arrivals{
+      1,  2,  3,  4,  14, 12, 7,  9,  17, 19, 22, 24, 27, 29,
+      32, 37, 34, 39, 6,  11, 5,  10, 16, 21, 15, 26, 20, 31,
+      25, 36, 30, 8,  35, 40, 13, 18, 23, 28, 33, 38};
+  EXPECT_EQ(endpoint.arrivals, want_arrivals);
+  EXPECT_EQ(completed.size(), 40u);
+  EXPECT_EQ(pool.peak_concurrency(), 4u);
+  EXPECT_EQ(pool.connections_opened(), 10u);
+  EXPECT_EQ(pool.requests_issued(), 40u);
+}
+
+// A connection broken by loss never answers, so its slot stays busy for
+// the rest of the run: the other requests share the remaining three.
+TEST_F(PoolCapFixture, BrokenConnectionKeepsItsSlotBusy) {
+  FaultInjector inj{sim::FaultPlan{}};
+  link.up().set_fault_injector(&inj);
+  link.down().set_fault_injector(&inj);
+  params.loss_recovery = true;
+  params.max_retransmits = 0;  // the first loss breaks its connection
+  HttpClientPool pool = make_pool();
+  fetch_all(pool);
+  sched.schedule_at(TimePoint::origin() + Duration::millis(150),
+                    [&inj] { inj.drop_next(1); });
+  sched.run();
+  const std::vector<std::uint32_t> want_arrivals{
+      1,  2,  3,  4,  14, 12, 7,  9,  17, 19, 22, 24, 27, 29,
+      32, 34, 39, 37, 6,  11, 5,  16, 21, 26, 31, 10, 36, 15,
+      8,  25, 20, 13, 30, 35, 18, 40, 28, 23, 33, 38};
+  EXPECT_EQ(endpoint.arrivals, want_arrivals);
+  EXPECT_EQ(completed.size(), 39u);  // one request never answers
+  EXPECT_EQ(inj.drops(), 1u);
+  EXPECT_EQ(pool.retransmits(), 0u);
+  EXPECT_EQ(pool.peak_concurrency(), 4u);
+  EXPECT_EQ(pool.connections_opened(), 10u);
+  EXPECT_EQ(pool.requests_issued(), 40u);
 }
 
 TEST_F(HttpFixture, PoolUnknownDomainThrows) {

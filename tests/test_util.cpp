@@ -6,12 +6,14 @@
 #include <concepts>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "util/fifo.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -260,6 +262,58 @@ TEST(Stats, SummaryAccumulates) {
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 3.0);
   EXPECT_DOUBLE_EQ(s.median(), 2.0);
+}
+
+TEST(Fifo, KeepsOrderAcrossWraparoundAndGrowth) {
+  Fifo<int> q;
+  EXPECT_TRUE(q.empty());
+  int next_in = 0;
+  int next_out = 0;
+  // Push and pop in uneven steps so the ring wraps before and after each
+  // doubling.
+  for (int step = 0; step < 40; ++step) {
+    for (int i = 0; i < 1 + step % 5; ++i) q.push_back(int{next_in++});
+    for (int i = 0; i < 1 + step % 3 && !q.empty(); ++i) {
+      EXPECT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+    EXPECT_EQ(q.size(), static_cast<std::size_t>(next_in - next_out));
+  }
+  while (!q.empty()) {
+    EXPECT_EQ(q.front(), next_out++);
+    q.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(Fifo, HoldsMoveOnlyElementsAndDestroysEachOnce) {
+  auto alive = std::make_shared<int>(0);
+  struct Counted {
+    std::unique_ptr<int> id;
+    std::shared_ptr<int> alive;
+    Counted(int i, std::shared_ptr<int> a)
+        : id(std::make_unique<int>(i)), alive(std::move(a)) {
+      ++*alive;
+    }
+    Counted(Counted&&) noexcept = default;
+    ~Counted() {
+      if (id) --*alive;
+    }
+  };
+  {
+    Fifo<Counted> q;
+    for (int i = 0; i < 9; ++i) q.emplace_back(i, alive);  // grows twice
+    EXPECT_EQ(*alive, 9);
+    EXPECT_EQ(*q.front().id, 0);
+    q.pop_front();
+    EXPECT_EQ(*alive, 8);
+    Fifo<Counted> moved = std::move(q);
+    EXPECT_TRUE(q.empty());  // NOLINT(bugprone-use-after-move): the contract
+    EXPECT_EQ(moved.size(), 8u);
+    EXPECT_EQ(*moved.front().id, 1);
+    EXPECT_EQ(*alive, 8);
+  }
+  EXPECT_EQ(*alive, 0);  // the rest died with the queue
 }
 
 TEST(Strings, TrimAndSplit) {
