@@ -1,19 +1,23 @@
 #!/usr/bin/env bash
 # Minimal CI: Release build (warnings are errors tree-wide) + full test
 # suite (which checks every paper figure in --quick mode and the faults,
-# adaptive and parse-cache harnesses against their golden stdout, and
-# runs the allocation guards), the figure driver's full-size --jobs 1 vs
-# --jobs 4 byte identity, its full-size golden and its unknown-id
-# rejection, parcel_bench's own unit tests (benchmark/tests, which cover
-# the JSON library every BENCH_*.json goes through), the parcel-lint
-# determinism gate, the kernel-throughput gate (current numbers vs the
-# checked-in BENCH_kernel.json baseline, >10% regression fails; doctored
-# baselines and a garbled value must be rejected), then the harness smokes
-# (parcel_figures parse-cache, faults, fleet and adaptive), whose exit
-# codes are the gates. Then a ThreadSanitizer build that runs the
-# parallel-runner, parse-cache and callback tests to prove the fan-out
-# and the per-thread callback block cache race-free, an AddressSanitizer build that runs the full suite once to
-# prove the zero-copy string_view plumbing never dangles (the arena
+# adaptive, fleet and parse-cache harnesses against their golden stdout,
+# and runs the allocation guards and the arena-bytes and joules-per-event
+# ceilings), the figure driver's full-size --jobs 1 vs --jobs 4 byte
+# identity, its full-size golden and its unknown-id rejection,
+# parcel_bench's own unit tests (benchmark/tests, which cover the JSON
+# library every BENCH_*.json goes through), the parcel-lint determinism
+# gate, then the one wall-clock gate: parcel_bench's four workloads on
+# this change and on its parent commit, both built here in Release, judged
+# by `parcel_bench --compare` (any end-to-end metric worse than its
+# BENCHMARK.json bound, or a differing digest, fails; doctored result
+# files must be rejected). Then the harness smokes (parcel_figures
+# parse-cache, faults, fleet and adaptive), whose exit codes are the gates
+# and whose BENCH_*.json must equal the committed files. Then a
+# ThreadSanitizer build that runs the parallel-runner, parse-cache and
+# callback tests to prove the fan-out and the per-thread callback block
+# cache race-free, an AddressSanitizer build that runs the full suite once
+# to prove the zero-copy string_view plumbing never dangles (the arena
 # poisons memory its containers release, so a view into it is reported
 # too), and an UndefinedBehaviorSanitizer build (-fno-sanitize-recover:
 # first report aborts) over the full suite.
@@ -104,48 +108,89 @@ else
   echo "SKIPPED: clang-tidy not installed on this runner"
 fi
 
-echo "==> Kernel throughput gate (events/sec, replay, bytes-per-load)"
-# Full mode: the checked-in BENCH_kernel.json baseline was recorded in
-# full mode, and quick mode's smaller working set measures a different
-# cache regime. The compare leg fails on >10% throughput regression or
-# >10% allocation growth; see EXPERIMENTS.md for the regen recipe.
-(cd build-ci/bench && ./bench_kernel_throughput)
-./build-ci/bench/bench_kernel_throughput --compare \
-  build-ci/bench/BENCH_kernel.json BENCH_kernel.json
-echo "==> Kernel throughput gate: seeded bad inputs must fail"
-KERNEL=./build-ci/bench/bench_kernel_throughput
-must_fail_kernel_gate() {
-  local what="$1" want="$2"; shift 2
-  local rc=0
-  "$KERNEL" --compare "$@" > /dev/null || rc=$?
-  if [ "$rc" -ne "$want" ]; then
-    echo "kernel gate exit code on $what: $rc (want $want)"
+echo "==> Same-host wall clock: parcel_bench against the parent commit"
+# parcel_bench is the one wall-clock instrument (bench/ reads no clock).
+# Its end-to-end metrics are judged against the parent commit built and
+# run on this host, never against numbers from another machine. The parent
+# is HEAD when the working tree has uncommitted changes, HEAD^ otherwise.
+if [ -n "$(git status --porcelain)" ]; then PARENT=HEAD; else PARENT=HEAD^; fi
+echo "parent: $PARENT ($(git rev-parse --short "$PARENT"))"
+rm -rf build-parent
+mkdir -p build-parent/src build-parent/runs/parent build-parent/runs/change
+git archive "$PARENT" | tar -x -C build-parent/src
+cmake -S build-parent/src/benchmark -B build-parent/benchmark \
+  -DCMAKE_BUILD_TYPE=Release
+cmake --build build-parent/benchmark -j "$JOBS" --target parcel_bench
+# Four workloads x five seeds, 5 s each, alternating which side runs first.
+# Every run must exit 0; at seed 2014 that includes its pinned digest.
+bench_run() {  # SIDE WORKLOAD SEED
+  local bin=build-benchmark/parcel_bench
+  if [ "$1" = parent ]; then bin=build-parent/benchmark/parcel_bench; fi
+  "$bin" --workload "$2" --seed "$3" --seconds 5 \
+    --out "build-parent/runs/$1/$2-$3.json" > /dev/null
+}
+order="parent change"
+for w in paper-grid fresh-pages live-faults fleet-stream; do
+  for s in 2014 2015 2016 2017 2018; do
+    for side in $order; do bench_run "$side" "$w" "$s"; done
+    if [ "$order" = "parent change" ]; then order="change parent"
+    else order="parent change"; fi
+  done
+done
+# Exit 1 on any `worse` end-to-end metric (bounds: BENCHMARK.json) or on a
+# seed whose two output digests differ.
+./build-benchmark/parcel_bench --compare build-parent/runs/parent \
+  build-parent/runs/change
+echo "==> Same-host wall clock: seeded bad result files must fail"
+# Copies the change-side runs, pipes each file matching GLOB through the
+# remaining arguments (a filter command), and wants --compare's exit code
+# WANT ("nonzero": any failure).
+must_fail_compare() {
+  local what="$1" want="$2" glob="$3"; shift 3
+  local dir=build-parent/runs/doctored rc=0 f
+  rm -rf "$dir" && cp -r build-parent/runs/change "$dir"
+  for f in "$dir"/$glob; do "$@" < "$f" > "$f.tmp" && mv "$f.tmp" "$f"; done
+  # The braces also silence the shell's own report of a crashed child.
+  { (ulimit -c 0; ./build-benchmark/parcel_bench --compare \
+    build-parent/runs/parent "$dir") > /dev/null; } 2> /dev/null || rc=$?
+  if [ "$want" = nonzero ] && [ "$rc" -ne 0 ]; then rc=nonzero; fi
+  if [ "$rc" != "$want" ]; then
+    echo "parcel_bench --compare exit code on $what: $rc (want $want)"
     exit 1
   fi
-  echo "kernel gate correctly rejects $what (exit $want)"
+  echo "parcel_bench --compare correctly rejects $what (exit $want)"
 }
-# A 100x-faster baseline makes the current events/sec a regression.
-sed -E 's/("scheduler_events_per_sec": )([0-9.e+]+)/\1\2e2/' \
-  BENCH_kernel.json > build-ci/bench/BENCH_kernel_doctored.json
-must_fail_kernel_gate "a doctored 100x-faster baseline" 1 \
-  build-ci/bench/BENCH_kernel.json build-ci/bench/BENCH_kernel_doctored.json
-# Shrinking the baseline makes the current simulated energy-per-event look
-# like a >10% regression.
-sed -E 's/("sim_joules_per_event": )([0-9.e+-]+)/\11e-9/' \
-  BENCH_kernel.json > build-ci/bench/BENCH_kernel_energy_doctored.json
-must_fail_kernel_gate "a doctored joules-per-event baseline" 1 \
-  build-ci/bench/BENCH_kernel.json \
-  build-ci/bench/BENCH_kernel_energy_doctored.json
-# A non-numeric gated value is a usage error, never a silent zero.
-sed -E 's/("bytes_allocated_per_load": )[0-9.e+]+/\1"x"/' \
-  build-ci/bench/BENCH_kernel.json > build-ci/bench/BENCH_kernel_garbled.json
-must_fail_kernel_gate "a garbled gated value" 2 \
-  build-ci/bench/BENCH_kernel_garbled.json BENCH_kernel.json
+# Half the paper-grid throughput is a regression far past the 20% bound.
+must_fail_compare "paper-grid ops_per_s halved" 1 'paper-grid-*.json' awk '
+  match($0, /"ops_per_s": \{"value": [^,}]+/) {
+    n = length("\"ops_per_s\": {\"value\": ")
+    v = substr($0, RSTART + n, RLENGTH - n) * 0.5
+    $0 = substr($0, 1, RSTART + n - 1) sprintf("%.17g", v) \
+         substr($0, RSTART + RLENGTH)
+  }
+  { print }'
+must_fail_compare "a changed output digest" 1 'paper-grid-2014.json' \
+  sed -E 's/("digest": ")[^"]*/\10x0/'
+# An unreadable value must fail too. --compare aborts on it today instead of
+# exiting 2 (ROADMAP item 3), so any nonzero exit passes this leg.
+must_fail_compare "a non-numeric metric value" nonzero 'paper-grid-2014.json' \
+  sed -E 's/("ops_per_s": \{"value": )[^,}]*/\1"x"/'
 
-echo "==> Parse cache smoke (2-page corpus, hit rate must be > 0)"
+# The harness smokes run the arguments that wrote the committed
+# BENCH_*.json files; each exit code is a gate, and each written file must
+# equal the committed one byte for byte (every value in them is simulated).
+# The --quick forms are golden ctests.
+committed_json() {
+  cmp "build-ci/bench/$1" "$1"
+  echo "$1: byte-identical to the committed file"
+}
+
+echo "==> Parse cache smoke (12-page corpus, hit rate must be > 0)"
 # parse-cache exits nonzero when the scan-workload hit rate is zero or a
-# warm cache's end-to-end results differ from a cold one's.
-(cd build-ci/bench && ./parcel_figures parse-cache --pages 2 --rounds 1)
+# warm cache's end-to-end results differ from a cold one's. The report
+# records --jobs, so it is fixed here.
+(cd build-ci/bench && ./parcel_figures parse-cache --jobs 1)
+committed_json BENCH_parse_cache.json
 
 echo "==> Faulted smoke (fixed seed: must complete and exercise fallback)"
 # faults exits nonzero unless every run completes, the planned crash
@@ -162,13 +207,15 @@ echo "==> Faulted smoke (fixed seed: must complete and exercise fallback)"
 # N=4 mid-run crash handoff.
 echo "==> Fleet smoke (knee, K=100000 streaming, shard sweep, crash handoff)"
 (cd build-ci/bench && ./parcel_figures fleet)
+committed_json BENCH_fleet.json
 
 echo "==> Adaptive bundling smoke (fade sweep: controller vs fixed grid)"
 # adaptive exits nonzero unless the closed-loop controller beats every
 # fixed bundle size on the canonical fade sweep, jobs=1 and jobs=4 runs
 # are bitwise identical, and a controller whose target clamps are
 # pinned to 512K leaves the trace byte-for-byte the fixed 512K scheme's.
-(cd build-ci/bench && ./parcel_figures adaptive --quick)
+(cd build-ci/bench && ./parcel_figures adaptive)
+committed_json BENCH_adaptive.json
 
 echo "==> ThreadSanitizer: parallel runner + parse cache + fleet + callback cache race-free"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -113,7 +113,7 @@ class Arena {
     ++resets_;
   }
 
-  // --- Stats (feed BENCH_kernel.json's bytes-allocated-per-load) --------
+  // --- Stats (RunResult::arena_bytes, gated per load by ctest) ----------
   [[nodiscard]] std::size_t bytes_allocated() const {
     return bytes_requested_;
   }

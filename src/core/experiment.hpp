@@ -92,9 +92,9 @@ struct RunResult {
   trace::PacketTrace trace;  // kept for timeline figures (6a, 7a)
 
   /// Discrete events the run's scheduler executed — the denominator for
-  /// simulated-joules-per-event (BENCH_kernel.json): radio energy per
-  /// unit of kernel work, a drift alarm for the event machinery's energy
-  /// accounting. Deterministic, so the bench gates it tightly.
+  /// simulated joules per event (tests/test_alloc_guards.cpp): radio energy
+  /// per unit of kernel work, a drift alarm for the event machinery's
+  /// energy accounting. Deterministic, so ctest gates it tightly.
   std::uint64_t events_executed = 0;
 
   // Allocation telemetry from this run's arena (DESIGN.md §11): bytes and

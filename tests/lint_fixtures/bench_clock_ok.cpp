@@ -1,6 +1,6 @@
-// Fixture: the gated-benchmark idiom from bench_kernel_throughput.cpp —
+// Fixture: the suppression idiom for code that times the host on purpose —
 // a deliberately wall-clock alias, suppressed with a reason on the
-// standalone line above it.
+// standalone line above it. No file under bench/ may use it.
 #include <chrono>
 
 // parcel-lint: allow(nondet-time) wall-clock is the measurement in a throughput bench

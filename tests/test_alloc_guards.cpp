@@ -2,7 +2,8 @@
 // global operator new with a counting hook. The scheduler kernel must not
 // allocate per event, and a full page load must divert a healthy share of
 // its container allocations into the per-run arena (DESIGN.md §11) while
-// keeping its global heap traffic within a per-event and per-load budget.
+// keeping its global heap traffic within a per-event and per-load budget,
+// and its arena bytes and simulated joules per event under fixed ceilings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -180,6 +181,43 @@ TEST(AllocationGuard, PageLoadUsesArenaWithinGlobalBudget) {
       EXPECT_LE(bytes, kMaxParcelBytes) << name;
     }
   }
+}
+
+// Arena bytes and simulated joules per scheduler event for one DIR and one
+// PARCEL(IND) load of a 60-object, 1 MiB page. Neither depends on the host,
+// so both are held to fixed ceilings 10% above the recorded loads: a mean
+// of 87,110 arena bytes per load, and 0.00582863178 J per event. More arena
+// bytes means a container grew or a per-run structure was added; more
+// joules per event means the energy accounting drifted or the simulation
+// lost events.
+TEST(AllocationGuard, ArenaBytesAndJoulesPerEventWithinCeilings) {
+  constexpr double kMaxArenaBytesPerLoad = 1.10 * 87'110;
+  constexpr double kMaxJoulesPerEvent = 1.10 * 0.00582863178;
+  web::PageSpec spec;
+  spec.object_count = 60;
+  spec.total_bytes = util::mib(1);
+  spec.seed = 77;
+  const web::WebPage page = web::PageGenerator::generate(spec);
+  const core::RunConfig cfg = bench::replay_run_config(42);
+
+  std::size_t arena_bytes = 0;
+  double joules = 0;
+  std::uint64_t events = 0;
+  for (core::Scheme scheme : {core::Scheme::kDir, core::Scheme::kParcelInd}) {
+    const core::RunResult r = core::ExperimentRunner::run(scheme, page, cfg);
+    EXPECT_GT(r.arena_bytes, 0u)
+        << core::to_string(scheme) << ": the arena served nothing";
+    arena_bytes += r.arena_bytes;
+    joules += r.radio.total.j();
+    events += r.events_executed;
+  }
+  ASSERT_GT(events, 0u) << "the loads executed no scheduler event";
+  const std::size_t bytes_per_load = arena_bytes / 2;
+  const double joules_per_event = joules / static_cast<double>(events);
+  std::printf("arena: %zu bytes per load; %.9g J per event\n",
+              bytes_per_load, joules_per_event);
+  EXPECT_LE(static_cast<double>(bytes_per_load), kMaxArenaBytesPerLoad);
+  EXPECT_LE(joules_per_event, kMaxJoulesPerEvent);
 }
 
 }  // namespace
