@@ -68,11 +68,11 @@ std::string fade_str(const lte::FadeSpec& spec) {
 // what gives bundle size an interior OLT optimum for the controller to
 // track; with instant origins, smaller is always better, Fig 9a), plus
 // the fade trajectory under test.
-core::RunConfig sweep_config(const bench::FadeOption& fade,
+core::RunConfig sweep_config(const bench::BenchOptions& opts,
                              const lte::FadeSpec& profile, std::size_t p,
                              int r) {
-  core::RunConfig cfg =
-      bench::replay_run_config(1 + 101ULL * p + 13ULL * static_cast<unsigned>(r));
+  core::RunConfig cfg = bench::replay_run_config(
+      opts, 1 + 101ULL * p + 13ULL * static_cast<unsigned>(r));
   cfg.testbed.heterogeneous_server_delays = true;
   cfg.testbed.topology_seed = cfg.seed * 31 + 7;
   // Stretch the origin-delay spread well past the 50 ms CR tail: bundles
@@ -82,7 +82,7 @@ core::RunConfig sweep_config(const bench::FadeOption& fade,
   // controller dodges by upsizing whenever the link is fast.
   cfg.testbed.server_delay_min = util::Duration::millis(30);
   cfg.testbed.server_delay_max = util::Duration::millis(350);
-  if (fade.ar1) {
+  if (opts.fade.ar1) {
     cfg.testbed.fade = lte::FadeProcess::Params{};
     cfg.testbed.fade_seed = cfg.seed * 97 + 13;
   } else {
@@ -97,13 +97,13 @@ core::RunConfig sweep_config(const bench::FadeOption& fade,
 std::vector<core::ExperimentTask> make_tasks(core::Scheme scheme,
                                              const bench::Corpus& corpus,
                                              int rounds,
-                                             const bench::FadeOption& fade,
+                                             const bench::BenchOptions& opts,
                                              const lte::FadeSpec& profile) {
   std::vector<core::ExperimentTask> tasks;
   tasks.reserve(corpus.replayed.size() * static_cast<std::size_t>(rounds));
   for (std::size_t p = 0; p < corpus.replayed.size(); ++p) {
     for (int r = 0; r < rounds; ++r) {
-      core::RunConfig cfg = sweep_config(fade, profile, p, r);
+      core::RunConfig cfg = sweep_config(opts, profile, p, r);
       // The proxy knows the page's byte total once its fetches resolve
       // (and exactly, in replay) — hand the controller the real B̂ so
       // the remaining-bytes taper fits each page instead of a 2 MiB
@@ -176,7 +176,7 @@ int parcel::bench::adaptive_harness(const BenchOptions& opts) {
     // PARCEL-ADAPT with its target clamps pinned to b is byte-for-byte the
     // fixed PARCEL(b) (the byte pin below and test_ctrl check this).
     std::vector<core::ExperimentTask> tasks =
-        make_tasks(core::Scheme::kParcelAdaptive, corpus, rounds, opts.fade,
+        make_tasks(core::Scheme::kParcelAdaptive, corpus, rounds, opts,
                    profile);
     for (core::ExperimentTask& task : tasks) {
       task.config.ctrl.min_target = task.config.ctrl.max_target = b;
@@ -188,10 +188,10 @@ int parcel::bench::adaptive_harness(const BenchOptions& opts) {
 
   // ---- adaptive, with the in-bench jobs=1 vs jobs=4 identity gate --------
   std::vector<core::ExperimentTask> adaptive_tasks = make_tasks(
-      core::Scheme::kParcelAdaptive, corpus, rounds, opts.fade, profile);
+      core::Scheme::kParcelAdaptive, corpus, rounds, opts, profile);
   std::vector<core::RunResult> serial = core::run_experiments(adaptive_tasks, 1);
   std::vector<core::RunResult> fanned = core::run_experiments(adaptive_tasks, 4);
-  const bool jobs_identical = bench::same_results(serial, fanned);
+  const bool jobs_identical = serial == fanned;
 
   const double adaptive_olt = mean_olt_sec(serial);
   const double adaptive_j = mean_radio_j(serial);
@@ -237,14 +237,13 @@ int parcel::bench::adaptive_harness(const BenchOptions& opts) {
   // must be byte-for-byte the fixed 512K scheme: same trace, no retune.
   bool pinned_identical = true;
   {
-    core::RunConfig cfg = sweep_config(opts.fade, profile, 0, 0);
+    core::RunConfig cfg = sweep_config(opts, profile, 0, 0);
     cfg.ctrl.min_target = cfg.ctrl.max_target = util::kib(512);
     core::RunResult pinned = core::ExperimentRunner::run(
         core::Scheme::kParcelAdaptive, *corpus.replayed[0], cfg);
     core::RunResult fixed = core::ExperimentRunner::run(
         core::Scheme::kParcel512K, *corpus.replayed[0], cfg);
-    pinned_identical = pinned.trace.serialize() == fixed.trace.serialize() &&
-                       pinned.ctrl_retunes == 0;
+    pinned_identical = pinned.trace == fixed.trace && pinned.ctrl_retunes == 0;
   }
   std::printf("pinned ctrl == fixed 512K: %s\n",
               pinned_identical ? "yes (byte-identical trace)"
@@ -256,10 +255,10 @@ int parcel::bench::adaptive_harness(const BenchOptions& opts) {
                            web::PageMix::kLargeObject}) {
     bench::Corpus mixed = bench::build_corpus(opts.quick ? 3 : 4, 2014, mix);
     std::vector<core::RunResult> fixed = core::run_experiments(
-        make_tasks(core::Scheme::kParcel512K, mixed, 1, opts.fade, profile),
+        make_tasks(core::Scheme::kParcel512K, mixed, 1, opts, profile),
         opts.jobs);
     std::vector<core::RunResult> adapt = core::run_experiments(
-        make_tasks(core::Scheme::kParcelAdaptive, mixed, 1, opts.fade, profile),
+        make_tasks(core::Scheme::kParcelAdaptive, mixed, 1, opts, profile),
         opts.jobs);
     double retunes = 0.0;
     for (const core::RunResult& r : adapt) {
@@ -288,7 +287,7 @@ int parcel::bench::adaptive_harness(const BenchOptions& opts) {
     fc.arrivals = arrivals;
     fc.arrival_seed = opts.arrival_seed;
     fc.jobs = opts.jobs;
-    fc.base = sweep_config(opts.fade, profile, 0, 0);
+    fc.base = sweep_config(opts, profile, 0, 0);
     fleet::FleetMetrics m = fleet::run_fleet(corpus.replayed, fc);
     fleet_rows.push_back(FleetRow{std::string(fleet::to_string(arrivals)),
                                   m.admitted, m.shed, m.olt_p50, m.olt_p95,

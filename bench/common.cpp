@@ -11,15 +11,6 @@
 
 namespace parcel::bench {
 
-namespace {
-
-// Plan captured by parse_options and stamped onto every run config the
-// helpers below build, so a single --faults flag reaches all benches
-// without per-bench plumbing. Set before any experiment fan-out starts.
-sim::FaultPlan g_fault_plan;
-
-}  // namespace
-
 Corpus build_corpus(int pages, std::uint64_t seed, web::PageMix mix) {
   Corpus corpus;
   web::PageGenerator gen(seed);
@@ -173,39 +164,6 @@ std::uint64_t parse_u64(const char* flag, const char* text) {
 
 namespace {
 
-// parse_options keeps the historical CLI contract: a malformed value is a
-// usage error on stderr with exit code 2.
-int parse_positive_or_die(const char* flag, const char* text) {
-  try {
-    return parse_positive_int(flag, text);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    std::exit(2);
-  }
-}
-
-std::uint64_t parse_u64_or_die(const char* flag, const char* text) {
-  try {
-    return parse_u64(flag, text);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    std::exit(2);
-  }
-}
-
-double parse_nonneg_double_or_die(const char* flag, const char* text) {
-  try {
-    return parse_nonneg_double(flag, text);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    std::exit(2);
-  }
-}
-
-}  // namespace
-
-namespace {
-
 // Fetches the value following a `--flag`; a trailing flag with no value
 // is a usage error, not a silent no-op.
 const char* flag_value(const char* flag, int argc, char** argv, int& i) {
@@ -216,6 +174,15 @@ const char* flag_value(const char* flag, int argc, char** argv, int& i) {
   return argv[++i];
 }
 
+// sim::FaultPlan::parse with the flag named in its error message.
+sim::FaultPlan parse_fault_plan(const char* flag, const char* text) {
+  try {
+    return sim::FaultPlan::parse(text);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string(flag) + ": " + e.what());
+  }
+}
+
 }  // namespace
 
 BenchOptions parse_options(int argc, char** argv,
@@ -223,65 +190,51 @@ BenchOptions parse_options(int argc, char** argv,
   BenchOptions opts;
   bool pages_given = false, rounds_given = false;
   for (int i = 1; i < argc; ++i) {
-    if (positional != nullptr && argv[i][0] != '-') {
-      positional->push_back(argv[i]);
-    } else if (std::strcmp(argv[i], "--pages") == 0) {
-      opts.pages =
-          parse_positive_or_die("--pages", flag_value("--pages", argc, argv, i));
+    const char* arg = argv[i];
+    // The value following `arg`, read by `parse(flag, text)`. parse_options
+    // keeps the historical CLI contract: a malformed value is a usage error
+    // on stderr with exit code 2.
+    const auto value = [&](auto parse) {
+      const char* text = flag_value(arg, argc, argv, i);
+      try {
+        return parse(arg, text);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(2);
+      }
+    };
+    if (positional != nullptr && arg[0] != '-') {
+      positional->push_back(arg);
+    } else if (std::strcmp(arg, "--pages") == 0) {
+      opts.pages = value(parse_positive_int);
       pages_given = true;
-    } else if (std::strcmp(argv[i], "--rounds") == 0) {
-      opts.rounds = parse_positive_or_die(
-          "--rounds", flag_value("--rounds", argc, argv, i));
+    } else if (std::strcmp(arg, "--rounds") == 0) {
+      opts.rounds = value(parse_positive_int);
       rounds_given = true;
-    } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      opts.jobs =
-          parse_positive_or_die("--jobs", flag_value("--jobs", argc, argv, i));
-    } else if (std::strcmp(argv[i], "--clients") == 0) {
-      opts.clients = parse_positive_or_die(
-          "--clients", flag_value("--clients", argc, argv, i));
-    } else if (std::strcmp(argv[i], "--workers") == 0) {
-      opts.workers = parse_positive_or_die(
-          "--workers", flag_value("--workers", argc, argv, i));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      opts.shards = parse_positive_or_die(
-          "--shards", flag_value("--shards", argc, argv, i));
-    } else if (std::strcmp(argv[i], "--l2-cost") == 0) {
-      opts.l2_cost_ms_per_mib = parse_nonneg_double_or_die(
-          "--l2-cost", flag_value("--l2-cost", argc, argv, i));
-    } else if (std::strcmp(argv[i], "--stream-clients") == 0) {
-      opts.stream_clients = parse_positive_or_die(
-          "--stream-clients", flag_value("--stream-clients", argc, argv, i));
-    } else if (std::strcmp(argv[i], "--arrival-seed") == 0) {
-      opts.arrival_seed = parse_u64_or_die(
-          "--arrival-seed", flag_value("--arrival-seed", argc, argv, i));
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
+    } else if (std::strcmp(arg, "--jobs") == 0) {
+      opts.jobs = value(parse_positive_int);
+    } else if (std::strcmp(arg, "--clients") == 0) {
+      opts.clients = value(parse_positive_int);
+    } else if (std::strcmp(arg, "--workers") == 0) {
+      opts.workers = value(parse_positive_int);
+    } else if (std::strcmp(arg, "--shards") == 0) {
+      opts.shards = value(parse_positive_int);
+    } else if (std::strcmp(arg, "--l2-cost") == 0) {
+      opts.l2_cost_ms_per_mib = value(parse_nonneg_double);
+    } else if (std::strcmp(arg, "--stream-clients") == 0) {
+      opts.stream_clients = value(parse_positive_int);
+    } else if (std::strcmp(arg, "--arrival-seed") == 0) {
+      opts.arrival_seed = value(parse_u64);
+    } else if (std::strcmp(arg, "--quick") == 0) {
       opts.quick = true;
-    } else if (std::strcmp(argv[i], "--fade") == 0) {
-      const char* spec = flag_value("--fade", argc, argv, i);
-      try {
-        opts.fade = parse_fade("--fade", spec);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--mix") == 0) {
-      const char* name = flag_value("--mix", argc, argv, i);
-      try {
-        opts.mix = parse_page_mix("--mix", name);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        std::exit(2);
-      }
-    } else if (std::strcmp(argv[i], "--faults") == 0) {
-      const char* spec = flag_value("--faults", argc, argv, i);
-      try {
-        opts.faults = sim::FaultPlan::parse(spec);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "error: --faults: %s\n", e.what());
-        std::exit(2);
-      }
+    } else if (std::strcmp(arg, "--fade") == 0) {
+      opts.fade = value(parse_fade);
+    } else if (std::strcmp(arg, "--mix") == 0) {
+      opts.mix = value(parse_page_mix);
+    } else if (std::strcmp(arg, "--faults") == 0) {
+      opts.faults = value(parse_fault_plan);
     } else {
-      std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
+      std::fprintf(stderr, "error: unknown flag %s\n", arg);
       std::exit(2);
     }
   }
@@ -289,39 +242,15 @@ BenchOptions parse_options(int argc, char** argv,
     if (!pages_given) opts.pages = 10;
     if (!rounds_given) opts.rounds = 1;
   }
-  g_fault_plan = opts.faults;
   return opts;
 }
 
-core::RunConfig replay_run_config(std::uint64_t seed) {
+core::RunConfig replay_run_config(const BenchOptions& opts,
+                                  std::uint64_t seed) {
   core::RunConfig cfg;
   cfg.seed = seed;
-  cfg.testbed.faults = g_fault_plan;
+  cfg.testbed.faults = opts.faults;
   return cfg;
-}
-
-bool same_results(const std::vector<core::RunResult>& a,
-                  const std::vector<core::RunResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const core::RunResult& x = a[i];
-    const core::RunResult& y = b[i];
-    if (x.ok != y.ok || x.olt.sec() != y.olt.sec() ||
-        x.tlt.sec() != y.tlt.sec() ||
-        x.radio.total.j() != y.radio.total.j() ||
-        x.downlink_bytes != y.downlink_bytes ||
-        x.uplink_bytes != y.uplink_bytes || x.bundles != y.bundles ||
-        x.retransmits != y.retransmits || x.fault_drops != y.fault_drops ||
-        x.fault_deferrals != y.fault_deferrals ||
-        x.direct_fetches != y.direct_fetches || x.degraded != y.degraded ||
-        x.ctrl_retunes != y.ctrl_retunes ||
-        x.ctrl_goodput_bps != y.ctrl_goodput_bps ||
-        x.ctrl_rtt_us != y.ctrl_rtt_us ||
-        x.ctrl_threshold != y.ctrl_threshold) {
-      return false;
-    }
-  }
-  return true;
 }
 
 void print_header(const char* figure, const char* caption) {

@@ -73,9 +73,9 @@ struct BenchOptions {
   /// base cost only.
   int shards = 8;
   double l2_cost_ms_per_mib = 4.0;
-  /// Fault plan applied to every run config built after parse_options
-  /// (see replay_run_config / live_run_config). Off by default, so the
-  /// BENCH_*.json baselines stay byte-comparable across builds.
+  /// Fault plan replay_run_config stamps onto every run config built from
+  /// these options. Off by default, so the BENCH_*.json baselines stay
+  /// byte-comparable across builds.
   sim::FaultPlan faults;
   /// Adaptive-bundling knobs (the adaptive harness). --fade SPEC picks
   /// the radio bandwidth trajectory, --mix NAME picks the PageMix family
@@ -117,15 +117,10 @@ FadeOption parse_fade(const char* flag, const char* text);
 web::PageMix parse_page_mix(const char* flag, const char* text);
 
 /// Default controlled-replay run configuration (§7.2: no fading in the
-/// controlled comparisons; variability handled by seeds). Carries the
-/// --faults plan.
-core::RunConfig replay_run_config(std::uint64_t seed);
-
-/// Bitwise equality (no tolerance) of two result lists, run by run:
-/// load metrics, bytes, bundles, fault and degradation counters, and the
-/// controller telemetry.
-bool same_results(const std::vector<core::RunResult>& a,
-                  const std::vector<core::RunResult>& b);
+/// controlled comparisons; variability handled by seeds). Carries
+/// `opts.faults`, the --faults plan.
+core::RunConfig replay_run_config(const BenchOptions& opts,
+                                  std::uint64_t seed);
 
 void print_header(const char* figure, const char* caption);
 

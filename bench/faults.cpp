@@ -46,7 +46,8 @@ int parcel::bench::faults_harness(const BenchOptions& opts) {
                                           core::Scheme::kDir};
   for (std::size_t p = 0; p < corpus.replayed.size(); ++p) {
     for (std::size_t s = 0; s < schemes.size(); ++s) {
-      core::RunConfig cfg = bench::replay_run_config(1 + 101ULL * p + 7ULL * s);
+      core::RunConfig cfg =
+          bench::replay_run_config(opts, 1 + 101ULL * p + 7ULL * s);
       cfg.testbed.faults = plan;
       tasks.push_back(core::ExperimentTask{schemes[s], corpus.replayed[p],
                                            cfg});
@@ -55,7 +56,7 @@ int parcel::bench::faults_harness(const BenchOptions& opts) {
 
   std::vector<core::RunResult> serial = core::run_experiments(tasks, 1);
   std::vector<core::RunResult> fanned = core::run_experiments(tasks, 4);
-  const bool identical = bench::same_results(serial, fanned);
+  const bool identical = serial == fanned;
 
   bool all_completed = true;
   std::size_t degraded_runs = 0, direct_fetches = 0;

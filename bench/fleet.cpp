@@ -67,62 +67,6 @@ double peak_rss_mib() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
-/// Bitwise identity of two runs: integer counters, sketch contents
-/// (LogHistogram operator== compares every bin count), the double sums,
-/// and every kept per-client record — no tolerance anywhere (the
-/// determinism bar).
-bool fleet_identical(const fleet::FleetMetrics& a,
-                     const fleet::FleetMetrics& b) {
-  if (a.clients.size() != b.clients.size()) return false;
-  for (std::size_t i = 0; i < a.clients.size(); ++i) {
-    const fleet::FleetClientResult& x = a.clients[i];
-    const fleet::FleetClientResult& y = b.clients[i];
-    if (x.shed != y.shed || x.queue_wait.sec() != y.queue_wait.sec() ||
-        x.olt.sec() != y.olt.sec() || x.tlt.sec() != y.tlt.sec() ||
-        x.session.olt.sec() != y.session.olt.sec() ||
-        x.session.radio.total.j() != y.session.radio.total.j() ||
-        x.session.downlink_bytes != y.session.downlink_bytes ||
-        x.handoffs != y.handoffs || x.recovery.sec() != y.recovery.sec() ||
-        x.redo_sec != y.redo_sec || x.redo_bytes != y.redo_bytes) {
-      return false;
-    }
-  }
-  return a.admitted == b.admitted && a.shed == b.shed &&
-         a.sessions_ok == b.sessions_ok && a.epochs == b.epochs &&
-         a.epoch_parallel == b.epoch_parallel &&
-         a.epoch_degrade_reason == b.epoch_degrade_reason &&
-         a.olt_stats == b.olt_stats && a.tlt_stats == b.tlt_stats &&
-         a.wait_stats == b.wait_stats && a.energy_stats == b.energy_stats &&
-         a.olt_p50 == b.olt_p50 && a.olt_p95 == b.olt_p95 &&
-         a.olt_p99 == b.olt_p99 && a.wait_p50 == b.wait_p50 &&
-         a.wait_p95 == b.wait_p95 && a.wait_p99 == b.wait_p99 &&
-         a.proxy_busy_sec == b.proxy_busy_sec &&
-         a.fetch_parse_sec == b.fetch_parse_sec &&
-         a.energy_j_total == b.energy_j_total &&
-         a.store.hits == b.store.hits && a.store.misses == b.store.misses &&
-         a.store.bytes_saved == b.store.bytes_saved &&
-         a.store.bytes_stored == b.store.bytes_stored &&
-         a.compute.completed == b.compute.completed &&
-         a.compute.fetch_busy_sec == b.compute.fetch_busy_sec &&
-         a.compute.parse_busy_sec == b.compute.parse_busy_sec &&
-         a.compute.bundle_busy_sec == b.compute.bundle_busy_sec &&
-         a.compute.transfer_busy_sec == b.compute.transfer_busy_sec &&
-         a.compute.last_finish.sec() == b.compute.last_finish.sec() &&
-         a.recovery_stats == b.recovery_stats &&
-         a.l2.hits == b.l2.hits && a.l2.misses == b.l2.misses &&
-         a.crash_handoffs == b.crash_handoffs &&
-         a.crash_killed_tasks == b.crash_killed_tasks &&
-         a.redo_sec_total == b.redo_sec_total &&
-         a.redo_bytes_total == b.redo_bytes_total &&
-         a.recovery_sec_total == b.recovery_sec_total &&
-         a.recovery_sec_max == b.recovery_sec_max &&
-         a.fault_retransmits == b.fault_retransmits &&
-         a.fault_drops == b.fault_drops &&
-         a.fault_deferrals == b.fault_deferrals &&
-         a.direct_fetches == b.direct_fetches &&
-         a.degraded_sessions == b.degraded_sessions;
-}
-
 /// A deliberately light corpus for the K=100,000 leg: the point is fleet
 /// mechanics (sketch folding, epoch partitioning), not page weight, and a
 /// ~100 KB / 8-object page keeps the per-session micro-simulation cheap
@@ -160,7 +104,7 @@ fleet::FleetMetrics run_level(const std::vector<const web::WebPage*>& corpus,
   fleet::FleetMetrics serial = fleet::run_fleet(corpus, cfg);
   cfg.jobs = 4;
   fleet::FleetMetrics parallel = fleet::run_fleet(corpus, cfg);
-  if (!fleet_identical(serial, parallel)) identical = false;
+  if (serial != parallel) identical = false;
   return serial;
 }
 
@@ -197,7 +141,7 @@ int parcel::bench::fleet_harness(const BenchOptions& opts) {
   amp_cfg.mean_interarrival = util::Duration::millis(100);
   amp_cfg.compute.workers = 8;
   amp_cfg.compute.max_queue = 0;
-  amp_cfg.base = bench::replay_run_config(42);
+  amp_cfg.base = bench::replay_run_config(opts, 42);
 
   std::printf("\n-- cache amplification (workers=8, unbounded queue)\n");
   std::vector<LevelRow> amp;
@@ -239,7 +183,7 @@ int parcel::bench::fleet_harness(const BenchOptions& opts) {
   knee_cfg.compute.max_queue = 0;
   knee_cfg.compute.max_backlog = util::Duration::seconds(2.2);
   knee_cfg.compute.costs.bundle_bytes_per_sec = 10e6;
-  knee_cfg.base = bench::replay_run_config(42);
+  knee_cfg.base = bench::replay_run_config(opts, 42);
 
   std::printf("\n-- queueing knee (workers=%d, max backlog %.1fs, 2 ms mean "
               "inter-arrival)\n",
@@ -290,7 +234,7 @@ int parcel::bench::fleet_harness(const BenchOptions& opts) {
   stream_cfg.mean_interarrival = util::Duration::millis(200);
   stream_cfg.compute.workers = 4;
   stream_cfg.compute.max_queue = 0;
-  stream_cfg.base = bench::replay_run_config(42);
+  stream_cfg.base = bench::replay_run_config(opts, 42);
   stream_cfg.streaming = true;
   stream_cfg.clients = stream_k;
 
@@ -304,8 +248,7 @@ int parcel::bench::fleet_harness(const BenchOptions& opts) {
   stream_cfg.jobs = 4;
   fleet::FleetMetrics stream4 = fleet::run_fleet(light.replayed, stream_cfg);
 
-  bool stream_identical = fleet_identical(stream1, stream4) &&
-                          stream1.clients.empty() && stream4.clients.empty();
+  bool stream_identical = stream1 == stream4 && stream1.clients.empty();
   bool stream_epochs_ok = stream1.epochs > 1 && stream1.epoch_parallel &&
                           stream1.epoch_degrade_reason.empty();
   // Ceiling for the whole-process high-water mark. Keeping the per-client
@@ -355,7 +298,7 @@ int parcel::bench::fleet_harness(const BenchOptions& opts) {
   shard_cfg.compute.max_queue = 0;  // no shedding: completion is the bar
   shard_cfg.compute.costs.bundle_bytes_per_sec = 10e6;
   shard_cfg.compute.costs.transfer_bytes_per_sec = l2_rate;
-  shard_cfg.base = bench::replay_run_config(42);
+  shard_cfg.base = bench::replay_run_config(opts, 42);
   shard_cfg.clients = shard_k;
 
   std::printf("\n-- N-shards sweep (K=%d, 2 workers/shard, L2 at %.1f "

@@ -71,7 +71,7 @@ DirVsInd dir_vs_ind(const BenchOptions& opts, std::uint64_t seed) {
   std::vector<core::PageMedians> m =
       grid(opts, corpus.replayed,
            {core::Scheme::kDir, core::Scheme::kParcelInd},
-           bench::replay_run_config(seed));
+           bench::replay_run_config(opts, seed));
   return {std::move(m[0]), std::move(m[1])};
 }
 
@@ -148,7 +148,7 @@ std::vector<core::PageMedians> live_grid(const BenchOptions& opts,
   std::vector<const web::WebPage*> pages;
   for (const auto& page : corpus.live_pages) pages.push_back(page.get());
   // §8.4 live configuration: heterogeneous server delays + signal fading.
-  core::RunConfig cfg = bench::replay_run_config(seed);
+  core::RunConfig cfg = bench::replay_run_config(opts, seed);
   cfg.testbed.heterogeneous_server_delays = true;
   cfg.testbed.topology_seed = seed * 31 + 7;
   cfg.testbed.fade = lte::FadeProcess::Params{};
@@ -227,7 +227,7 @@ void fig3(const BenchOptions& opts) {
 
   bench::Corpus corpus = bench::build_corpus(opts.pages);
 
-  core::RunConfig cellular = bench::replay_run_config(1);
+  core::RunConfig cellular = bench::replay_run_config(opts, 1);
   core::RunConfig wired = cellular;
   wired.testbed = wired_testbed_config();
 
@@ -253,7 +253,7 @@ void table1(const BenchOptions& opts) {
   bench::print_header("Table 1", "PARCEL vs existing approaches");
 
   bench::Corpus corpus = bench::build_corpus(std::min(opts.pages, 8));
-  core::RunConfig cfg = bench::replay_run_config(3);
+  core::RunConfig cfg = bench::replay_run_config(opts, 3);
 
   struct Row {
     const char* name;
@@ -312,7 +312,7 @@ void fig6a(const BenchOptions& opts) {
   std::printf("page: %zu objects, %.2f MB, %zu domains\n", page.object_count(),
               static_cast<double>(page.total_bytes()) / 1048576.0, page.domain_names().size());
 
-  core::RunConfig cfg = bench::replay_run_config(11);
+  core::RunConfig cfg = bench::replay_run_config(opts, 11);
   core::RunResult dir = core::ExperimentRunner::run(core::Scheme::kDir, page, cfg);
 
   // PARCEL run, instrumented for the proxy-side arrival series.
@@ -455,7 +455,7 @@ void fig7a(const BenchOptions& opts) {
   std::printf("page: %zu objects, %.2f MB (ebay-like)\n", page.object_count(),
               static_cast<double>(page.total_bytes()) / 1048576.0);
 
-  core::RunConfig cfg = bench::replay_run_config(13);
+  core::RunConfig cfg = bench::replay_run_config(opts, 13);
   core::RunResult dir = core::ExperimentRunner::run(core::Scheme::kDir, page, cfg);
   core::RunResult ind =
       core::ExperimentRunner::run(core::Scheme::kParcelInd, page, cfg);
@@ -596,7 +596,7 @@ void fig8(const BenchOptions& opts) {
   const web::WebPage& page =
       bench::replay_page(store, web::PageGenerator::generate(spec));
   lte::DeviceProfile device = lte::DeviceProfile::galaxy_s3();
-  core::RunConfig base = bench::replay_run_config(17);
+  core::RunConfig base = bench::replay_run_config(opts, 17);
 
   std::printf("page: %zu objects, %.2f MB; click every %.0f s\n",
               page.object_count(), static_cast<double>(page.total_bytes()) / 1048576.0,
@@ -704,7 +704,7 @@ void sec6(const BenchOptions& opts) {
 
   std::printf("%12s %12s %12s %10s\n", "X (KB)", "radio (J)", "OLT (s)",
               "bundles");
-  core::RunConfig cfg = bench::replay_run_config(61);
+  core::RunConfig cfg = bench::replay_run_config(opts, 61);
   double best_x = 0, best_j = 1e9;
   for (util::Bytes x : {util::kib(128), util::kib(256), util::kib(512),
                         util::kib(768), util::mib(1), util::mib(2)}) {
@@ -744,7 +744,7 @@ void fig9(const BenchOptions& opts) {
                       "bundling variants vs PARCEL(IND): latency & energy");
 
   bench::Corpus corpus = bench::build_corpus(opts.pages);
-  core::RunConfig cfg = bench::replay_run_config(91);
+  core::RunConfig cfg = bench::replay_run_config(opts, 91);
 
   std::vector<core::PageMedians> m = grid(
       opts, corpus.replayed,
@@ -823,7 +823,7 @@ void delay_sensitivity(const BenchOptions& opts) {
   bench::Corpus corpus = bench::build_corpus(std::min(opts.pages, 12));
 
   for (double one_way_ms : {10.0, 30.0}) {
-    core::RunConfig cfg = bench::replay_run_config(71);
+    core::RunConfig cfg = bench::replay_run_config(opts, 71);
     cfg.testbed.server_delay = util::Duration::millis(one_way_ms);
     const std::vector<core::PageMedians> m =
         grid(opts, corpus.replayed,
@@ -903,7 +903,7 @@ void headline(const BenchOptions& opts) {
                       "PARCEL vs DIR across the evaluation corpus");
 
   bench::Corpus corpus = bench::build_corpus(opts.pages);
-  core::RunConfig cfg = bench::replay_run_config(201);
+  core::RunConfig cfg = bench::replay_run_config(opts, 201);
 
   const std::vector<core::Scheme> schemes = {
       core::Scheme::kDir,        core::Scheme::kHttpProxy,
@@ -1027,7 +1027,7 @@ void ablation(const BenchOptions& opts) {
     AblationResult slow = run_ablation(page, slow_cfg, 9);
     std::printf("A3 proxy = server-class: olt=%.2fs\n", fast.olt);
     std::printf("A3 proxy = handset-class: olt=%.2fs\n", slow.olt);
-    core::RunConfig run_cfg = bench::replay_run_config(9);
+    core::RunConfig run_cfg = bench::replay_run_config(opts, 9);
     auto dir = core::ExperimentRunner::run(core::Scheme::kDir, page, run_cfg);
     std::printf("   (DIR baseline: %.2fs) -> even a handset-speed proxy\n"
                 "   wins: the split removes radio RTTs from discovery, the\n"
@@ -1036,7 +1036,7 @@ void ablation(const BenchOptions& opts) {
 
   // A4: SPDY transport, no functionality refactoring (§4.3).
   {
-    core::RunConfig run_cfg = bench::replay_run_config(13);
+    core::RunConfig run_cfg = bench::replay_run_config(opts, 13);
     auto spdy =
         core::ExperimentRunner::run(core::Scheme::kSpdyProxy, page, run_cfg);
     auto ind =

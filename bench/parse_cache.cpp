@@ -87,7 +87,7 @@ int parcel::bench::parse_cache_harness(const BenchOptions& opts) {
   const int pages = opts.quick ? 6 : std::min(opts.pages, 12);
   const int rounds = std::min(opts.rounds, 2);
   bench::Corpus corpus = bench::build_corpus(pages);
-  core::RunConfig cfg = bench::replay_run_config(42);
+  core::RunConfig cfg = bench::replay_run_config(opts, 42);
 
   // Loads per page across a grid: 9 schemes x rounds, and PARCEL/proxied
   // schemes parse on two engines. 2 engines x 9 schemes x rounds is the

@@ -196,6 +196,7 @@ echo "==> Faulted smoke (fixed seed: must complete and exercise fallback)"
 # faults exits nonzero unless every run completes, the planned crash
 # forces direct-to-origin fallback, and jobs=1 == jobs=4.
 (cd build-ci/bench && ./parcel_figures faults --quick)
+committed_json BENCH_faults.json
 
 # fleet exits nonzero unless every leg holds: amplification, knee and
 # shedding; bitwise identity across --jobs 1 and 4; the shard

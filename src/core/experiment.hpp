@@ -102,6 +102,12 @@ struct RunResult {
   // simulated outcome — placement cannot feed results.
   std::size_t arena_bytes = 0;
   std::size_t arena_allocations = 0;
+
+  /// Exact, field-by-field identity: what every determinism gate (--jobs 1
+  /// vs N, cold vs warm parse cache) means by "bitwise identical". It
+  /// covers the trace columns, the RRC timeline, the fault and ctrl
+  /// telemetry, events_executed and the arena counters.
+  bool operator==(const RunResult&) const = default;
 };
 
 class ExperimentRunner {

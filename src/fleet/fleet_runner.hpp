@@ -167,6 +167,8 @@ struct FleetClientResult {
   /// The per-session micro-simulation result (default-constructed when
   /// shed).
   core::RunResult session;
+
+  bool operator==(const FleetClientResult&) const = default;
 };
 
 struct FleetMetrics {
@@ -245,6 +247,10 @@ struct FleetMetrics {
   /// Per-migrated-session recovery time, seconds (empty unless a sharded
   /// run crashed — which also degrades the plan to serial).
   core::StreamingStats recovery_stats;
+
+  /// Exact identity of every field above, the per-client sink (with each
+  /// session's RunResult) included: the fleet's determinism gates.
+  bool operator==(const FleetMetrics&) const = default;
 };
 
 /// Run the fleet: derive the clients, plan epochs, macro-simulate

@@ -167,6 +167,7 @@ class ProxyCompute {
       last_finish = std::max(last_finish, o.last_finish);
       return *this;
     }
+    bool operator==(const Stats&) const = default;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t queued() const { return queue_.size(); }

@@ -78,6 +78,7 @@ class SharedObjectStore {
       bytes_saved += o.bytes_saved;
       return *this;
     }
+    bool operator==(const Stats&) const = default;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t entries() const { return entries_.size(); }

@@ -25,6 +25,7 @@ struct StateInterval {
   RrcState state = RrcState::kIdle;
 
   [[nodiscard]] Duration duration() const { return end - begin; }
+  bool operator==(const StateInterval&) const = default;
 };
 
 struct EnergyReport {
@@ -50,6 +51,7 @@ struct EnergyReport {
 
   /// Energy of all DRX (short+long) — the paper's "low power tail".
   [[nodiscard]] Energy drx() const { return short_drx + long_drx; }
+  bool operator==(const EnergyReport&) const = default;
 };
 
 class EnergyAnalyzer {

@@ -274,6 +274,16 @@ class PacketTrace {
   [[nodiscard]] std::string serialize() const;
   static PacketTrace deserialize(const std::string& text);
 
+  /// Same packet and fault records, column by column. The burst listener
+  /// is an observer, not data, and the memory resource is placement, so
+  /// neither takes part.
+  friend bool operator==(const PacketTrace& a, const PacketTrace& b) {
+    return a.t_ == b.t_ && a.dir_ == b.dir_ && a.kind_ == b.kind_ &&
+           a.bytes_ == b.bytes_ && a.conn_ == b.conn_ && a.obj_ == b.obj_ &&
+           a.fault_t_ == b.fault_t_ && a.fault_kind_ == b.fault_kind_ &&
+           a.fault_bytes_ == b.fault_bytes_ && a.fault_conn_ == b.fault_conn_;
+  }
+
  private:
   // Packet columns, index-aligned, sorted by t_ (promotion retiming can
   // hand records in slightly out of order; record() restores order).

@@ -141,7 +141,7 @@ TEST(AllocationGuard, PageLoadUsesArenaWithinGlobalBudget) {
   constexpr std::size_t kMinSavedAllocs = 100;
   constexpr double kMaxAllocsPerEvent = 2.4;
   constexpr std::uint64_t kMaxParcelBytes = 850'000;
-  const core::RunConfig cfg = bench::replay_run_config(42);
+  const core::RunConfig cfg = bench::replay_run_config({}, 42);
   const web::WebPage& page = guard_page();
 
   // Warm the parse cache and lazy singletons so each pass measures the
@@ -198,7 +198,7 @@ TEST(AllocationGuard, ArenaBytesAndJoulesPerEventWithinCeilings) {
   spec.total_bytes = util::mib(1);
   spec.seed = 77;
   const web::WebPage page = web::PageGenerator::generate(spec);
-  const core::RunConfig cfg = bench::replay_run_config(42);
+  const core::RunConfig cfg = bench::replay_run_config({}, 42);
 
   std::size_t arena_bytes = 0;
   double joules = 0;

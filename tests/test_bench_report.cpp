@@ -33,7 +33,7 @@ TEST(BenchReport, EveryCommittedBenchJsonParses) {
     ASSERT_NO_THROW(doc = bench::read_json(entry.path().string()));
     EXPECT_TRUE(doc.is_object());
   }
-  EXPECT_GE(files, 3);
+  EXPECT_GE(files, 4);
 }
 
 TEST(BenchReport, WriteJsonRoundTripsANestedDocument) {

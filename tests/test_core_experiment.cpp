@@ -96,10 +96,28 @@ TEST(ExperimentRunner, DeterministicForSameSeed) {
   cfg.seed = 77;
   RunResult a = ExperimentRunner::run(Scheme::kParcel512K, test_page(), cfg);
   RunResult b = ExperimentRunner::run(Scheme::kParcel512K, test_page(), cfg);
-  EXPECT_DOUBLE_EQ(a.olt.sec(), b.olt.sec());
-  EXPECT_DOUBLE_EQ(a.tlt.sec(), b.tlt.sec());
-  EXPECT_DOUBLE_EQ(a.radio.total.j(), b.radio.total.j());
-  EXPECT_EQ(a.trace.size(), b.trace.size());
+  EXPECT_TRUE(a == b);
+}
+
+TEST(ExperimentRunner, EqualityCoversTimelineEventsAndTrace) {
+  RunConfig cfg;
+  cfg.seed = 77;
+  const RunResult a =
+      ExperimentRunner::run(Scheme::kParcel512K, test_page(), cfg);
+  ASSERT_FALSE(a.radio.timeline.empty());
+
+  RunResult timeline = a;
+  timeline.radio.timeline.back().end += util::Duration::micros(1);
+  EXPECT_FALSE(a == timeline);
+
+  RunResult events = a;
+  ++events.events_executed;
+  EXPECT_FALSE(a == events);
+
+  RunResult faulted = a;
+  faulted.trace.record_fault(trace::FaultEvent{
+      a.trace.last_time(), trace::FaultKind::kLoss, 1, 1});
+  EXPECT_FALSE(a == faulted);
 }
 
 TEST(ExperimentRunner, SchemeNamesAndHelpers) {

@@ -65,60 +65,6 @@ web::WebObject opaque_object(const std::string& url, util::Bytes size) {
   return object;
 }
 
-// The single-run determinism contract, borrowed from the parallel-runner
-// tests: bitwise, not approximate.
-void expect_identical(const core::RunResult& a, const core::RunResult& b) {
-  EXPECT_EQ(a.scheme, b.scheme);
-  EXPECT_EQ(a.ok, b.ok);
-  EXPECT_EQ(a.olt.sec(), b.olt.sec());
-  EXPECT_EQ(a.tlt.sec(), b.tlt.sec());
-  EXPECT_EQ(a.radio.total.j(), b.radio.total.j());
-  EXPECT_EQ(a.radio.cr.j(), b.radio.cr.j());
-  EXPECT_EQ(a.cpu_busy.sec(), b.cpu_busy.sec());
-  EXPECT_EQ(a.radio_http_requests, b.radio_http_requests);
-  EXPECT_EQ(a.tcp_connections, b.tcp_connections);
-  EXPECT_EQ(a.objects_loaded, b.objects_loaded);
-  EXPECT_EQ(a.downlink_bytes, b.downlink_bytes);
-  EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);
-}
-
-// Per-client sink records plus the exact percentiles taken from them.
-void expect_clients_identical(const FleetMetrics& a, const FleetMetrics& b) {
-  ASSERT_EQ(a.clients.size(), b.clients.size());
-  EXPECT_EQ(a.admitted, b.admitted);
-  EXPECT_EQ(a.shed, b.shed);
-  for (std::size_t i = 0; i < a.clients.size(); ++i) {
-    SCOPED_TRACE("client " + std::to_string(i));
-    EXPECT_EQ(a.clients[i].client, b.clients[i].client);
-    EXPECT_EQ(a.clients[i].shed, b.clients[i].shed);
-    EXPECT_EQ(a.clients[i].queue_wait.sec(), b.clients[i].queue_wait.sec());
-    EXPECT_EQ(a.clients[i].proxy_done.sec(), b.clients[i].proxy_done.sec());
-    EXPECT_EQ(a.clients[i].olt.sec(), b.clients[i].olt.sec());
-    EXPECT_EQ(a.clients[i].tlt.sec(), b.clients[i].tlt.sec());
-    expect_identical(a.clients[i].session, b.clients[i].session);
-  }
-  EXPECT_EQ(a.olt_p50, b.olt_p50);
-  EXPECT_EQ(a.olt_p95, b.olt_p95);
-  EXPECT_EQ(a.olt_p99, b.olt_p99);
-  EXPECT_EQ(a.wait_p50, b.wait_p50);
-  EXPECT_EQ(a.wait_p95, b.wait_p95);
-  EXPECT_EQ(a.wait_p99, b.wait_p99);
-}
-
-void expect_fleet_identical(const FleetMetrics& a, const FleetMetrics& b) {
-  expect_clients_identical(a, b);
-  EXPECT_EQ(a.olt_p95, b.olt_p95);
-  EXPECT_EQ(a.olt_p99, b.olt_p99);
-  EXPECT_EQ(a.wait_p95, b.wait_p95);
-  EXPECT_EQ(a.proxy_busy_sec, b.proxy_busy_sec);
-  EXPECT_EQ(a.fetch_parse_sec, b.fetch_parse_sec);
-  EXPECT_EQ(a.energy_j_total, b.energy_j_total);
-  EXPECT_EQ(a.store.hits, b.store.hits);
-  EXPECT_EQ(a.store.misses, b.store.misses);
-  EXPECT_EQ(a.store.bytes_saved, b.store.bytes_saved);
-  EXPECT_EQ(a.compute.completed, b.compute.completed);
-}
-
 // ---------------------------------------------------------------------
 // SharedObjectStore
 
@@ -344,7 +290,7 @@ TEST(FleetRunner, SingleClientIdleComputeReproducesExperimentRunner) {
   expected_cfg.testbed.fade_seed = cfg.base.testbed.fade_seed + 1;
   core::RunResult expected = core::ExperimentRunner::run(
       core::Scheme::kParcelInd, test_page(), expected_cfg);
-  expect_identical(r.session, expected);
+  EXPECT_TRUE(r.session == expected);
   // With zero waits the fleet-adjusted timeline IS the session timeline.
   EXPECT_EQ(r.olt.sec(), expected.olt.sec());
   EXPECT_EQ(r.tlt.sec(), expected.tlt.sec());
@@ -372,9 +318,9 @@ TEST(FleetRunner, ExplicitSpecsMirrorStandaloneRunsByteForByte) {
       expected_cfg.seed = cfg.base.seed + 1000003ULL * uk + 1;
       expected_cfg.testbed.fade_seed =
           cfg.base.testbed.fade_seed + 7919ULL * uk + 1;
-      expect_identical(metrics.clients[static_cast<std::size_t>(k)].session,
-                       core::ExperimentRunner::run(scheme, test_page(),
-                                                   expected_cfg));
+      EXPECT_TRUE(metrics.clients[static_cast<std::size_t>(k)].session ==
+                  core::ExperimentRunner::run(scheme, test_page(),
+                                              expected_cfg));
     }
   }
 }
@@ -391,7 +337,7 @@ TEST(FleetRunner, Jobs4BitwiseIdenticalToJobs1) {
   FleetMetrics serial = run_fleet(test_corpus(), cfg);
   cfg.jobs = 4;
   FleetMetrics parallel = run_fleet(test_corpus(), cfg);
-  expect_fleet_identical(serial, parallel);
+  EXPECT_TRUE(serial == parallel);
   // Contention actually happened (the identity wasn't vacuous).
   EXPECT_GT(serial.wait_p95, 0.0);
 }
@@ -475,68 +421,21 @@ double nearest_rank(std::vector<double> values, double pct) {
   return values[rank - 1];
 }
 
-void expect_store_identical(const SharedObjectStore::Stats& a,
-                            const SharedObjectStore::Stats& b) {
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.misses, b.misses);
-  EXPECT_EQ(a.bytes_saved, b.bytes_saved);
-  EXPECT_EQ(a.bytes_stored, b.bytes_stored);
-}
-
-// Full bitwise comparison of everything the folds produce: integer
-// counters, tier and compute stats, sketches (integer bin counts), and
-// double sums — the fold order is fixed by client and epoch index, so
-// equality is exact, not approximate.
-void expect_folds_identical(const FleetMetrics& a, const FleetMetrics& b) {
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.epoch_parallel, b.epoch_parallel);
-  EXPECT_EQ(a.epoch_degrade_reason, b.epoch_degrade_reason);
-  EXPECT_EQ(a.admitted, b.admitted);
-  EXPECT_EQ(a.shed, b.shed);
-  EXPECT_EQ(a.sessions_ok, b.sessions_ok);
-  EXPECT_EQ(a.olt_stats, b.olt_stats);
-  EXPECT_EQ(a.tlt_stats, b.tlt_stats);
-  EXPECT_EQ(a.wait_stats, b.wait_stats);
-  EXPECT_EQ(a.energy_stats, b.energy_stats);
-  EXPECT_EQ(a.recovery_stats, b.recovery_stats);
-  EXPECT_EQ(a.energy_j_total, b.energy_j_total);
-  EXPECT_EQ(a.proxy_busy_sec, b.proxy_busy_sec);
-  EXPECT_EQ(a.fetch_parse_sec, b.fetch_parse_sec);
-  expect_store_identical(a.store, b.store);
-  ASSERT_EQ(a.l1_shards.size(), b.l1_shards.size());
-  for (std::size_t s = 0; s < a.l1_shards.size(); ++s) {
-    expect_store_identical(a.l1_shards[s], b.l1_shards[s]);
-  }
-  expect_store_identical(a.l2, b.l2);
-  EXPECT_EQ(a.compute.completed, b.compute.completed);
-  EXPECT_EQ(a.compute.fetch_busy_sec, b.compute.fetch_busy_sec);
-  EXPECT_EQ(a.compute.parse_busy_sec, b.compute.parse_busy_sec);
-  EXPECT_EQ(a.compute.bundle_busy_sec, b.compute.bundle_busy_sec);
-  EXPECT_EQ(a.compute.transfer_busy_sec, b.compute.transfer_busy_sec);
-  EXPECT_EQ(a.compute.crash_killed, b.compute.crash_killed);
-  EXPECT_EQ(a.compute.last_finish.sec(), b.compute.last_finish.sec());
-  EXPECT_EQ(a.crash_handoffs, b.crash_handoffs);
-  EXPECT_EQ(a.crash_killed_tasks, b.crash_killed_tasks);
-  EXPECT_EQ(a.redo_sec_total, b.redo_sec_total);
-  EXPECT_EQ(a.redo_bytes_total, b.redo_bytes_total);
-  EXPECT_EQ(a.recovery_sec_total, b.recovery_sec_total);
-  EXPECT_EQ(a.recovery_sec_max, b.recovery_sec_max);
-  EXPECT_EQ(a.fault_retransmits, b.fault_retransmits);
-  EXPECT_EQ(a.fault_drops, b.fault_drops);
-  EXPECT_EQ(a.fault_deferrals, b.fault_deferrals);
-  EXPECT_EQ(a.direct_fetches, b.direct_fetches);
-  EXPECT_EQ(a.degraded_sessions, b.degraded_sessions);
-}
-
-// Two streaming runs: the folds plus the sketch-backed percentiles.
-void expect_streaming_identical(const FleetMetrics& a, const FleetMetrics& b) {
-  EXPECT_TRUE(a.streaming);
-  EXPECT_TRUE(b.streaming);
-  expect_folds_identical(a, b);
-  EXPECT_EQ(a.olt_p50, b.olt_p50);
-  EXPECT_EQ(a.olt_p95, b.olt_p95);
-  EXPECT_EQ(a.olt_p99, b.olt_p99);
-  EXPECT_EQ(a.wait_p95, b.wait_p95);
+// A sink-keeping run and a streaming run of one fleet differ by design in
+// the per-client sink, the streaming flag and the six percentiles (exact
+// over the sink, sketch-backed when streaming). Every fold must still be
+// equal: integer counters, tier and compute stats, sketches and double
+// sums, whose fold order is fixed by client and epoch index.
+void expect_folds_identical(const FleetMetrics& a, FleetMetrics b) {
+  b.clients = a.clients;
+  b.streaming = a.streaming;
+  b.olt_p50 = a.olt_p50;
+  b.olt_p95 = a.olt_p95;
+  b.olt_p99 = a.olt_p99;
+  b.wait_p50 = a.wait_p50;
+  b.wait_p95 = a.wait_p95;
+  b.wait_p99 = a.wait_p99;
+  EXPECT_TRUE(a == b);
 }
 
 TEST(FleetStreaming, MatchesExactModeWithinDocumentedBound) {
@@ -606,7 +505,8 @@ TEST(FleetStreaming, EpochParallelBitwiseIdenticalAcrossJobs) {
   EXPECT_GT(serial.epochs, 1);
   EXPECT_TRUE(serial.epoch_parallel);
   EXPECT_EQ(serial.epoch_degrade_reason, "");
-  expect_streaming_identical(serial, parallel);
+  EXPECT_TRUE(serial.streaming);
+  EXPECT_TRUE(serial == parallel);
 }
 
 TEST(FleetStreaming, AdmissionBoundsDegradeToOneSerialEpoch) {
@@ -738,10 +638,15 @@ TEST(FleetStreaming, SinkOnlyObservesAMultiEpochRun) {
   cfg.epoch_min_sessions = cfg.clients;
   FleetMetrics one = run_fleet(test_corpus(), cfg);
   EXPECT_EQ(one.epochs, 1);
-  expect_clients_identical(sink, one);
+  // One epoch and many differ by design in the epoch count and in the
+  // fold order of the double sums (energy, proxy busy time), so this
+  // compares the kept records and the integer folds only.
+  EXPECT_TRUE(sink.clients == one.clients);
+  EXPECT_EQ(sink.olt_p99, one.olt_p99);
+  EXPECT_EQ(sink.wait_p99, one.wait_p99);
   EXPECT_EQ(sink.sessions_ok, one.sessions_ok);
   EXPECT_EQ(sink.olt_stats.histogram(), one.olt_stats.histogram());
-  expect_store_identical(sink.store, one.store);
+  EXPECT_TRUE(sink.store == one.store);
   EXPECT_EQ(sink.compute.completed, one.compute.completed);
 }
 

@@ -32,29 +32,8 @@ const web::WebPage& test_page() {
 std::vector<Scheme> all_schemes() {
   return {Scheme::kDir,        Scheme::kHttpProxy,  Scheme::kSpdyProxy,
           Scheme::kParcelInd,  Scheme::kParcelOnld, Scheme::kParcel512K,
-          Scheme::kParcel1M,   Scheme::kParcel2M,   Scheme::kCloudBrowser};
-}
-
-// The determinism contract: a RunResult must be identical whether the run
-// executed inline or on a worker thread.
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.scheme, b.scheme);
-  EXPECT_EQ(a.ok, b.ok);
-  // Bitwise, not approximate: same seed -> same simulation -> same bits.
-  EXPECT_EQ(a.olt.sec(), b.olt.sec());
-  EXPECT_EQ(a.tlt.sec(), b.tlt.sec());
-  EXPECT_EQ(a.radio.total.j(), b.radio.total.j());
-  EXPECT_EQ(a.radio.cr.j(), b.radio.cr.j());
-  EXPECT_EQ(a.cpu_busy.sec(), b.cpu_busy.sec());
-  EXPECT_EQ(a.radio_http_requests, b.radio_http_requests);
-  EXPECT_EQ(a.tcp_connections, b.tcp_connections);
-  EXPECT_EQ(a.dns_lookups, b.dns_lookups);
-  EXPECT_EQ(a.objects_loaded, b.objects_loaded);
-  EXPECT_EQ(a.bundles, b.bundles);
-  EXPECT_EQ(a.fallbacks, b.fallbacks);
-  EXPECT_EQ(a.downlink_bytes, b.downlink_bytes);
-  EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);
-  EXPECT_EQ(a.trace.size(), b.trace.size());
+          Scheme::kParcel1M,   Scheme::kParcel2M,   Scheme::kCloudBrowser,
+          Scheme::kParcelAdaptive};
 }
 
 TEST(ParallelRunner, DefaultsToHardwareConcurrency) {
@@ -108,10 +87,12 @@ TEST(RunExperiments, ParallelMatchesSerialForEveryScheme) {
   }
   std::vector<RunResult> serial = run_experiments(tasks, 1);
   std::vector<RunResult> parallel = run_experiments(tasks, 4);
+  // The determinism contract: a RunResult is identical, field for field,
+  // whether the run executed inline or on a worker thread.
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE(to_string(tasks[i].scheme));
-    expect_identical(serial[i], parallel[i]);
+    EXPECT_TRUE(serial[i] == parallel[i]);
   }
 }
 
@@ -137,10 +118,11 @@ TEST(RunExperiments, ColdParseCacheBitwiseIdenticalToWarm) {
   // Scanners are pure functions of content bytes, so memoization must be
   // invisible in the results — for every scheme, for any jobs count.
   ASSERT_EQ(cold.size(), warm1.size());
+  ASSERT_EQ(cold.size(), warm4.size());
   for (std::size_t i = 0; i < cold.size(); ++i) {
     SCOPED_TRACE(to_string(tasks[i].scheme));
-    expect_identical(cold[i], warm1[i]);
-    expect_identical(cold[i], warm4[i]);
+    EXPECT_TRUE(cold[i] == warm1[i]);
+    EXPECT_TRUE(cold[i] == warm4[i]);
   }
   // And the warm cache did serve the repeated scans.
   EXPECT_GT(web::ParseCache::instance().stats().hits(), 0u);
@@ -179,7 +161,7 @@ TEST(RunGrid, CorpusFromColdCacheIdenticalAtEveryJobsLevel) {
   // so concurrent misses are covered as well as hits, and even a
   // single-core host runs the 2- and N-thread levels on real workers.
   const bench::Corpus corpus = bench::build_corpus(6);
-  const RunConfig base = bench::replay_run_config(42);
+  const RunConfig base = bench::replay_run_config({}, 42);
   const std::vector<Scheme> schemes{Scheme::kDir, Scheme::kParcelInd};
   auto run_at = [&](int jobs) {
     web::ParseCache::instance().clear();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/arena.hpp"
 #include "trace/packet_trace.hpp"
 #include "trace/trace_analyzer.hpp"
 
@@ -248,6 +249,41 @@ TEST(PacketTraceSoA, CopyAndClearPreserveBothChannels) {
   EXPECT_TRUE(copy.empty());
   EXPECT_TRUE(copy.fault_events().empty());
   EXPECT_EQ(trace.size(), 1u);  // the original is untouched
+}
+
+// ---- Equality: the trace's share of RunResult::operator== --------------
+
+PacketTrace sample_trace(std::pmr::memory_resource* mr,
+                         Bytes data_bytes = 1448) {
+  PacketTrace trace(mr);
+  trace.record(rec(0.5, Direction::kUplink, PacketKind::kSyn, 40, 1, 0));
+  trace.record(
+      rec(1.0, Direction::kDownlink, PacketKind::kData, data_bytes, 1, 7));
+  trace.record_fault(
+      FaultEvent{TimePoint::at_seconds(0.75), FaultKind::kLoss, 1448, 1});
+  return trace;
+}
+
+TEST(PacketTraceEquality, SameRecordsAreEqualOnAnyResourceAndListener) {
+  core::Arena arena;
+  core::ArenaResource resource(arena);
+  const PacketTrace heap = sample_trace(std::pmr::get_default_resource());
+  PacketTrace pooled = sample_trace(&resource);
+  EXPECT_TRUE(heap == pooled);
+  pooled.set_burst_listener([](const PacketRecord&) {});
+  EXPECT_TRUE(heap == pooled);
+  EXPECT_TRUE(pooled == heap);
+}
+
+TEST(PacketTraceEquality, OneChangedByteOrExtraFaultIsUnequal) {
+  const PacketTrace base = sample_trace(std::pmr::get_default_resource());
+  EXPECT_FALSE(base == sample_trace(std::pmr::get_default_resource(), 1449));
+
+  PacketTrace faulted = base;
+  faulted.record_fault(
+      FaultEvent{TimePoint::at_seconds(0.9), FaultKind::kBlackout, 0, 1});
+  EXPECT_FALSE(base == faulted);
+  EXPECT_EQ(faulted.size(), base.size());  // only the fault channel moved
 }
 
 TEST(TraceAnalyzer, CumulativeDownlinkBytes) {
