@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/rc.hpp"
 #include "util/strings.hpp"
 
 namespace parcel::browser {
@@ -23,7 +24,7 @@ void CloudBrowserProxy::handle(const net::HttpRequest& request,
         rng_.fork(), "cb-proxy");
     // The onload hook is a copyable std::function, so it shares the
     // move-only responder.
-    auto respond_ptr = std::make_shared<Responder>(std::move(respond));
+    auto respond_ptr = util::Rc<Responder>::make(std::move(respond));
     net::Url page_url = request.url;
     BrowserEngine::Callbacks cbs;
     cbs.on_onload = [this, page_url, respond_ptr](TimePoint) {
@@ -72,7 +73,7 @@ void CloudBrowserProxy::handle(const net::HttpRequest& request,
     reject(404);
     return;
   }
-  auto respond_ptr = std::make_shared<Responder>(std::move(respond));
+  auto respond_ptr = util::Rc<Responder>::make(std::move(respond));
   net::Url url = request.url;
   engine_->click(index, [this, url, respond_ptr] {
     net::HttpResponse resp;

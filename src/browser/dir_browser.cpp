@@ -42,7 +42,7 @@ NetworkFetcher::NetworkFetcher(net::Network& network,
 
 void NetworkFetcher::fetch(const net::Url& url, web::ObjectType hint,
                            bool randomized, std::uint32_t object_id,
-                           std::function<void(FetchResult)> on_result) {
+                           FetchCallback on_result) {
   net::Url final_url = url;
   if (randomized) {
     final_url = net::Url::parse(
@@ -51,82 +51,75 @@ void NetworkFetcher::fetch(const net::Url& url, web::ObjectType hint,
   }
   if (config_.object_timeout <= Duration::zero() &&
       config_.max_fetch_retries <= 0) {
-    // Fair-weather fast path: no guard state, no timers.
-    dns_.resolve(final_url.host_id(), [this, final_url, hint, object_id,
-                                    on_result = std::move(on_result)] {
+    // Fair-weather fast path: no retry state, no timers. The URL and the
+    // continuation move down the chain; each closure runs once.
+    const net::UrlId host = final_url.host_id();
+    dns_.resolve(host, [this, final_url = std::move(final_url), hint,
+                        object_id, on_result = std::move(on_result)]() mutable {
       net::HttpRequest request;
-      request.url = final_url;
+      request.url = std::move(final_url);
       pool_.fetch(std::move(request), object_id,
-                  [hint, on_result](const net::HttpResponse& response) {
+                  [hint, on_result = std::move(on_result)](
+                      const net::HttpResponse& response) {
                     on_result(to_fetch_result(response, hint));
                   });
     });
     return;
   }
-  auto guard = std::make_shared<FetchGuard>();
-  auto cb = std::make_shared<std::function<void(FetchResult)>>(
-      std::move(on_result));
-  fetch_attempt(final_url, hint, object_id, guard, cb);
+  fetch_attempt(util::Rc<FetchState>::make(std::move(final_url), hint,
+                                           object_id, std::move(on_result)));
 }
 
-void NetworkFetcher::fetch_attempt(
-    const net::Url& url, web::ObjectType hint, std::uint32_t object_id,
-    const std::shared_ptr<FetchGuard>& guard,
-    const std::shared_ptr<std::function<void(FetchResult)>>& on_result) {
+void NetworkFetcher::fetch_attempt(const util::Rc<FetchState>& state) {
   if (config_.object_timeout > Duration::zero()) {
-    guard->timer = network_.scheduler().schedule_after(
-        config_.object_timeout,
-        [this, url, hint, object_id, guard, on_result] {
-          if (guard->done) return;
+    state->timer = network_.scheduler().schedule_after(
+        config_.object_timeout, [this, state] {
+          if (state->done) return;
           ++fetch_timeouts_;
-          if (guard->attempt >= config_.max_fetch_retries) {
+          if (state->attempt >= config_.max_fetch_retries) {
             // Out of retries: synthesize a gateway-timeout failure so the
             // engine marks the object failed and moves on — never hangs.
-            guard->done = true;
+            state->done = true;
             FetchResult r;
-            r.url = url;
-            r.type = hint;
+            r.url = state->url;
+            r.type = state->hint;
             r.status = 504;
-            (*on_result)(r);
+            state->on_result(std::move(r));
             return;
           }
-          retry_after_backoff(url, hint, object_id, guard, on_result);
+          retry_after_backoff(state);
         });
   }
-  dns_.resolve(url.host_id(), [this, url, hint, object_id, guard, on_result] {
+  // The request goes out even when a timeout verdict came first (a DNS
+  // answer can outlast the whole ladder); its response is then ignored.
+  dns_.resolve(state->url.host_id(), [this, state] {
     net::HttpRequest request;
-    request.url = url;
-    pool_.fetch(
-        std::move(request), object_id,
-        [this, url, hint, object_id, guard,
-         on_result](const net::HttpResponse& response) {
-          if (guard->done) return;  // late copy after a timeout verdict
-          if (response.status >= 500 &&
-              guard->attempt < config_.max_fetch_retries) {
-            guard->timer.cancel();
-            retry_after_backoff(url, hint, object_id, guard, on_result);
-            return;
-          }
-          guard->done = true;
-          guard->timer.cancel();
-          (*on_result)(to_fetch_result(response, hint));
-        });
+    request.url = state->url;
+    pool_.fetch(std::move(request), state->object_id,
+                [this, state](const net::HttpResponse& response) {
+                  if (state->done) return;  // late copy after a verdict
+                  if (response.status >= 500 &&
+                      state->attempt < config_.max_fetch_retries) {
+                    state->timer.cancel();
+                    retry_after_backoff(state);
+                    return;
+                  }
+                  state->done = true;
+                  state->timer.cancel();
+                  state->on_result(to_fetch_result(response, state->hint));
+                });
   });
 }
 
-void NetworkFetcher::retry_after_backoff(
-    const net::Url& url, web::ObjectType hint, std::uint32_t object_id,
-    const std::shared_ptr<FetchGuard>& guard,
-    const std::shared_ptr<std::function<void(FetchResult)>>& on_result) {
-  ++guard->attempt;
+void NetworkFetcher::retry_after_backoff(const util::Rc<FetchState>& state) {
+  ++state->attempt;
   ++fetch_retries_;
   Duration delay = config_.retry_backoff;
-  for (int i = 1; i < guard->attempt; ++i) delay = delay * 2.0;
-  network_.scheduler().schedule_after(
-      delay, [this, url, hint, object_id, guard, on_result] {
-        if (guard->done) return;
-        fetch_attempt(url, hint, object_id, guard, on_result);
-      });
+  for (int i = 1; i < state->attempt; ++i) delay = delay * 2.0;
+  network_.scheduler().schedule_after(delay, [this, state] {
+    if (state->done) return;
+    fetch_attempt(state);
+  });
 }
 
 void NetworkFetcher::post(

@@ -13,6 +13,7 @@
 #include "browser/fetcher.hpp"
 #include "net/dns.hpp"
 #include "net/network.hpp"
+#include "util/rc.hpp"
 
 namespace parcel::browser {
 
@@ -42,8 +43,7 @@ class NetworkFetcher final : public Fetcher {
                  DirConfig config, util::Rng rng);
 
   void fetch(const net::Url& url, web::ObjectType hint, bool randomized,
-             std::uint32_t object_id,
-             std::function<void(FetchResult)> on_result) override;
+             std::uint32_t object_id, FetchCallback on_result) override;
 
   /// POST a body to `url`; used by PARCEL's proxy when relaying client
   /// POSTs unmodified (§4.5).
@@ -68,22 +68,26 @@ class NetworkFetcher final : public Fetcher {
   }
 
  private:
-  /// Per-object retry state shared by the timeout timer and the response
-  /// path; the first completion wins, late copies are ignored.
-  struct FetchGuard {
+  /// One object's hardened fetch: what to request, whom to answer and the
+  /// retry state. The timeout timer, the DNS and response callbacks of
+  /// every attempt and the retry timer each capture only this box. The
+  /// first completion wins; late copies are ignored.
+  struct FetchState {
+    FetchState(net::Url u, web::ObjectType h, std::uint32_t id,
+               FetchCallback cb)
+        : url(std::move(u)), hint(h), object_id(id), on_result(std::move(cb)) {}
+
+    net::Url url;
+    web::ObjectType hint;
+    std::uint32_t object_id;
+    FetchCallback on_result;
     bool done = false;
     int attempt = 0;
     sim::EventHandle timer;
   };
 
-  void fetch_attempt(
-      const net::Url& url, web::ObjectType hint, std::uint32_t object_id,
-      const std::shared_ptr<FetchGuard>& guard,
-      const std::shared_ptr<std::function<void(FetchResult)>>& on_result);
-  void retry_after_backoff(
-      const net::Url& url, web::ObjectType hint, std::uint32_t object_id,
-      const std::shared_ptr<FetchGuard>& guard,
-      const std::shared_ptr<std::function<void(FetchResult)>>& on_result);
+  void fetch_attempt(const util::Rc<FetchState>& state);
+  void retry_after_backoff(const util::Rc<FetchState>& state);
 
   net::Network& network_;
   DirConfig config_;

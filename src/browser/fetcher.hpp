@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "net/url.hpp"
+#include "util/callback.hpp"
 #include "web/object.hpp"
 
 namespace parcel::browser {
@@ -26,6 +26,11 @@ struct FetchResult {
   [[nodiscard]] bool ok() const { return status >= 200 && status < 300; }
 };
 
+/// Receives an object's result, once. Move-only, like every continuation
+/// on the request path (util/callback.hpp), so a fetcher moves it into
+/// the closure that answers instead of copying it.
+using FetchCallback = util::Callback<void(FetchResult)>;
+
 class Fetcher {
  public:
   virtual ~Fetcher() = default;
@@ -35,7 +40,7 @@ class Fetcher {
   /// the packet-trace records of this object's transfer.
   virtual void fetch(const net::Url& url, web::ObjectType hint,
                      bool randomized, std::uint32_t object_id,
-                     std::function<void(FetchResult)> on_result) = 0;
+                     FetchCallback on_result) = 0;
 };
 
 }  // namespace parcel::browser

@@ -81,7 +81,7 @@ net::HttpConnection& ProxiedBrowser::ProxiedFetcher::pick_connection() {
 
 void ProxiedBrowser::ProxiedFetcher::fetch(
     const net::Url& url, web::ObjectType hint, bool randomized,
-    std::uint32_t object_id, std::function<void(FetchResult)> on_result) {
+    std::uint32_t object_id, FetchCallback on_result) {
   ++requests;
   net::Url final_url = url;
   if (randomized) {

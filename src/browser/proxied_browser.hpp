@@ -77,8 +77,7 @@ class ProxiedBrowser {
     ProxiedFetcher(net::Network& network, const std::string& proxy_domain,
                    const ProxiedBrowserConfig& config, util::Rng rng);
     void fetch(const net::Url& url, web::ObjectType hint, bool randomized,
-               std::uint32_t object_id,
-               std::function<void(FetchResult)> on_result) override;
+               std::uint32_t object_id, FetchCallback on_result) override;
     std::size_t requests = 0;
 
    private:

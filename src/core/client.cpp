@@ -10,9 +10,9 @@ ParcelClientFetcher::ParcelClientFetcher(sim::Scheduler& sched, util::Rng rng,
       rng_(std::move(rng)),
       local_lookup_delay_(local_lookup_delay) {}
 
-void ParcelClientFetcher::deliver(
-    const web::MhtmlPart& part, web::ObjectType hint,
-    std::function<void(browser::FetchResult)> on_result) {
+void ParcelClientFetcher::deliver(const web::MhtmlPart& part,
+                                  web::ObjectType hint,
+                                  browser::FetchCallback on_result) {
   ++cache_hits_;
   browser::FetchResult result;
   result.url = part.location;
@@ -34,8 +34,7 @@ void ParcelClientFetcher::deliver(
 
 void ParcelClientFetcher::fetch(
     const net::Url& url, web::ObjectType hint, bool randomized,
-    std::uint32_t object_id,
-    std::function<void(browser::FetchResult)> on_result) {
+    std::uint32_t object_id, browser::FetchCallback on_result) {
   net::Url final_url = url;
   if (randomized) {
     // The client executes the same JS as the proxy; its random draw need

@@ -36,7 +36,7 @@ class ParcelClientFetcher final : public browser::Fetcher {
   /// ladder (DESIGN.md §7).
   using DirectFetchFn = std::function<void(
       const net::Url& url, web::ObjectType hint, std::uint32_t object_id,
-      std::function<void(browser::FetchResult)> on_result)>;
+      browser::FetchCallback on_result)>;
 
   ParcelClientFetcher(sim::Scheduler& sched, util::Rng rng,
                       Duration local_lookup_delay = Duration::micros(500));
@@ -61,8 +61,7 @@ class ParcelClientFetcher final : public browser::Fetcher {
 
   // Fetcher: called by the client engine.
   void fetch(const net::Url& url, web::ObjectType hint, bool randomized,
-             std::uint32_t object_id,
-             std::function<void(browser::FetchResult)> on_result) override;
+             std::uint32_t object_id, browser::FetchCallback on_result) override;
 
   // Session events.
   void on_bundle_parts(std::vector<web::MhtmlPart> parts);
@@ -85,11 +84,11 @@ class ParcelClientFetcher final : public browser::Fetcher {
     net::Url url;  // exact URL the engine asked for
     web::ObjectType hint;
     std::uint32_t object_id = 0;
-    std::function<void(browser::FetchResult)> on_result;
+    browser::FetchCallback on_result;
   };
 
   void deliver(const web::MhtmlPart& part, web::ObjectType hint,
-               std::function<void(browser::FetchResult)> on_result);
+               browser::FetchCallback on_result);
   void request_fallback(Parked parked);
   void request_direct(Parked parked);
 

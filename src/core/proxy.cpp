@@ -24,8 +24,7 @@ InterceptingFetcher::InterceptingFetcher(browser::Fetcher& inner,
 
 void InterceptingFetcher::fetch(
     const net::Url& url, web::ObjectType hint, bool randomized,
-    std::uint32_t object_id,
-    std::function<void(browser::FetchResult)> on_result) {
+    std::uint32_t object_id, browser::FetchCallback on_result) {
   inner_.fetch(url, hint, randomized, object_id,
                [this, on_result = std::move(on_result)](
                    browser::FetchResult result) {
@@ -189,8 +188,8 @@ void ParcelProxy::relay_post(const net::Url& url, util::Bytes body_bytes) {
           // Forward content-less responses unmodified (§4.5).
           bundle.add_raw(url, "application/x-parcel-status", 64, nullptr);
         } else {
-          bundle.add_raw(url, response.content_type, response.body_bytes,
-                         response.content);
+          bundle.add_raw(url, std::string(response.content_type),
+                         response.body_bytes, response.content);
         }
         push_(std::move(bundle));
       });

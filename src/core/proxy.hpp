@@ -47,8 +47,7 @@ class InterceptingFetcher final : public browser::Fetcher {
   InterceptingFetcher(browser::Fetcher& inner, Interceptor interceptor);
 
   void fetch(const net::Url& url, web::ObjectType hint, bool randomized,
-             std::uint32_t object_id,
-             std::function<void(browser::FetchResult)> on_result) override;
+             std::uint32_t object_id, browser::FetchCallback on_result) override;
 
  private:
   browser::Fetcher& inner_;

@@ -209,8 +209,7 @@ void ParcelSession::ensure_direct_fetcher() {
       network_, "client", config_.direct_fetch, rng_.fork());
   fetcher_.set_direct_fetch(
       [this](const net::Url& url, web::ObjectType hint,
-             std::uint32_t object_id,
-             std::function<void(browser::FetchResult)> on_result) {
+             std::uint32_t object_id, browser::FetchCallback on_result) {
         direct_fetcher_->fetch(url, hint, /*randomized=*/false, object_id,
                                std::move(on_result));
       });

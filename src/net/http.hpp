@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -42,7 +43,12 @@ struct HttpRequest {
 
 struct HttpResponse {
   int status = 200;
-  std::string content_type = "application/octet-stream";
+  /// Always a view of a static MIME literal (web::mime_type()'s, or a
+  /// literal where the response is built), never of a string: a response
+  /// outlives the handler that built it, and a view is a copy with no
+  /// allocation where "application/octet-stream" overflows a
+  /// std::string's small buffer.
+  std::string_view content_type = "application/octet-stream";
   Bytes body_bytes = 0;
   /// Actual text for parseable types (HTML/CSS/JS); null for opaque bodies
   /// (images), whose bytes only matter as transfer volume.

@@ -6,8 +6,12 @@
 namespace parcel::net {
 
 /// Per-burst retransmission state shared between the delivery callback and
-/// the RTO timer. The first delivery wins; later copies count as spurious.
+/// the RTO timer of every attempt, each of which captures only this box.
+/// The first delivery wins; later copies count as spurious.
 struct TcpConnection::GuardState {
+  bool up = false;
+  Bytes bytes = 0;
+  BurstInfo info;
   bool delivered = false;
   int tries = 0;
   Duration rto = Duration::zero();
@@ -69,14 +73,16 @@ void TcpConnection::send_guarded(bool up, Bytes bytes, const BurstInfo& info,
     }
     return;
   }
-  auto guard = std::make_shared<GuardState>();
+  auto guard = util::Rc<GuardState>::make();
+  guard->up = up;
+  guard->bytes = bytes;
+  guard->info = info;
   guard->rto = initial_rto(up, bytes);
   guard->on_delivered = std::move(on_delivered);
-  send_attempt(up, bytes, info, guard);
+  send_attempt(guard);
 }
 
-void TcpConnection::send_attempt(bool up, Bytes bytes, const BurstInfo& info,
-                                 const std::shared_ptr<GuardState>& guard) {
+void TcpConnection::send_attempt(const util::Rc<GuardState>& guard) {
   auto deliver = [this, guard](TimePoint t) {
     if (guard->delivered) {
       // A retransmitted copy of an already-delivered burst: its bytes
@@ -88,26 +94,25 @@ void TcpConnection::send_attempt(bool up, Bytes bytes, const BurstInfo& info,
     guard->timer.cancel();
     if (guard->on_delivered) guard->on_delivered(t);
   };
-  if (up) {
-    path_.send_up(bytes, info, std::move(deliver));
+  if (guard->up) {
+    path_.send_up(guard->bytes, guard->info, std::move(deliver));
   } else {
-    path_.send_down(bytes, info, std::move(deliver));
+    path_.send_down(guard->bytes, guard->info, std::move(deliver));
   }
 
-  guard->timer =
-      sched_.schedule_after(guard->rto, [this, up, bytes, info, guard] {
-        if (guard->delivered) return;
-        if (guard->tries >= params_.max_retransmits) {
-          broken_ = true;
-          return;
-        }
-        ++guard->tries;
-        ++retransmits_;
-        // An RTO is a heavy loss signal: collapse to the initial window.
-        cwnd_segments_ = params_.initial_cwnd_segments;
-        guard->rto = guard->rto * params_.rto_backoff;
-        send_attempt(up, bytes, info, guard);
-      });
+  guard->timer = sched_.schedule_after(guard->rto, [this, guard] {
+    if (guard->delivered) return;
+    if (guard->tries >= params_.max_retransmits) {
+      broken_ = true;
+      return;
+    }
+    ++guard->tries;
+    ++retransmits_;
+    // An RTO is a heavy loss signal: collapse to the initial window.
+    cwnd_segments_ = params_.initial_cwnd_segments;
+    guard->rto = guard->rto * params_.rto_backoff;
+    send_attempt(guard);
+  });
 }
 
 void TcpConnection::maybe_restart_slow_start() {

@@ -12,11 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "net/path.hpp"
 #include "sim/scheduler.hpp"
 #include "util/fifo.hpp"
+#include "util/rc.hpp"
 
 namespace parcel::net {
 
@@ -113,8 +113,7 @@ class TcpConnection {
   /// enabled; a plain path send otherwise.
   void send_guarded(bool up, Bytes bytes, const BurstInfo& info,
                     Link::DeliveryCallback on_delivered);
-  void send_attempt(bool up, Bytes bytes, const BurstInfo& info,
-                    const std::shared_ptr<GuardState>& guard);
+  void send_attempt(const util::Rc<GuardState>& guard);
   [[nodiscard]] Duration initial_rto(bool up, Bytes bytes) const;
   [[nodiscard]] Bytes cwnd_bytes() const {
     return static_cast<Bytes>(cwnd_segments_) * params_.mss;

@@ -7,12 +7,12 @@
 namespace parcel::sim {
 
 void EventHandle::cancel() {
-  if (auto owner = owner_.lock()) (*owner)->cancel_event(seq_, slot_);
+  if (owner_ && *owner_ != nullptr) (*owner_)->cancel_event(seq_, slot_);
 }
 
 bool EventHandle::pending() const {
-  auto owner = owner_.lock();
-  return owner && (*owner)->pending_event(seq_, slot_);
+  return owner_ && *owner_ != nullptr &&
+         (*owner_)->pending_event(seq_, slot_);
 }
 
 EventHandle Scheduler::schedule_at(TimePoint when, Callback fn) {

@@ -24,13 +24,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <memory_resource>
 #include <utility>
 #include <vector>
 
 #include "core/arena.hpp"
 #include "util/callback.hpp"
+#include "util/rc.hpp"
 #include "util/units.hpp"
 
 namespace parcel::sim {
@@ -41,7 +41,9 @@ using util::TimePoint;
 class Scheduler;
 
 /// Handle to a scheduled event; allows cancellation. Copyable; all copies
-/// refer to the same pending event.
+/// refer to the same pending event. Like its scheduler, a handle belongs
+/// to one thread: it holds a single-threaded count on the scheduler's
+/// liveness token (util::Rc).
 class EventHandle {
  public:
   EventHandle() = default;
@@ -54,13 +56,14 @@ class EventHandle {
 
  private:
   friend class Scheduler;
-  EventHandle(std::weak_ptr<Scheduler*> owner, std::uint64_t seq,
+  EventHandle(util::Rc<Scheduler*> owner, std::uint64_t seq,
               std::uint32_t slot)
       : owner_(std::move(owner)), seq_(seq), slot_(slot) {}
-  // Weak reference to the owning scheduler's liveness token (one token per
-  // scheduler, not per event); (seq, slot) identifies the event. The seq
+  // The owning scheduler's liveness token (one token per scheduler, not
+  // per event): it points at the scheduler until the scheduler's
+  // destructor clears it. (seq, slot) identifies the event; the seq
   // disambiguates a slot reused by a later event.
-  std::weak_ptr<Scheduler*> owner_;
+  util::Rc<Scheduler*> owner_;
   std::uint64_t seq_ = 0;
   std::uint32_t slot_ = 0;
 };
@@ -76,6 +79,9 @@ class Scheduler {
       : heap_(mr), slots_(mr) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
+  /// Clears the liveness token: handles that outlive the scheduler
+  /// degrade to no-ops.
+  ~Scheduler() { *self_ = nullptr; }
 
   [[nodiscard]] TimePoint now() const { return now_; }
 
@@ -153,9 +159,11 @@ class Scheduler {
   // outgrown copy of the array.
   std::pmr::deque<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
-  // Liveness token handed to EventHandles as a weak_ptr; expires with the
-  // scheduler so stale handles degrade to no-ops instead of dangling.
-  std::shared_ptr<Scheduler*> self_ = std::make_shared<Scheduler*>(this);
+  // Liveness token shared with every EventHandle; the destructor clears
+  // it, so stale handles degrade to no-ops instead of dangling. Its count
+  // is a plain integer: building a handle per event costs one increment,
+  // dropping it one decrement, and no atomic operation.
+  util::Rc<Scheduler*> self_ = util::Rc<Scheduler*>::make(this);
 };
 
 }  // namespace parcel::sim

@@ -26,6 +26,8 @@ enum class ObjectType : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(ObjectType t);
+/// A view of a static literal, valid for the whole program (HTTP
+/// responses keep it as their content type).
 [[nodiscard]] std::string_view mime_type(ObjectType t);
 [[nodiscard]] ObjectType type_from_mime(std::string_view mime);
 

@@ -66,7 +66,7 @@ void OriginServer::handle(const net::HttpRequest& request,
       resp.body_bytes = 512;
     } else {
       resp.status = 200;
-      resp.content_type = std::string(mime_type(obj->type));
+      resp.content_type = mime_type(obj->type);
       resp.body_bytes = obj->size;
       resp.content = obj->content;
       think = obj->server_think * think_scale_;

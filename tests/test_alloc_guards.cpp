@@ -3,7 +3,7 @@
 // allocate per event, and a full page load must divert a healthy share of
 // its container allocations into the per-run arena (DESIGN.md §11) while
 // keeping its global heap traffic within a per-event and per-load budget,
-// and its arena bytes and simulated joules per event under fixed ceilings.
+// fair-weather and faulted, and its arena bytes and simulated joules per event under fixed ceilings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 
 #include "bench/common.hpp"
 #include "core/experiment.hpp"
+#include "sim/fault_plan.hpp"
 #include "sim/scheduler.hpp"
 #include "web/generator.hpp"
 
@@ -132,14 +133,16 @@ TEST(AllocationGuard, SchedulerDoesNotAllocatePerEvent) {
 // through the operator-new hook, a DIR and a PARCEL(IND) load must each
 // stay within kMaxAllocsPerEvent global allocations per executed event,
 // and the PARCEL(IND) load within kMaxParcelBytes. The budgets sit at most
-// 1.25x above the measured loads (1.41 and 2.07 allocations per event,
-// 714,281 bytes): a kernel continuation back on std::function, a per-burst
+// 1.25x above the measured loads (1.16 and 1.77 allocations per event,
+// 704,172 bytes; 1.41 and 2.07 while every response built its content type
+// as a std::string and the engine's fetch callback was a copied
+// std::function): a kernel continuation back on std::function, a per-burst
 // closure that skips the callback block cache, or a queue that allocates
 // per element blows them, and so do deep-copied burst callbacks or a
 // bundle built as a string and re-parsed on delivery.
 TEST(AllocationGuard, PageLoadUsesArenaWithinGlobalBudget) {
   constexpr std::size_t kMinSavedAllocs = 100;
-  constexpr double kMaxAllocsPerEvent = 2.4;
+  constexpr double kMaxAllocsPerEvent = 2.2;
   constexpr std::uint64_t kMaxParcelBytes = 850'000;
   const core::RunConfig cfg = bench::replay_run_config({}, 42);
   const web::WebPage& page = guard_page();
@@ -180,6 +183,50 @@ TEST(AllocationGuard, PageLoadUsesArenaWithinGlobalBudget) {
     if (scheme == core::Scheme::kParcelInd) {
       EXPECT_LE(bytes, kMaxParcelBytes) << name;
     }
+  }
+}
+
+// The same global budget on the faulted request path: the live
+// configuration (heterogeneous origin delays, AR(1) fade) under 2% burst
+// loss and 2% origin errors, which arms a retransmission guard per TCP
+// burst and a timeout and retry state per object fetch. Seed 43 is one at
+// which both loads complete (at seed 42 the DIR load does not). The
+// budgets sit 1.25x above the measured loads (1.33 and 2.24 allocations
+// per event; 2.24 and 3.06 when the guard and the retry state were
+// shared_ptrs and every attempt copied the URL into three closures): a
+// per-burst or per-attempt heap object, or a URL copied per closure
+// again, blows them.
+TEST(AllocationGuard, FaultedLoadWithinGlobalBudget) {
+  constexpr std::uint64_t kSeed = 43;
+  constexpr double kMaxDirAllocsPerEvent = 1.65;
+  constexpr double kMaxParcelAllocsPerEvent = 2.8;
+  core::RunConfig cfg = bench::replay_run_config({}, kSeed);
+  cfg.testbed.heterogeneous_server_delays = true;
+  cfg.testbed.fade = lte::FadeProcess::Params{};
+  cfg.testbed.faults = sim::FaultPlan::parse("loss=0.02,serror=0.02");
+  cfg.testbed.faults.seed = kSeed;
+  const web::WebPage& page = guard_page();
+
+  for (core::Scheme scheme : {core::Scheme::kDir, core::Scheme::kParcelInd}) {
+    core::ExperimentRunner::run(scheme, page, cfg);  // warm
+    const std::uint64_t allocs_before = g_allocations.load();
+    const core::RunResult r = core::ExperimentRunner::run(scheme, page, cfg);
+    const std::uint64_t allocs = g_allocations.load() - allocs_before;
+    const double per_event =
+        static_cast<double>(allocs) /
+        static_cast<double>(std::max<std::uint64_t>(r.events_executed, 1));
+    const std::string name = core::to_string(scheme);
+    std::printf("faulted %s: %llu global allocations for %llu events (%.2f "
+                "per event), %llu retransmits\n",
+                name.c_str(), static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(r.events_executed), per_event,
+                static_cast<unsigned long long>(r.retransmits));
+    ASSERT_TRUE(r.ok) << name << ": the faulted load did not complete";
+    EXPECT_GT(r.retransmits, 0u) << name << ": the loss plan did not bite";
+    EXPECT_LE(per_event, scheme == core::Scheme::kDir
+                             ? kMaxDirAllocsPerEvent
+                             : kMaxParcelAllocsPerEvent)
+        << name;
   }
 }
 

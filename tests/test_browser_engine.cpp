@@ -37,7 +37,7 @@ class FakeFetcher final : public Fetcher {
   }
 
   void fetch(const net::Url& url, web::ObjectType hint, bool randomized,
-             std::uint32_t, std::function<void(FetchResult)> cb) override {
+             std::uint32_t, FetchCallback cb) override {
     (void)randomized;
     requested.push_back(url.str());
     auto it = objects_.find(url.str());

@@ -1,15 +1,19 @@
 // Fault-injection subsystem tests: plan parsing/validation, injector
-// schedule semantics, TCP loss recovery, the proxy-crash -> direct-fetch
-// degradation ladder, and determinism of faulted runs across jobs.
+// schedule semantics, TCP loss recovery, NetworkFetcher's retry ladder, the
+// proxy-crash -> direct-fetch degradation ladder, and determinism of
+// faulted runs across jobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "browser/dir_browser.hpp"
 #include "core/experiment.hpp"
 #include "core/parallel_runner.hpp"
 #include "net/fault_injector.hpp"
+#include "net/network.hpp"
 #include "net/tcp.hpp"
 #include "replay/replay_store.hpp"
 #include "sim/fault_plan.hpp"
@@ -210,6 +214,164 @@ TEST_F(TcpFaultFixture, RecoveryIsOptIn) {
   sched.run();
   EXPECT_FALSE(delivered);  // without recovery, the loss is final
   EXPECT_EQ(conn.retransmits(), 0u);
+}
+
+TEST_F(TcpFaultFixture, LateOriginalMakesItsRetransmissionSpurious) {
+  // A blackout holds the original burst past its RTO. The retransmitted
+  // copy queues behind it on the same link, so both arrive: the first
+  // delivers, the second only counts as spurious.
+  sim::FaultPlan plan;
+  plan.blackouts = {{at(0.2), Duration::seconds(2.0)}};
+  net::FaultInjector blackout(plan);
+  link.up().set_fault_injector(&blackout);
+  link.down().set_fault_injector(&blackout);
+  net::TcpConnection conn(sched, path, params, 1);
+  int deliveries = 0;
+  double done = -1;
+  conn.connect([&] {
+    sched.schedule_at(at(0.3), [&] {
+      conn.send_to_server(5'000, 1, [&](TimePoint t) {
+        ++deliveries;
+        done = t.sec();
+      });
+    });
+  });
+  sched.run();
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(conn.retransmits(), 1u);
+  EXPECT_EQ(conn.spurious_retransmits(), 1u);
+  EXPECT_FALSE(conn.broken());
+  EXPECT_GE(done, 2.2);  // held until the blackout lifted
+}
+
+// ---- NetworkFetcher retry ladder ---------------------------------------
+
+/// Origin stub with a scripted answer per request: a status after a think
+/// time, or silence (status 0: the responder is kept and never called).
+/// Requests past the end of the script repeat its last entry.
+class ScriptedEndpoint final : public net::HttpEndpoint {
+ public:
+  struct Reply {
+    int status;
+    Duration think;
+  };
+
+  ScriptedEndpoint(sim::Scheduler& sched, std::vector<Reply> script)
+      : sched_(sched), script_(std::move(script)) {}
+
+  void handle(const net::HttpRequest& request, Responder respond) override {
+    const Reply reply = script_[std::min(requests_, script_.size() - 1)];
+    ++requests_;
+    if (reply.status == 0) {
+      silent_.push_back(std::move(respond));
+      return;
+    }
+    net::HttpResponse resp;
+    resp.status = reply.status;
+    resp.url = request.url;
+    resp.body_bytes = 2'000;
+    sched_.schedule_after(reply.think, [resp = std::move(resp),
+                                        respond = std::move(respond)]() mutable {
+      respond(std::move(resp));
+    });
+  }
+
+  [[nodiscard]] std::size_t requests() const { return requests_; }
+
+ private:
+  sim::Scheduler& sched_;
+  std::vector<Reply> script_;
+  std::size_t requests_ = 0;
+  std::vector<Responder> silent_;
+};
+
+/// One object fetched from "origin.example" with a 1 s object timeout, two
+/// retries and a 250 ms backoff (500 ms before the second retry).
+struct FetchLadderFixture : ::testing::Test {
+  sim::Scheduler sched;
+  net::Network network{sched};
+  browser::DirConfig config;
+  std::vector<browser::FetchResult> results;  // one entry per on_result call
+  double result_at = -1;
+
+  FetchLadderFixture() {
+    net::DuplexLink& link = network.add_link(
+        "l", BitRate::mbps(20), BitRate::mbps(20), Duration::millis(20));
+    network.set_route("client", "dns", net::Path({&link}));
+    network.set_route("client", "origin.example", net::Path({&link}));
+    config.object_timeout = Duration::seconds(1.0);
+    config.max_fetch_retries = 2;
+    config.retry_backoff = Duration::millis(250);
+  }
+
+  void fetch_one(browser::NetworkFetcher& fetcher) {
+    fetcher.fetch(net::Url::parse("http://origin.example/app.js"),
+                  web::ObjectType::kJs, /*randomized=*/false, 1,
+                  [this](browser::FetchResult r) {
+                    results.push_back(std::move(r));
+                    result_at = sched.now().sec();
+                  });
+  }
+};
+
+TEST_F(FetchLadderFixture, ServerErrorThenSuccessRetriesOnce) {
+  ScriptedEndpoint origin(sched, {{503, Duration::millis(10)},
+                                  {200, Duration::millis(10)}});
+  network.register_endpoint("origin.example", origin);
+  browser::NetworkFetcher fetcher(network, "client", config, util::Rng(1));
+  fetch_one(fetcher);
+  sched.run();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, 200);
+  EXPECT_EQ(results[0].url.str(), "http://origin.example/app.js");
+  EXPECT_EQ(fetcher.fetch_retries(), 1u);
+  EXPECT_EQ(fetcher.fetch_timeouts(), 0u);
+  EXPECT_EQ(origin.requests(), 2u);
+}
+
+TEST_F(FetchLadderFixture, PersistentServerErrorDeliversTheLastAnswer) {
+  ScriptedEndpoint origin(sched, {{503, Duration::millis(10)}});
+  network.register_endpoint("origin.example", origin);
+  browser::NetworkFetcher fetcher(network, "client", config, util::Rng(1));
+  fetch_one(fetcher);
+  sched.run();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, 503);
+  EXPECT_EQ(fetcher.fetch_retries(), 2u);
+  EXPECT_EQ(fetcher.fetch_timeouts(), 0u);
+  EXPECT_EQ(origin.requests(), 3u);
+}
+
+TEST_F(FetchLadderFixture, SilentEndpointGetsOneSynthesizedGatewayTimeout) {
+  ScriptedEndpoint origin(sched, {{0, Duration::zero()}});
+  network.register_endpoint("origin.example", origin);
+  browser::NetworkFetcher fetcher(network, "client", config, util::Rng(1));
+  fetch_one(fetcher);
+  sched.run();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, 504);
+  EXPECT_EQ(results[0].type, web::ObjectType::kJs);
+  EXPECT_EQ(results[0].url.str(), "http://origin.example/app.js");
+  // Three timeouts of 1 s plus the 250 ms and 500 ms backoffs.
+  EXPECT_DOUBLE_EQ(result_at, 3.0 * 1.0 + 0.25 + 0.5);
+  EXPECT_EQ(fetcher.fetch_timeouts(), 3u);
+  EXPECT_EQ(fetcher.fetch_retries(), 2u);
+  EXPECT_EQ(origin.requests(), 3u);
+}
+
+TEST_F(FetchLadderFixture, ResponseAfterTheGatewayTimeoutIsIgnored) {
+  // Every attempt is answered, but 10 s later: all three answers land
+  // after the ladder has given up at 3.75 s.
+  ScriptedEndpoint origin(sched, {{200, Duration::seconds(10.0)}});
+  network.register_endpoint("origin.example", origin);
+  browser::NetworkFetcher fetcher(network, "client", config, util::Rng(1));
+  fetch_one(fetcher);
+  sched.run();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status, 504);
+  EXPECT_DOUBLE_EQ(result_at, 3.75);
+  EXPECT_EQ(origin.requests(), 3u);
+  EXPECT_GT(sched.now().sec(), 10.0) << "the late answers were delivered";
 }
 
 // ---- Experiment-level integration --------------------------------------

@@ -166,6 +166,48 @@ TEST(Scheduler, HandleOutlivingSchedulerDegradesToNoop) {
   h.cancel();  // must not touch freed memory
 }
 
+TEST(Scheduler, HandleCopiesAndMovesOutlivingSchedulerDegradeToNoops) {
+  EventHandle copy;
+  EventHandle moved;
+  EventHandle assigned;
+  {
+    Scheduler sched;
+    EventHandle h = sched.schedule_at(TimePoint::at_seconds(1), [] {});
+    copy = h;
+    EventHandle temp = h;
+    moved = std::move(temp);
+    EventHandle(h).cancel();  // a temporary copy cancels the event
+    assigned = sched.schedule_at(TimePoint::at_seconds(2), [] {});
+    EXPECT_FALSE(copy.pending());
+    EXPECT_TRUE(assigned.pending());
+  }
+  // The scheduler is gone, its token is not: every handle still reads it.
+  for (EventHandle* h : {&copy, &moved, &assigned}) {
+    EXPECT_FALSE(h->pending());
+    h->cancel();
+  }
+  EventHandle late = copy;  // copying a stale handle is fine too
+  EXPECT_FALSE(late.pending());
+}
+
+TEST(Scheduler, CancelOnAMovedFromHandleIsANoop) {
+  Scheduler sched;
+  bool fired = false;
+  EventHandle h =
+      sched.schedule_at(TimePoint::at_seconds(1), [&] { fired = true; });
+  EventHandle owner = std::move(h);
+  h.cancel();  // NOLINT(bugprone-use-after-move): must not cancel the event
+  EXPECT_FALSE(h.pending());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(owner.pending());
+  EventHandle reassigned;
+  reassigned = std::move(owner);
+  owner.cancel();  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(reassigned.pending());
+  sched.run();
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(reassigned.pending());
+}
+
 TEST(Scheduler, EventsCanScheduleMoreEvents) {
   Scheduler sched;
   int depth = 0;
