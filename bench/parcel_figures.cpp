@@ -317,7 +317,6 @@ void fig6a(const BenchOptions& opts) {
 
   // PARCEL run, instrumented for the proxy-side arrival series.
   core::ParcelSessionConfig session_cfg;
-  session_cfg.proxy = core::ProxyConfig::with_bundle(core::BundleConfig::ind());
   Rig<core::ParcelSession> parcel(cfg.testbed, {&page}, session_cfg,
                                   util::Rng(cfg.seed));
   parcel.load(page.main_url(), 60);
@@ -605,7 +604,6 @@ void fig8(const BenchOptions& opts) {
 
   {  // PARCEL
     core::ParcelSessionConfig cfg;
-    cfg.proxy = core::ProxyConfig::with_bundle(core::BundleConfig::ind());
     cfg.client_engine.parse_bytes_per_sec = device.parse_bytes_per_sec;
     cfg.client_engine.js_units_per_sec = device.js_units_per_sec;
     Rig<core::ParcelSession> rig(base.testbed, {&page}, cfg, util::Rng(1));
@@ -712,8 +710,7 @@ void sec6(const BenchOptions& opts) {
     for (int r = 0; r < std::max(opts.rounds, 2); ++r) {
       const std::uint64_t seed = cfg.seed + static_cast<std::uint64_t>(r) * 17 + 1;
       core::ParcelSessionConfig session_cfg;
-      session_cfg.proxy = core::ProxyConfig::with_bundle(
-          core::BundleConfig::with_threshold(x));
+      session_cfg.proxy.bundle.threshold = x;
       Rig<core::ParcelSession> rig(cfg.testbed, {&page}, session_cfg,
                                    util::Rng(seed));
       rig.load(page.main_url(), 60);

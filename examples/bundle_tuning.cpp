@@ -25,8 +25,7 @@ SweepPoint run_threshold(const web::WebPage& page, util::Bytes threshold,
   core::Testbed testbed{core::TestbedConfig{}};
   testbed.host_page(page);
   core::ParcelSessionConfig cfg;
-  cfg.proxy = core::ProxyConfig::with_bundle(
-      core::BundleConfig::with_threshold(threshold));
+  cfg.proxy.bundle.threshold = threshold;
   core::ParcelSession session(testbed.network(), cfg, util::Rng(seed));
   SweepPoint point{static_cast<double>(threshold) / 1024.0, 0, 0};
   core::ParcelSession::Callbacks cbs;

@@ -5,36 +5,19 @@
 
 namespace parcel::core {
 
-std::string_view to_string(BundlePolicy p) {
-  switch (p) {
-    case BundlePolicy::kInd: return "IND";
-    case BundlePolicy::kOnload: return "ONLD";
-    case BundlePolicy::kThreshold: return "PARCEL(X)";
-  }
-  return "?";
-}
-
 std::string BundleConfig::name() const {
-  switch (policy) {
-    case BundlePolicy::kInd: return "PARCEL(IND)";
-    case BundlePolicy::kOnload: return "PARCEL(ONLD)";
-    case BundlePolicy::kThreshold: {
-      if (threshold >= util::mib(1)) {
-        long mb = threshold / util::mib(1);
-        return "PARCEL(" + std::to_string(mb) + "M)";
-      }
-      return "PARCEL(" + std::to_string(threshold / 1024) + "K)";
-    }
+  if (threshold == 0) return "PARCEL(IND)";
+  if (threshold == kUnbounded) return "PARCEL(ONLD)";
+  if (threshold >= util::mib(1)) {
+    return "PARCEL(" + std::to_string(threshold / util::mib(1)) + "M)";
   }
-  return "PARCEL(?)";
+  return "PARCEL(" + std::to_string(threshold / 1024) + "K)";
 }
 
 BundleScheduler::BundleScheduler(BundleConfig config, Sink sink)
     : config_(config), sink_(std::move(sink)) {
   if (!sink_) throw std::invalid_argument("BundleScheduler: null sink");
-  if (config_.policy == BundlePolicy::kThreshold && config_.threshold <= 0) {
-    throw std::invalid_argument("BundleScheduler: threshold must be positive");
-  }
+  set_threshold(config_.threshold);
 }
 
 void BundleScheduler::on_object(const net::Url& url, web::ObjectType type,
@@ -42,33 +25,18 @@ void BundleScheduler::on_object(const net::Url& url, web::ObjectType type,
                                 std::shared_ptr<const std::string> content) {
   pending_.add_raw(url, std::string(web::mime_type(type)), size,
                    std::move(content));
-  switch (config_.policy) {
-    case BundlePolicy::kInd:
-      flush();
-      break;
-    case BundlePolicy::kOnload:
-      // Hold until onload; after onload was already flushed, stragglers
-      // wait for the completion flush.
-      break;
-    case BundlePolicy::kThreshold:
-      if (pending_.payload_bytes() >= config_.threshold) flush();
-      break;
-  }
+  if (pending_.payload_bytes() >= config_.threshold) flush();
 }
 
-void BundleScheduler::on_proxy_onload() {
-  onload_seen_ = true;
-  // Both ONLD and PARCEL(X) release accumulated data at the onload event
-  // (§4.4: "or if the onload event is detected").
-  if (config_.policy != BundlePolicy::kInd) flush();
-}
+// Onload releases whatever has accumulated (§4.4: "or if the onload event
+// is detected"); under IND nothing is pending.
+void BundleScheduler::on_proxy_onload() { flush(); }
 
 void BundleScheduler::on_page_complete() { flush(); }
 
 void BundleScheduler::set_threshold(Bytes threshold) {
-  if (threshold <= 0) {
-    throw std::invalid_argument(
-        "BundleScheduler::set_threshold: threshold must be positive");
+  if (threshold < 0) {
+    throw std::invalid_argument("BundleScheduler: negative threshold");
   }
   config_.threshold = threshold;
 }

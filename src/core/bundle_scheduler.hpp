@@ -1,16 +1,20 @@
-// BundleScheduler: PARCEL's cellular-friendly transfer policies (§4.4).
+// BundleScheduler: PARCEL's cellular-friendly transfer dial (§4.4, Fig 5).
 //
-//   IND      — forward each object to the client the moment the proxy
-//              receives it (minimizes OLT; Fig 5b).
-//   ONLD     — hold everything until the proxy's onload event, send one
-//              batch; post-onload stragglers go in a final batch at page
-//              completion (maximizes radio sleep; Fig 5c).
-//   PARCEL(X)— flush whenever X bytes have accumulated, or at onload,
-//              or at completion (the latency/energy dial; Fig 5d).
+// One threshold X: the proxy flushes the pending objects to the client
+// whenever X payload bytes have accumulated, at its onload event, and at
+// page completion. The paper's named schemes are the dial's two ends and
+// its middle:
+//
+//   X = 0        IND: every object goes out the moment the proxy
+//                receives it (minimizes OLT; Fig 5b).
+//   X = ∞        ONLD: nothing goes out before onload; post-onload
+//                stragglers go in a final batch at page completion
+//                (maximizes radio sleep; Fig 5c).
+//   0 < X < ∞    PARCEL(X): the latency/energy trade-off (Fig 5d).
 #pragma once
 
-#include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "browser/fetcher.hpp"
@@ -21,20 +25,13 @@ namespace parcel::core {
 
 using util::Bytes;
 
-enum class BundlePolicy : std::uint8_t { kInd, kOnload, kThreshold };
-
-[[nodiscard]] std::string_view to_string(BundlePolicy p);
-
 struct BundleConfig {
-  BundlePolicy policy = BundlePolicy::kInd;
-  Bytes threshold = util::kib(512);  // used by kThreshold
+  /// The ONLD end of the dial: no byte count ever reaches it.
+  static constexpr Bytes kUnbounded = std::numeric_limits<Bytes>::max();
 
-  static BundleConfig ind() { return {BundlePolicy::kInd, 0}; }
-  static BundleConfig onload() { return {BundlePolicy::kOnload, 0}; }
-  static BundleConfig with_threshold(Bytes x) {
-    return {BundlePolicy::kThreshold, x};
-  }
+  Bytes threshold = 0;  // IND
 
+  /// "PARCEL(IND)", "PARCEL(ONLD)", "PARCEL(512K)", "PARCEL(2M)".
   [[nodiscard]] std::string name() const;
 };
 
@@ -56,11 +53,10 @@ class BundleScheduler {
   /// remainder unconditionally.
   void on_page_complete();
 
-  /// Mid-load retune (ISSUE 10, ctrl::BundleController): the new target
-  /// is consulted at the next on_object, i.e. it takes effect at a
-  /// bundle boundary — data already pending keeps accumulating toward
-  /// the new threshold rather than being flushed early. Only meaningful
-  /// under kThreshold; IND/ONLD ignore it by construction.
+  /// Mid-load retune (ctrl::BundleController): the new target is
+  /// consulted at the next on_object, i.e. it takes effect at a bundle
+  /// boundary — data already pending keeps accumulating toward the new
+  /// threshold rather than being flushed early.
   void set_threshold(Bytes threshold);
 
   [[nodiscard]] std::size_t bundles_sent() const { return bundles_sent_; }
@@ -73,7 +69,6 @@ class BundleScheduler {
   BundleConfig config_;
   Sink sink_;
   web::MhtmlWriter pending_;
-  bool onload_seen_ = false;
   std::size_t bundles_sent_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "browser/cloud_browser.hpp"
 #include "browser/dir_browser.hpp"
@@ -14,55 +15,40 @@
 
 namespace parcel::core {
 
-std::string to_string(Scheme s) {
-  switch (s) {
-    case Scheme::kDir: return "DIR";
-    case Scheme::kHttpProxy: return "HTTP-PROXY";
-    case Scheme::kSpdyProxy: return "SPDY-PROXY";
-    case Scheme::kParcelInd: return "PARCEL(IND)";
-    case Scheme::kParcelOnld: return "PARCEL(ONLD)";
-    case Scheme::kParcel512K: return "PARCEL(512K)";
-    case Scheme::kParcel1M: return "PARCEL(1M)";
-    case Scheme::kParcel2M: return "PARCEL(2M)";
-    case Scheme::kCloudBrowser: return "CB";
-    case Scheme::kParcelAdaptive: return "PARCEL-ADAPT";
-  }
-  return "?";
-}
+namespace {
 
-bool is_parcel(Scheme s) {
-  switch (s) {
-    case Scheme::kParcelInd:
-    case Scheme::kParcelOnld:
-    case Scheme::kParcel512K:
-    case Scheme::kParcel1M:
-    case Scheme::kParcel2M:
-    case Scheme::kParcelAdaptive:
-      return true;
-    default:
-      return false;
-  }
-}
+// Every Scheme's display name, PARCEL-ness and starting threshold. An
+// empty name is the threshold's BundleConfig::name().
+struct SchemeRow {
+  Scheme scheme;
+  std::string_view name;
+  bool parcel;
+  Bytes threshold;
+};
 
-BundleConfig bundle_for(Scheme s) {
-  switch (s) {
-    case Scheme::kParcelInd: return BundleConfig::ind();
-    case Scheme::kParcelOnld: return BundleConfig::onload();
-    case Scheme::kParcel512K: return BundleConfig::with_threshold(util::kib(512));
-    case Scheme::kParcel1M: return BundleConfig::with_threshold(util::mib(1));
-    case Scheme::kParcel2M: return BundleConfig::with_threshold(util::mib(2));
+constexpr SchemeRow kSchemes[] = {
+    {Scheme::kDir, "DIR", false, 0},
+    {Scheme::kHttpProxy, "HTTP-PROXY", false, 0},
+    {Scheme::kSpdyProxy, "SPDY-PROXY", false, 0},
+    {Scheme::kParcelInd, "", true, 0},
+    {Scheme::kParcelOnld, "", true, BundleConfig::kUnbounded},
+    {Scheme::kParcel512K, "", true, util::kib(512)},
+    {Scheme::kParcel1M, "", true, util::mib(1)},
+    {Scheme::kParcel2M, "", true, util::mib(2)},
+    {Scheme::kCloudBrowser, "CB", false, 0},
     // The controller's starting point before any samples fold; §6's
     // worked b* ≈ 0.9 MB at the median link rounds to the 1M rail, but
     // starting at 512K keeps the first bundle's latency low and lets the
     // estimator pull upward.
-    case Scheme::kParcelAdaptive:
-      return BundleConfig::with_threshold(util::kib(512));
-    default:
-      throw std::invalid_argument("bundle_for: not a PARCEL scheme");
-  }
-}
+    {Scheme::kParcelAdaptive, "PARCEL-ADAPT", true, util::kib(512)},
+};
 
-namespace {
+const SchemeRow* row_of(Scheme s) {
+  for (const SchemeRow& row : kSchemes) {
+    if (row.scheme == s) return &row;
+  }
+  return nullptr;
+}
 
 browser::EngineConfig client_engine_config(const lte::DeviceProfile& device) {
   browser::EngineConfig cfg;
@@ -72,10 +58,7 @@ browser::EngineConfig client_engine_config(const lte::DeviceProfile& device) {
 }
 
 browser::DirConfig proxy_fetch_config() {
-  browser::DirConfig cfg;
-  lte::DeviceProfile proxy = lte::DeviceProfile::proxy_server();
-  cfg.engine.parse_bytes_per_sec = proxy.parse_bytes_per_sec;
-  cfg.engine.js_units_per_sec = proxy.js_units_per_sec;
+  browser::DirConfig cfg = ProxyConfig{}.fetch;
   // Post-onload ad/widget scripts run promptly on a server-class engine;
   // on the device they straggle for seconds (EngineConfig defaults).
   cfg.engine.async_exec_min = util::Duration::millis(50);
@@ -346,6 +329,25 @@ RunResult run_cloud(const web::WebPage& page, const RunConfig& config) {
 }
 
 }  // namespace
+
+std::string to_string(Scheme s) {
+  const SchemeRow* row = row_of(s);
+  if (row == nullptr) return "?";
+  if (row->name.empty()) return BundleConfig{row->threshold}.name();
+  return std::string(row->name);
+}
+
+bool is_parcel(Scheme s) {
+  const SchemeRow* row = row_of(s);
+  return row != nullptr && row->parcel;
+}
+
+BundleConfig bundle_for(Scheme s) {
+  if (!is_parcel(s)) {
+    throw std::invalid_argument("bundle_for: not a PARCEL scheme");
+  }
+  return BundleConfig{row_of(s)->threshold};
+}
 
 RunResult ExperimentRunner::run(Scheme scheme, const web::WebPage& page,
                                 const RunConfig& config) {

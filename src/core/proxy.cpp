@@ -4,16 +4,6 @@
 
 namespace parcel::core {
 
-ProxyConfig ProxyConfig::with_bundle(BundleConfig bundle) {
-  ProxyConfig cfg;
-  // The proxy is a well-provisioned server: fast parse and JS execution
-  // relative to the mobile device (§4.2 "powerful server").
-  cfg.fetch.engine.parse_bytes_per_sec = 40.0e6;
-  cfg.fetch.engine.js_units_per_sec = 500.0;
-  cfg.bundle = bundle;
-  return cfg;
-}
-
 InterceptingFetcher::InterceptingFetcher(browser::Fetcher& inner,
                                          Interceptor interceptor)
     : inner_(inner), interceptor_(std::move(interceptor)) {
@@ -143,7 +133,6 @@ void ParcelProxy::arm_completion_timer() {
 }
 
 void ParcelProxy::set_bundle_threshold(util::Bytes threshold) {
-  if (config_.bundle.policy != BundlePolicy::kThreshold) return;
   config_.bundle.threshold = threshold;
   if (scheduler_) scheduler_->set_threshold(threshold);
 }

@@ -20,6 +20,7 @@
 #include "browser/dir_browser.hpp"
 #include "browser/engine.hpp"
 #include "core/bundle_scheduler.hpp"
+#include "lte/device.hpp"
 #include "net/network.hpp"
 #include "util/rng.hpp"
 
@@ -29,13 +30,20 @@ using util::Duration;
 using util::TimePoint;
 
 struct ProxyConfig {
-  browser::DirConfig fetch;  // engine speed + pool settings at the proxy
-  BundleConfig bundle = BundleConfig::ind();
+  /// Engine speed + pool settings at the proxy. The proxy is a
+  /// well-provisioned server: it parses and runs JS at
+  /// lte::DeviceProfile::proxy_server()'s rates (§4.2 "powerful server").
+  browser::DirConfig fetch = [] {
+    browser::DirConfig cfg;
+    const lte::DeviceProfile server = lte::DeviceProfile::proxy_server();
+    cfg.engine.parse_bytes_per_sec = server.parse_bytes_per_sec;
+    cfg.engine.js_units_per_sec = server.js_units_per_sec;
+    return cfg;
+  }();
+  BundleConfig bundle;
   /// Completion heuristic: declare the page done after this much
   /// proxy–server inactivity following onload (§4.5).
   Duration inactivity_window = Duration::seconds(1.5);
-
-  static ProxyConfig with_bundle(BundleConfig bundle);
 };
 
 /// Fetcher decorator: the Firefox-extension equivalent that intercepts
@@ -80,10 +88,9 @@ class ParcelProxy {
   /// pushed back as a single-part bundle (or a 204 marker part).
   void relay_post(const net::Url& url, util::Bytes body_bytes);
 
-  /// Mid-load bundle retarget (ISSUE 10): the ctrl::BundleController's
-  /// new b* reaches both the live scheduler (effective at the next
-  /// bundle boundary) and the config future pages inherit. No-op under
-  /// IND/ONLD policies.
+  /// Mid-load bundle retarget (ctrl::BundleController): the new b*
+  /// reaches both the live scheduler (effective at the next bundle
+  /// boundary) and the config future pages inherit.
   void set_bundle_threshold(util::Bytes threshold);
 
   /// The proxy process dies: the in-progress page's state is lost, no

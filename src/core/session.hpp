@@ -26,7 +26,7 @@
 namespace parcel::core {
 
 struct ParcelSessionConfig {
-  ProxyConfig proxy = ProxyConfig::with_bundle(BundleConfig::ind());
+  ProxyConfig proxy;
   browser::EngineConfig client_engine;
   net::TcpParams tcp;
   /// Domain under which the proxy is reachable from the client vantage.

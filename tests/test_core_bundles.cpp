@@ -27,7 +27,7 @@ void feed(BundleScheduler& sched, const std::string& url, util::Bytes size) {
 
 TEST(BundleScheduler, IndFlushesEveryObjectImmediately) {
   Capture cap;
-  BundleScheduler sched(BundleConfig::ind(), cap.sink());
+  BundleScheduler sched(BundleConfig{0}, cap.sink());
   feed(sched, "http://a.example/1.jpg", 1000);
   feed(sched, "http://a.example/2.jpg", 1000);
   EXPECT_EQ(cap.bundles.size(), 2u);
@@ -38,7 +38,7 @@ TEST(BundleScheduler, IndFlushesEveryObjectImmediately) {
 
 TEST(BundleScheduler, OnloadHoldsUntilOnloadEvent) {
   Capture cap;
-  BundleScheduler sched(BundleConfig::onload(), cap.sink());
+  BundleScheduler sched(BundleConfig{BundleConfig::kUnbounded}, cap.sink());
   feed(sched, "http://a.example/1.jpg", 1000);
   feed(sched, "http://a.example/2.jpg", 1000);
   EXPECT_TRUE(cap.bundles.empty());
@@ -56,7 +56,7 @@ TEST(BundleScheduler, OnloadHoldsUntilOnloadEvent) {
 
 TEST(BundleScheduler, ThresholdFlushesAtX) {
   Capture cap;
-  BundleScheduler sched(BundleConfig::with_threshold(2500), cap.sink());
+  BundleScheduler sched(BundleConfig{2500}, cap.sink());
   feed(sched, "http://a.example/1.jpg", 1000);
   feed(sched, "http://a.example/2.jpg", 1000);
   EXPECT_TRUE(cap.bundles.empty());
@@ -67,7 +67,7 @@ TEST(BundleScheduler, ThresholdFlushesAtX) {
 
 TEST(BundleScheduler, ThresholdAlsoFlushesAtOnload) {
   Capture cap;
-  BundleScheduler sched(BundleConfig::with_threshold(1'000'000), cap.sink());
+  BundleScheduler sched(BundleConfig{1'000'000}, cap.sink());
   feed(sched, "http://a.example/1.jpg", 1000);
   sched.on_proxy_onload();
   EXPECT_EQ(cap.bundles.size(), 1u);
@@ -75,7 +75,7 @@ TEST(BundleScheduler, ThresholdAlsoFlushesAtOnload) {
 
 TEST(BundleScheduler, CompleteFlushesRemainderOnce) {
   Capture cap;
-  BundleScheduler sched(BundleConfig::with_threshold(10'000), cap.sink());
+  BundleScheduler sched(BundleConfig{10'000}, cap.sink());
   feed(sched, "http://a.example/1.jpg", 1000);
   sched.on_page_complete();
   EXPECT_EQ(cap.bundles.size(), 1u);
@@ -86,18 +86,27 @@ TEST(BundleScheduler, CompleteFlushesRemainderOnce) {
 
 TEST(BundleScheduler, ValidatesConfig) {
   Capture cap;
-  EXPECT_THROW(BundleScheduler(BundleConfig::with_threshold(0), cap.sink()),
+  EXPECT_THROW(BundleScheduler(BundleConfig{-1}, cap.sink()),
                std::invalid_argument);
-  EXPECT_THROW(BundleScheduler(BundleConfig::ind(), nullptr),
+  EXPECT_THROW(BundleScheduler(BundleConfig{0}, nullptr),
                std::invalid_argument);
+  BundleScheduler sched(BundleConfig{util::kib(512)}, cap.sink());
+  EXPECT_THROW(sched.set_threshold(-1), std::invalid_argument);
+  EXPECT_EQ(sched.threshold(), util::kib(512));
+
+  // Threshold 0 is IND: every object, even an empty one, is its own bundle.
+  sched.set_threshold(0);
+  feed(sched, "http://a.example/1.jpg", 1000);
+  feed(sched, "http://a.example/empty.gif", 0);
+  EXPECT_EQ(cap.bundles.size(), 2u);
+  EXPECT_EQ(sched.pending_bytes(), 0);
 }
 
 TEST(BundleConfig, Names) {
-  EXPECT_EQ(BundleConfig::ind().name(), "PARCEL(IND)");
-  EXPECT_EQ(BundleConfig::onload().name(), "PARCEL(ONLD)");
-  EXPECT_EQ(BundleConfig::with_threshold(util::kib(512)).name(),
-            "PARCEL(512K)");
-  EXPECT_EQ(BundleConfig::with_threshold(util::mib(2)).name(), "PARCEL(2M)");
+  EXPECT_EQ(BundleConfig{}.name(), "PARCEL(IND)");
+  EXPECT_EQ(BundleConfig{BundleConfig::kUnbounded}.name(), "PARCEL(ONLD)");
+  EXPECT_EQ(BundleConfig{util::kib(512)}.name(), "PARCEL(512K)");
+  EXPECT_EQ(BundleConfig{util::mib(2)}.name(), "PARCEL(2M)");
 }
 
 // The push path hands the client the writer's parts and charges the radio
@@ -112,10 +121,10 @@ TEST(BundleHandOff, EqualsTheMhtmlRoundTrip) {
   for (const web::PageSpec& spec : generator.corpus_specs(4)) {
     const web::WebPage page = web::PageGenerator::generate(spec);
     for (const BundleConfig& bundle :
-         {BundleConfig::ind(), BundleConfig::onload()}) {
+         {BundleConfig{0}, BundleConfig{BundleConfig::kUnbounded}}) {
       Testbed testbed{TestbedConfig{}};
       testbed.host_page(page);
-      ParcelProxy proxy(testbed.network(), ProxyConfig::with_bundle(bundle),
+      ParcelProxy proxy(testbed.network(), ProxyConfig{.bundle = bundle},
                         util::Rng(spec.seed));
       Capture cap;
       proxy.start(page.main_url(), "ParcelBrowser/1.0", cap.sink(), [] {});

@@ -121,13 +121,33 @@ TEST(ExperimentRunner, EqualityCoversTimelineEventsAndTrace) {
 }
 
 TEST(ExperimentRunner, SchemeNamesAndHelpers) {
-  EXPECT_EQ(to_string(Scheme::kDir), "DIR");
-  EXPECT_EQ(to_string(Scheme::kParcel512K), "PARCEL(512K)");
-  EXPECT_EQ(to_string(Scheme::kCloudBrowser), "CB");
-  EXPECT_TRUE(is_parcel(Scheme::kParcelOnld));
-  EXPECT_FALSE(is_parcel(Scheme::kDir));
-  EXPECT_EQ(bundle_for(Scheme::kParcel1M).threshold, util::mib(1));
-  EXPECT_THROW((void)bundle_for(Scheme::kDir), std::invalid_argument);
+  struct Row {
+    Scheme scheme;
+    const char* name;
+    std::optional<util::Bytes> threshold;  // set iff a PARCEL scheme
+  };
+  const Row rows[] = {
+      {Scheme::kDir, "DIR", std::nullopt},
+      {Scheme::kHttpProxy, "HTTP-PROXY", std::nullopt},
+      {Scheme::kSpdyProxy, "SPDY-PROXY", std::nullopt},
+      {Scheme::kParcelInd, "PARCEL(IND)", 0},
+      {Scheme::kParcelOnld, "PARCEL(ONLD)", BundleConfig::kUnbounded},
+      {Scheme::kParcel512K, "PARCEL(512K)", util::kib(512)},
+      {Scheme::kParcel1M, "PARCEL(1M)", util::mib(1)},
+      {Scheme::kParcel2M, "PARCEL(2M)", util::mib(2)},
+      {Scheme::kCloudBrowser, "CB", std::nullopt},
+      {Scheme::kParcelAdaptive, "PARCEL-ADAPT", util::kib(512)},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(to_string(row.scheme), row.name);
+    EXPECT_EQ(is_parcel(row.scheme), row.threshold.has_value()) << row.name;
+    if (row.threshold) {
+      EXPECT_EQ(bundle_for(row.scheme).threshold, *row.threshold) << row.name;
+    } else {
+      EXPECT_THROW((void)bundle_for(row.scheme), std::invalid_argument)
+          << row.name;
+    }
+  }
 }
 
 TEST(RunGrid, AggregatesPerPageMedians) {

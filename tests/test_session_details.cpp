@@ -10,6 +10,9 @@
 namespace parcel::core {
 namespace {
 
+constexpr BundleConfig kInd{0};
+constexpr BundleConfig kOnld{BundleConfig::kUnbounded};
+
 struct DetailFixture : ::testing::Test {
   std::unique_ptr<web::WebPage> live;
   replay::ReplayStore store;
@@ -32,13 +35,14 @@ struct DetailFixture : ::testing::Test {
     util::Bytes bundle_bytes = 0;
     double olt = 0, tlt = 0;
     bool complete = false;
+    trace::PacketTrace trace;  // the client's capture
   };
 
   Outcome run_policy(BundleConfig bundle) {
     Testbed testbed{TestbedConfig{}};
     testbed.host_page(*page);
     ParcelSessionConfig cfg;
-    cfg.proxy = ProxyConfig::with_bundle(bundle);
+    cfg.proxy.bundle = bundle;
     ParcelSession session(testbed.network(), cfg, util::Rng(7));
     Outcome out;
     ParcelSession::Callbacks cbs;
@@ -51,12 +55,13 @@ struct DetailFixture : ::testing::Test {
     testbed.scheduler().run_until(util::TimePoint::at_seconds(60));
     out.bundles = session.bundles_delivered();
     out.bundle_bytes = session.bundle_bytes_delivered();
+    out.trace = testbed.client_trace();
     return out;
   }
 };
 
 TEST_F(DetailFixture, IndDeliversOneBundlePerObjectRoughly) {
-  Outcome ind = run_policy(BundleConfig::ind());
+  Outcome ind = run_policy(kInd);
   ASSERT_TRUE(ind.complete);
   // One push per intercepted object (+1 if a stray flush).
   EXPECT_GE(ind.bundles, page->object_count());
@@ -64,7 +69,7 @@ TEST_F(DetailFixture, IndDeliversOneBundlePerObjectRoughly) {
 }
 
 TEST_F(DetailFixture, OnldDeliversFewBundles) {
-  Outcome onld = run_policy(BundleConfig::onload());
+  Outcome onld = run_policy(kOnld);
   ASSERT_TRUE(onld.complete);
   // One batch at onload + one completion flush (post-onload stragglers).
   EXPECT_LE(onld.bundles, 3u);
@@ -72,8 +77,8 @@ TEST_F(DetailFixture, OnldDeliversFewBundles) {
 }
 
 TEST_F(DetailFixture, ThresholdBundleCountTracksPageSize) {
-  Outcome x128 = run_policy(BundleConfig::with_threshold(util::kib(128)));
-  Outcome x512 = run_policy(BundleConfig::with_threshold(util::kib(512)));
+  Outcome x128 = run_policy(BundleConfig{util::kib(128)});
+  Outcome x512 = run_policy(BundleConfig{util::kib(512)});
   ASSERT_TRUE(x128.complete);
   ASSERT_TRUE(x512.complete);
   EXPECT_GT(x128.bundles, x512.bundles);
@@ -82,7 +87,7 @@ TEST_F(DetailFixture, ThresholdBundleCountTracksPageSize) {
 }
 
 TEST_F(DetailFixture, BundleBytesCoverPagePlusFraming) {
-  Outcome ind = run_policy(BundleConfig::ind());
+  Outcome ind = run_policy(kInd);
   auto page_bytes = static_cast<double>(page->total_bytes());
   EXPECT_GT(static_cast<double>(ind.bundle_bytes), page_bytes);
   // MHTML framing is low-overhead (§5.1): well under 10% here.
@@ -90,8 +95,8 @@ TEST_F(DetailFixture, BundleBytesCoverPagePlusFraming) {
 }
 
 TEST_F(DetailFixture, PolicyDoesNotChangeWhatLoadsOnlyWhen) {
-  Outcome ind = run_policy(BundleConfig::ind());
-  Outcome onld = run_policy(BundleConfig::onload());
+  Outcome ind = run_policy(kInd);
+  Outcome onld = run_policy(kOnld);
   ASSERT_TRUE(ind.complete);
   ASSERT_TRUE(onld.complete);
   // Same content either way; IND strictly earlier onload.
@@ -99,6 +104,23 @@ TEST_F(DetailFixture, PolicyDoesNotChangeWhatLoadsOnlyWhen) {
   EXPECT_NEAR(static_cast<double>(ind.bundle_bytes),
               static_cast<double>(onld.bundle_bytes),
               static_cast<double>(page->total_bytes()) * 0.06);
+}
+
+// IND and ONLD are the two ends of the PARCEL(X) dial (§4.4, Fig 5):
+// X = 1 byte flushes every object as it arrives, and X above the page's
+// bytes never flushes on size, only at onload and completion. X = 1 is
+// IND only if no object is empty (an empty object would wait for the
+// next one), so the page must have none.
+TEST_F(DetailFixture, DialEndsAreIndAndOnld) {
+  for (const web::WebObject* object : page->objects()) {
+    ASSERT_GT(object->size, 0) << object->url.str();
+  }
+  const Outcome ind = run_policy(kInd);
+  const Outcome onld = run_policy(kOnld);
+  ASSERT_FALSE(ind.trace == onld.trace);
+  EXPECT_TRUE(run_policy(BundleConfig{1}).trace == ind.trace);
+  const util::Bytes above_page = page->total_bytes() + 1;
+  EXPECT_TRUE(run_policy(BundleConfig{above_page}).trace == onld.trace);
 }
 
 TEST_F(DetailFixture, ClientLedgerMatchesProxyLedger) {
@@ -120,11 +142,11 @@ TEST_F(DetailFixture, ClientLedgerMatchesProxyLedger) {
 }
 
 TEST_F(DetailFixture, CompletionNoteAlwaysArrives) {
-  for (auto bundle : {BundleConfig::ind(), BundleConfig::onload()}) {
+  for (auto bundle : {kInd, kOnld}) {
     Testbed testbed{TestbedConfig{}};
     testbed.host_page(*page);
     ParcelSessionConfig cfg;
-    cfg.proxy = ProxyConfig::with_bundle(bundle);
+    cfg.proxy.bundle = bundle;
     ParcelSession session(testbed.network(), cfg, util::Rng(11));
     session.load(page->main_url(), {});
     testbed.scheduler().run_until(util::TimePoint::at_seconds(60));
