@@ -8,10 +8,15 @@ namespace parcel::core {
 std::string BundleConfig::name() const {
   if (threshold == 0) return "PARCEL(IND)";
   if (threshold == kUnbounded) return "PARCEL(ONLD)";
-  if (threshold >= util::mib(1)) {
+  // The largest unit that divides X exactly, so distinct X never share a
+  // name.
+  if (threshold % util::mib(1) == 0) {
     return "PARCEL(" + std::to_string(threshold / util::mib(1)) + "M)";
   }
-  return "PARCEL(" + std::to_string(threshold / 1024) + "K)";
+  if (threshold % util::kib(1) == 0) {
+    return "PARCEL(" + std::to_string(threshold / util::kib(1)) + "K)";
+  }
+  return "PARCEL(" + std::to_string(threshold) + "B)";
 }
 
 BundleScheduler::BundleScheduler(BundleConfig config, Sink sink)

@@ -31,7 +31,8 @@ struct BundleConfig {
 
   Bytes threshold = 0;  // IND
 
-  /// "PARCEL(IND)", "PARCEL(ONLD)", "PARCEL(512K)", "PARCEL(2M)".
+  /// "PARCEL(IND)", "PARCEL(ONLD)", else X in the largest unit that
+  /// divides it: "PARCEL(2M)", "PARCEL(1536K)", "PARCEL(1023B)".
   [[nodiscard]] std::string name() const;
 };
 

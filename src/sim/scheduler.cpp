@@ -29,7 +29,6 @@ EventHandle Scheduler::schedule_at(TimePoint when, Callback fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.seq = seq;
-  s.cancelled = false;
   heap_.push_back(Key{when, seq, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return EventHandle{self_, seq, slot};
@@ -38,28 +37,40 @@ EventHandle Scheduler::schedule_at(TimePoint when, Callback fn) {
 void Scheduler::cancel_event(std::uint64_t seq, std::uint32_t slot) {
   // A slot reused by a later event carries a different seq, so a stale
   // handle can neither cancel nor observe its successor.
-  if (slots_[slot].seq == seq) slots_[slot].cancelled = true;
+  if (slots_[slot].seq != seq) return;
+  // The closure dies last, at the end of this scope: by then the queue is
+  // consistent, so a destructor that cancels or schedules another event
+  // (even one that compacts the heap) is safe.
+  const Callback dead = free_slot(slot);
+  if (++stale_ >= kMinStaleToCompact && 2 * stale_ > heap_.size()) {
+    // Compaction moves keys only, so it runs no destructor. Keys are
+    // unique on (when, seq): rebuilding the heap keeps the pop order.
+    std::erase_if(heap_, [this](const Key& key) { return stale(key); });
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    stale_ = 0;
+  }
 }
 
-bool Scheduler::pending_event(std::uint64_t seq, std::uint32_t slot) const {
-  return slots_[slot].seq == seq && !slots_[slot].cancelled;
+Scheduler::Callback Scheduler::free_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.seq = kFreeSeq;
+  s.next_free = free_head_;
+  free_head_ = slot;
+  return std::move(s.fn);
 }
 
 Scheduler::Callback Scheduler::pop_front() {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   const Key key = heap_.back();
   heap_.pop_back();
-  // Move the closure out before it runs: the slot goes back on the free
-  // list now, and an event the closure schedules may reuse it.
-  Slot& s = slots_[key.slot];
-  Callback fn = std::move(s.fn);
-  const bool cancelled = s.cancelled;
-  s.seq = kFreeSeq;
-  s.next_free = free_head_;
-  free_head_ = key.slot;
-  if (cancelled) return {};  // the tombstone's closure dies here
+  if (stale(key)) {
+    --stale_;
+    return {};
+  }
+  // Free the slot before the closure runs: an event the closure schedules
+  // may reuse it.
   now_ = key.when;
-  return fn;
+  return free_slot(key.slot);
 }
 
 bool Scheduler::step() {
@@ -81,12 +92,12 @@ TimePoint Scheduler::run() {
 
 void Scheduler::run_until(TimePoint deadline) {
   while (!heap_.empty()) {
-    // Pop cancelled tombstones first so the deadline check sees the next
-    // *live* event. Checking the raw front is wrong: a cancelled head
-    // with when <= deadline would pass the check, and step() — which
-    // skips tombstones — would then execute a live event beyond the
-    // deadline (and leave now_ past it).
-    if (slots_[heap_.front().slot].cancelled) {
+    // Pop stale keys first so the deadline check sees the next *live*
+    // event. Checking the raw front is wrong: a stale head with
+    // when <= deadline would pass the check, and step() — which skips
+    // stale keys — would then execute a live event beyond the deadline
+    // (and leave now_ past it).
+    if (stale(heap_.front())) {
       pop_front();
       continue;
     }

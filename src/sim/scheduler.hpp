@@ -13,11 +13,16 @@
 // into the slot, with no allocation. Only a closure that wraps another
 // callback (a burst's relay -> TCP -> HTTP continuation) spills, to the
 // thread's callback block cache rather than the global heap
-// (util/callback.hpp). Slots freed by fired events are recycled through
-// an intrusive free list, so a run's closure storage stops growing once
-// it reaches the peak pending count. An EventHandle names its event by
-// (seq, slot), which makes cancel()/pending() O(1): the slot still holds
-// the event iff its seq matches. The heap and the slots draw from the
+// (util/callback.hpp). Slots freed by fired or cancelled events are
+// recycled through an intrusive free list, so a run's closure storage
+// stops growing once it reaches the peak live count. An EventHandle names
+// its event by (seq, slot), which makes cancel()/pending() O(1): the slot
+// still holds the event iff its seq matches. cancel() frees the slot and
+// destroys the closure at once; the event's key stays in the heap as a
+// stale key (its slot no longer carries its seq), which pops skip. Once
+// stale keys number at least 64 and outnumber the live ones, the heap
+// drops them in place and is rebuilt; keys are unique on (when, seq), so
+// the pop order does not change. The heap and the slots draw from the
 // per-run arena when one is in scope (core::ArenaScope; DESIGN.md §11),
 // so even their growth stops hitting the global allocator.
 #pragma once
@@ -108,11 +113,10 @@ class Scheduler {
   /// packet-capture window).
   void run_until(TimePoint deadline);
 
-  /// Execute exactly one event if any is pending. Returns false when idle.
+  /// Execute exactly one event if any is pending. Returns false if none is.
   bool step();
 
-  [[nodiscard]] bool idle() const { return heap_.empty(); }
-  /// Queued entries, counting cancelled ones not yet popped.
+  /// Queued keys, stale ones included until popped or compacted.
   [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
@@ -132,28 +136,40 @@ class Scheduler {
   };
   static constexpr std::uint64_t kFreeSeq = ~std::uint64_t{0};
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  // Compaction trigger: at least this many stale keys, and more stale
+  // keys than live ones.
+  static constexpr std::size_t kMinStaleToCompact = 64;
   struct Slot {
     Callback fn;
     // Seq of the event this slot holds; kFreeSeq while on the free list.
     std::uint64_t seq = kFreeSeq;
     std::uint32_t next_free = kNoSlot;
-    bool cancelled = false;
   };
 
   void cancel_event(std::uint64_t seq, std::uint32_t slot);
   [[nodiscard]] bool pending_event(std::uint64_t seq,
-                                   std::uint32_t slot) const;
-  /// Pop the front key and free its slot. Returns the closure to run and
-  /// advances now(), or returns empty for a cancelled tombstone.
+                                   std::uint32_t slot) const {
+    return slots_[slot].seq == seq;
+  }
+  /// A key is stale once its event was cancelled: its slot was freed and
+  /// holds no seq or a later event's.
+  [[nodiscard]] bool stale(const Key& key) const {
+    return !pending_event(key.seq, key.slot);
+  }
+  /// Put a slot on the free list and return its closure.
+  Callback free_slot(std::uint32_t slot);
+  /// Pop the front key. Returns the closure to run, freeing its slot and
+  /// advancing now(), or returns empty for a stale key.
   Callback pop_front();
 
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   // Min-heap on (when, seq) maintained with std::push_heap/std::pop_heap.
-  // Cancelled events stay queued as tombstones (their slot keeps the
-  // closure) and are destroyed and skipped when popped.
+  // A cancelled event leaves a stale key behind, skipped when popped or
+  // dropped by compaction; stale_ counts them.
   std::pmr::vector<Key> heap_;
+  std::size_t stale_ = 0;
   // A deque, not a vector: growth appends fixed-size blocks and never
   // relocates a slot, so the arena holds each slot once instead of every
   // outgrown copy of the array.

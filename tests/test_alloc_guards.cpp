@@ -125,6 +125,31 @@ TEST(AllocationGuard, SchedulerDoesNotAllocatePerEvent) {
   EXPECT_LE(allocs, kAllocBudget) << "the kernel allocates per event again";
 }
 
+// Cancellation: a cancel frees the event's slot and closure at once and
+// leaves a stale key that compaction drops in place (erase and rebuild
+// within the heap's own storage). A million schedule+cancel pairs, once
+// warm, must not allocate per pair, nor per compaction.
+TEST(AllocationGuard, SchedulerCancelDoesNotAllocate) {
+  constexpr std::size_t kPairs = 1'000'000;
+  constexpr std::uint64_t kAllocBudget = 64;
+  sim::Scheduler sched;
+  auto churn = [&sched](std::size_t pairs) {
+    for (std::size_t i = 0; i < pairs; ++i) {
+      sched.schedule_after(util::Duration::seconds(1), [] {}).cancel();
+    }
+  };
+  churn(1'000);  // warm: the heap reaches its compaction high-water mark
+  const std::uint64_t before = g_allocations.load();
+  churn(kPairs);
+  const std::uint64_t allocs = g_allocations.load() - before;
+  EXPECT_LE(sched.pending_events(), 128u);
+  sched.run();
+  EXPECT_EQ(sched.events_executed(), 0u);
+  std::printf("scheduler: %llu allocations for %zu schedule+cancel pairs\n",
+              static_cast<unsigned long long>(allocs), kPairs);
+  EXPECT_LE(allocs, kAllocBudget) << "cancel or compaction allocates again";
+}
+
 // Per-load heap traffic, in two parts. Arena routing: a page load must
 // divert a material number of container allocations into the bump
 // allocator — the scheduler heap, trace columns and browser bookkeeping

@@ -106,7 +106,13 @@ TEST(BundleConfig, Names) {
   EXPECT_EQ(BundleConfig{}.name(), "PARCEL(IND)");
   EXPECT_EQ(BundleConfig{BundleConfig::kUnbounded}.name(), "PARCEL(ONLD)");
   EXPECT_EQ(BundleConfig{util::kib(512)}.name(), "PARCEL(512K)");
+  EXPECT_EQ(BundleConfig{util::mib(1)}.name(), "PARCEL(1M)");
   EXPECT_EQ(BundleConfig{util::mib(2)}.name(), "PARCEL(2M)");
+  // X that no larger unit divides prints in the largest one that does.
+  EXPECT_EQ(BundleConfig{1}.name(), "PARCEL(1B)");
+  EXPECT_EQ(BundleConfig{1023}.name(), "PARCEL(1023B)");
+  EXPECT_EQ(BundleConfig{util::kib(1536)}.name(), "PARCEL(1536K)");
+  EXPECT_EQ(BundleConfig{util::mib(1) + 1}.name(), "PARCEL(1048577B)");
 }
 
 // The push path hands the client the writer's parts and charges the radio

@@ -244,6 +244,34 @@ TEST_F(TcpFaultFixture, LateOriginalMakesItsRetransmissionSpurious) {
   EXPECT_GE(done, 2.2);  // held until the blackout lifted
 }
 
+TEST_F(TcpFaultFixture, DeliveredBurstsLeaveNoQueuedTimers) {
+  // Every guarded burst arms an RTO timer (min_rto = 1 s) that delivery
+  // cancels. A cancelled timer frees its event at once and leaves only a
+  // stale key, which compaction drops; so a few hundred bursts delivered
+  // well inside one RTO must not leave a few hundred timers queued.
+  constexpr int kBursts = 300;
+  net::TcpConnection conn(sched, path, params, 1);
+  int delivered = 0;
+  std::size_t queued_after_last = 0;
+  double last_delivery = -1;
+  conn.connect([&] {
+    for (int i = 0; i < kBursts; ++i) {
+      conn.send_to_server(2'000, static_cast<std::uint32_t>(i),
+                          [&](TimePoint t) {
+        if (++delivered < kBursts) return;
+        queued_after_last = sched.pending_events();
+        last_delivery = t.sec();
+      });
+    }
+  });
+  sched.run();
+  ASSERT_EQ(delivered, kBursts);
+  EXPECT_LT(last_delivery, params.min_rto.sec());  // every timer outlived it
+  EXPECT_EQ(conn.retransmits(), 0u);
+  EXPECT_LT(queued_after_last, 100u);
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
 // ---- NetworkFetcher retry ladder ---------------------------------------
 
 /// Origin stub with a scripted answer per request: a status after a think

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -108,9 +110,9 @@ TEST(Scheduler, RejectsEmptyCallback) {
 }
 
 TEST(Scheduler, RunUntilSkipsCancelledHeadWithoutOverrunningDeadline) {
-  // Regression: a cancelled tombstone at the heap front with
+  // Regression: a cancelled event's key at the heap front with
   // when <= deadline used to pass run_until's check, and step() — which
-  // skips tombstones — then executed the next *live* event beyond the
+  // skips such keys — then executed the next *live* event beyond the
   // deadline, leaving now_ past it.
   Scheduler sched;
   bool late_fired = false;
@@ -228,8 +230,8 @@ TEST(Scheduler, StaleHandleCannotReachItsSlotsNextEvent) {
   sched.run();
   EventHandle cancelled =
       sched.schedule_at(TimePoint::at_seconds(2), [] { FAIL(); });
-  cancelled.cancel();
-  sched.run();  // pops the tombstone, freeing the slot again
+  cancelled.cancel();  // frees the slot at once
+  sched.run();         // pops the stale key; nothing runs
 
   bool ran = false;
   EventHandle live =
@@ -260,7 +262,8 @@ TEST(Scheduler, CancelRescheduleChurnKeepsCountAndFifo) {
       timer.cancel();
       timer = sched.schedule_at(sched.now() + Duration::seconds(1),
                                 [&order] { order.push_back(-1); });
-      // Tombstones stay queued (and counted) until popped.
+      // Stale keys stay queued (and counted) until popped: fewer than 64
+      // never trigger a compaction.
       EXPECT_EQ(sched.pending_events(), static_cast<std::size_t>(2 * i + 2));
     }
     EXPECT_TRUE(timer.pending());
@@ -275,6 +278,100 @@ TEST(Scheduler, CancelRescheduleChurnKeepsCountAndFifo) {
   }
   EXPECT_EQ(order, want);
   EXPECT_EQ(sched.events_executed(), 102u);
+}
+
+TEST(Scheduler, CancelChurnPastTheCompactionTriggerKeepsFifo) {
+  // 500 rounds of one live same-time event and three cancel-and-rearms of
+  // a timer: stale keys outgrow live ones, so the heap compacts many times
+  // over. Each re-armed timer reuses the slot its predecessor's cancel
+  // freed, so every old handle names the slot the live timer holds.
+  constexpr int kRounds = 500;
+  constexpr int kRearms = 3;
+  Scheduler sched;
+  std::vector<int> order;
+  std::vector<EventHandle> old_timers;
+  EventHandle timer;
+  std::size_t drops = 0;
+  std::size_t prev = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    sched.schedule_at(TimePoint::at_seconds(1),
+                      [&order, i] { order.push_back(i); });
+    for (int r = 0; r < kRearms; ++r) {
+      if (timer.pending()) old_timers.push_back(timer);
+      timer.cancel();
+      EXPECT_FALSE(timer.pending());
+      timer = sched.schedule_at(TimePoint::at_seconds(1),
+                                [&order] { order.push_back(-1); });
+    }
+    const std::size_t queued = sched.pending_events();
+    if (queued < prev) ++drops;
+    prev = queued;
+    // Live: i + 1 events and the timer. Stale: under 64, or at most as
+    // many as the live keys.
+    EXPECT_LE(queued, static_cast<std::size_t>(2 * (i + 2) + 64));
+  }
+  EXPECT_GT(drops, 0u);  // compaction ran
+  for (EventHandle& h : old_timers) {
+    EXPECT_FALSE(h.pending());
+    h.cancel();  // must not reach the timer now in its slot
+  }
+  EXPECT_TRUE(timer.pending());
+  sched.run();
+  std::vector<int> want;
+  for (int i = 0; i < kRounds; ++i) want.push_back(i);
+  want.push_back(-1);  // only the last arming survives
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(sched.events_executed(), static_cast<std::uint64_t>(kRounds + 1));
+  EXPECT_EQ(sched.pending_events(), 0u);
+}
+
+/// Runs an action when the instance that owns it dies; moved-from shells
+/// do nothing.
+class OnDestroy {
+ public:
+  explicit OnDestroy(std::function<void()> fn) : fn_(std::move(fn)) {}
+  OnDestroy(OnDestroy&& o) noexcept : fn_(std::exchange(o.fn_, nullptr)) {}
+  OnDestroy(const OnDestroy&) = delete;
+  OnDestroy& operator=(const OnDestroy&) = delete;
+  OnDestroy& operator=(OnDestroy&&) = delete;
+  ~OnDestroy() {
+    if (fn_) fn_();
+  }
+
+ private:
+  std::function<void()> fn_;
+};
+
+TEST(Scheduler, CancelledClosureMayCancelAndScheduleFromItsDestructor) {
+  // The cancelled closure dies after the queue is consistent again, so
+  // its destructor may use the scheduler. With 63 stale keys queued, the
+  // outer cancel compacts the heap and the inner one adds a stale key.
+  Scheduler sched;
+  for (int i = 0; i < 63; ++i) {
+    sched.schedule_at(TimePoint::at_seconds(1), [] { FAIL(); }).cancel();
+  }
+  EXPECT_EQ(sched.pending_events(), 63u);
+  bool second_fired = false;
+  bool third_fired = false;
+  EventHandle second = sched.schedule_at(TimePoint::at_seconds(2),
+                                         [&] { second_fired = true; });
+  EventHandle first = sched.schedule_at(
+      TimePoint::at_seconds(1),
+      [guard = OnDestroy([&] {
+         second.cancel();
+         sched.schedule_at(TimePoint::at_seconds(3),
+                           [&] { third_fired = true; });
+       })] { FAIL(); });
+  first.cancel();
+  EXPECT_FALSE(first.pending());
+  EXPECT_FALSE(second.pending());
+  // Compaction left the second event's key; its cancel made it stale.
+  EXPECT_EQ(sched.pending_events(), 2u);
+  sched.run();
+  EXPECT_FALSE(second_fired);
+  EXPECT_TRUE(third_fired);
+  EXPECT_EQ(sched.events_executed(), 1u);
+  EXPECT_EQ(sched.pending_events(), 0u);
 }
 
 }  // namespace
