@@ -14,9 +14,9 @@
 # files must be rejected). Then the harness smokes (parcel_figures
 # parse-cache, faults, fleet and adaptive), whose exit codes are the gates
 # and whose BENCH_*.json must equal the committed files. Then a
-# ThreadSanitizer build that runs the parallel-runner, parse-cache and
-# callback tests to prove the fan-out and the per-thread callback block
-# cache race-free, an AddressSanitizer build that runs the full suite once
+# ThreadSanitizer build that runs the parallel-runner, parse-cache,
+# callback and Url tests to prove the fan-out, the per-thread callback
+# block cache and the Url's shared reference count race-free, an AddressSanitizer build that runs the full suite once
 # to prove the zero-copy string_view plumbing never dangles (the arena
 # poisons memory its containers release, so a view into it is reported
 # too), and an UndefinedBehaviorSanitizer build (-fno-sanitize-recover:
@@ -218,12 +218,12 @@ echo "==> Adaptive bundling smoke (fade sweep: controller vs fixed grid)"
 (cd build-ci/bench && ./parcel_figures adaptive)
 committed_json BENCH_adaptive.json
 
-echo "==> ThreadSanitizer: parallel runner + parse cache + fleet + callback cache race-free"
+echo "==> ThreadSanitizer: parallel runner + parse cache + fleet + callback cache + Url counts race-free"
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPARCEL_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target parcel_tests
 ./build-tsan/tests/parcel_tests \
-  --gtest_filter='Callback.*:ParallelRunner.*:RunExperiments.*:RunGrid.*:ParseCacheTest.*:FaultedRuns.*:FleetRunner.*:FleetStreaming.*:SharedStore.*:ProxyCompute.*:ShardRouter.*:ProxyComputeCrash.*:ShardedFleet.*:ShardedStreaming.*:AdaptiveE2E.*:FleetArrivals.*'
+  --gtest_filter='Callback.*:Url.*:ParallelRunner.*:RunExperiments.*:RunGrid.*:ParseCacheTest.*:FaultedRuns.*:FleetRunner.*:FleetStreaming.*:SharedStore.*:ProxyCompute.*:ShardRouter.*:ProxyComputeCrash.*:ShardedFleet.*:ShardedStreaming.*:AdaptiveE2E.*:FleetArrivals.*'
 
 echo "==> AddressSanitizer: full suite (zero-copy views must not dangle)"
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -1,16 +1,21 @@
 #include "net/url.hpp"
 
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace parcel::net {
 
 namespace {
 
-/// Collapse "." and ".." segments (the parts of RFC 3986
-/// remove_dot_segments relevant to our URLs). Absolute paths only.
+/// Collapse "." and ".." segments (RFC 3986 §5.2.4 remove_dot_segments,
+/// plus dropping empty segments). Absolute paths only. A path whose last
+/// segment is empty, "." or ".." names a directory and keeps its trailing
+/// slash.
 std::string normalize_path(std::string_view path) {
   std::vector<std::string_view> kept;
+  bool directory = false;
   std::size_t pos = 0;
   while (pos <= path.size()) {
     std::size_t next = path.find('/', pos);
@@ -22,7 +27,10 @@ std::string normalize_path(std::string_view path) {
     } else if (!seg.empty() && seg != ".") {
       kept.push_back(seg);
     }
-    if (next == std::string_view::npos) break;
+    if (next == std::string_view::npos) {
+      directory = seg.empty() || seg == "." || seg == "..";
+      break;
+    }
     pos = next + 1;
   }
   std::string out;
@@ -32,8 +40,38 @@ std::string normalize_path(std::string_view path) {
   }
   // push_back, not = "/": assigning a literal here trips a GCC 12
   // -Wrestrict false positive (PR105329) once inlined into resolve().
-  if (out.empty()) out.push_back('/');
+  if (out.empty() || directory) out.push_back('/');
   return out;
+}
+
+/// Length of the "scheme://" prefix `text` starts with, or 0. A scheme
+/// is a letter followed by letters, digits, '+', '-' or '.' (RFC 3986
+/// §3.1), so a "://" later in the text (inside a query, say) is no scheme.
+std::size_t scheme_prefix(std::string_view text) {
+  auto is_alpha = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+  };
+  if (text.empty() || !is_alpha(text[0])) return 0;
+  std::size_t i = 1;
+  while (i < text.size() &&
+         (is_alpha(text[i]) || (text[i] >= '0' && text[i] <= '9') ||
+          text[i] == '+' || text[i] == '-' || text[i] == '.')) {
+    ++i;
+  }
+  return text.substr(i).starts_with("://") ? i + 3 : 0;
+}
+
+/// `text` up to its first '#': fragments never reach the server.
+std::string_view drop_fragment(std::string_view text) {
+  return text.substr(0, text.find('#'));
+}
+
+/// Split "path?query" at the first '?'.
+std::pair<std::string_view, std::string_view> split_query(
+    std::string_view text) {
+  auto q = text.find('?');
+  if (q == std::string_view::npos) return {text, {}};
+  return {text.substr(0, q), text.substr(q + 1)};
 }
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
@@ -61,80 +99,92 @@ std::uint64_t intern_key(std::string_view text) {
   return fnv1a(kFnvOffset, text);
 }
 
-Url::Url() { refresh_ids(); }
+const Url::Rep& Url::default_rep() {
+  struct Default : Rep {
+    Default() { intern(); }
+  };
+  static const Default rep;
+  return rep;
+}
 
-void Url::refresh_ids() {
-  std::uint64_t h = fnv1a(kFnvOffset, scheme_);
-  h = fnv1a(fnv1a_sep(h), host_);
-  std::uint64_t host_path = fnv1a(fnv1a_sep(h), path_);
-  id_.v = fnv1a(fnv1a_sep(host_path), query_);
+void Url::Rep::intern() {
+  std::uint64_t h = fnv1a(kFnvOffset, scheme);
+  h = fnv1a(fnv1a_sep(h), host);
+  std::uint64_t host_path = fnv1a(fnv1a_sep(h), path);
+  id.v = fnv1a(fnv1a_sep(host_path), query);
   // without_query() is host + path: intern exactly that text so lookups
   // built from either side agree.
-  std::uint64_t host_only = fnv1a(kFnvOffset, host_);
-  norm_id_.v = fnv1a(host_only, path_);
+  std::uint64_t host_only = fnv1a(kFnvOffset, host);
+  norm_id.v = fnv1a(host_only, path);
   // Same text-interning as intern_key(host()), so both probes agree.
-  host_id_.v = host_only;
+  host_id.v = host_only;
+}
+
+bool Url::operator==(const Url& o) const {
+  if (rep_ == o.rep_) return true;
+  const Rep& a = rep();
+  const Rep& b = o.rep();
+  return a.id == b.id && a.scheme == b.scheme && a.host == b.host &&
+         a.path == b.path && a.query == b.query;
 }
 
 Url Url::parse(std::string_view text) {
-  Url u;
-  auto scheme_end = text.find("://");
-  if (scheme_end != std::string_view::npos) {
-    u.scheme_ = std::string(text.substr(0, scheme_end));
-    text.remove_prefix(scheme_end + 3);
+  auto rep = std::make_unique<Rep>();
+  text = drop_fragment(text);
+  if (std::size_t prefix = scheme_prefix(text); prefix > 0) {
+    rep->scheme = std::string(text.substr(0, prefix - 3));
+    text.remove_prefix(prefix);
   }
-  auto path_start = text.find('/');
-  std::string_view host_part =
-      path_start == std::string_view::npos ? text : text.substr(0, path_start);
+  const std::size_t host_end = text.find_first_of("/?");
+  std::string_view host_part = text.substr(0, host_end);
   if (host_part.empty()) {
     throw std::invalid_argument("Url::parse: empty host in '" +
                                 std::string(text) + "'");
   }
-  u.host_ = std::string(host_part);
-  std::string_view rest =
-      path_start == std::string_view::npos ? "/" : text.substr(path_start);
-  auto query_start = rest.find('?');
-  if (query_start == std::string_view::npos) {
-    u.path_ = std::string(rest);
-  } else {
-    u.path_ = std::string(rest.substr(0, query_start));
-    u.query_ = std::string(rest.substr(query_start + 1));
+  rep->host = std::string(host_part);
+  if (host_end != std::string_view::npos) {
+    auto [path, query] = split_query(text.substr(host_end));
+    if (!path.empty()) rep->path = std::string(path);
+    rep->query = std::string(query);
   }
-  // push_back, not = "/": see normalize_path (GCC 12 -Wrestrict FP).
-  if (u.path_.empty()) u.path_.push_back('/');
-  u.refresh_ids();
-  return u;
+  rep->intern();
+  return Url(rep.release());
 }
 
 Url Url::resolve(std::string_view ref) const {
-  if (ref.find("://") != std::string_view::npos) return parse(ref);
-  if (ref.starts_with("//")) return parse(scheme_ + ":" + std::string(ref));
-  Url u = *this;
-  u.query_.clear();
-  if (ref.starts_with('/')) {
-    auto q = ref.find('?');
-    u.path_ = std::string(ref.substr(0, q));
-    if (q != std::string_view::npos) u.query_ = std::string(ref.substr(q + 1));
-    u.refresh_ids();
-    return u;
+  ref = drop_fragment(ref);
+  if (ref.empty()) return *this;
+  if (scheme_prefix(ref) > 0) return parse(ref);
+  if (ref.starts_with("//")) return parse(scheme() + ":" + std::string(ref));
+  auto rep = std::make_unique<Rep>();
+  rep->scheme = scheme();
+  rep->host = host();
+  auto [ref_path, ref_query] = split_query(ref);
+  rep->query = std::string(ref_query);
+  if (ref_path.empty()) {
+    // A query alone replaces only the base's query.
+    rep->path = path();
+  } else if (ref_path.starts_with('/')) {
+    rep->path = std::string(ref_path);
+  } else {
+    // Relative path: resolve against the base directory, collapsing any
+    // "./" and "../" segments.
+    const std::string& base = path();
+    auto dir_end = base.rfind('/');
+    std::string dir =
+        dir_end == std::string::npos ? "/" : base.substr(0, dir_end + 1);
+    rep->path = normalize_path(dir + std::string(ref_path));
   }
-  // Relative path: resolve against the base directory, collapsing any
-  // "./" and "../" segments.
-  auto dir_end = path_.rfind('/');
-  std::string dir = dir_end == std::string::npos ? "/" : path_.substr(0, dir_end + 1);
-  auto q = ref.find('?');
-  u.path_ = normalize_path(dir + std::string(ref.substr(0, q)));
-  if (q != std::string_view::npos) u.query_ = std::string(ref.substr(q + 1));
-  u.refresh_ids();
-  return u;
+  rep->intern();
+  return Url(rep.release());
 }
 
 std::string Url::str() const {
-  std::string s = scheme_ + "://" + host_ + path_;
-  if (!query_.empty()) s += "?" + query_;
+  std::string s = scheme() + "://" + host() + path();
+  if (!query().empty()) s += "?" + query();
   return s;
 }
 
-std::string Url::without_query() const { return host_ + path_; }
+std::string Url::without_query() const { return host() + path(); }
 
 }  // namespace parcel::net

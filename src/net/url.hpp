@@ -1,11 +1,20 @@
 // Minimal URL type: scheme://host/path?query. Enough for the browser and
 // proxy to route requests by domain, detect HTTPS (PARCEL bypasses its
 // proxy for encrypted pages, §4.5), and normalize replay variability.
+//
+// A Url is one pointer to an immutable, reference-counted record holding
+// the four components and their interned ids (DESIGN.md §6). Every object
+// URL travels browser → proxy → origin and back inside requests,
+// responses, ledger entries and closures; copying one bumps a count
+// instead of copying four strings. The count is atomic because the
+// parallel runner's workers copy the Urls of one shared WebPage.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace parcel::net {
 
@@ -35,30 +44,52 @@ struct UrlIdHash {
 
 class Url {
  public:
-  Url();
+  /// http:///, the empty host at the root. Allocates nothing: it reads a
+  /// shared static record.
+  Url() noexcept = default;
+  Url(const Url& o) noexcept : rep_(o.rep_) {
+    if (rep_ != nullptr) rep_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Url(Url&& o) noexcept : rep_(std::exchange(o.rep_, nullptr)) {}
+  Url& operator=(const Url& o) noexcept {
+    Url copy(o);
+    std::swap(rep_, copy.rep_);
+    return *this;
+  }
+  Url& operator=(Url&& o) noexcept {
+    Url taken(std::move(o));
+    std::swap(rep_, taken.rep_);
+    return *this;
+  }
+  ~Url() { release(); }
 
-  /// Parse "scheme://host/path?query". Scheme defaults to http, path to /.
+  /// Parse "scheme://host/path?query#fragment". Scheme defaults to http,
+  /// path to /; the host ends at the first '/', '?' or '#', and the
+  /// fragment is dropped. A scheme is recognised only at the start.
   /// Throws std::invalid_argument on an empty host.
   static Url parse(std::string_view text);
 
-  /// Resolve `ref` (absolute URL, "//host/..." or absolute/relative path)
-  /// against this URL as base.
+  /// Resolve `ref` against this URL as base (RFC 3986 §5.2): an absolute
+  /// URL (one that starts with "scheme://"), "//host/...", an absolute or
+  /// relative path, or a query alone. Relative paths collapse "." and
+  /// ".." segments and keep a trailing slash; fragments are dropped.
   [[nodiscard]] Url resolve(std::string_view ref) const;
 
-  [[nodiscard]] const std::string& scheme() const { return scheme_; }
-  [[nodiscard]] const std::string& host() const { return host_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
-  [[nodiscard]] const std::string& query() const { return query_; }
+  [[nodiscard]] const std::string& scheme() const { return rep().scheme; }
+  [[nodiscard]] const std::string& host() const { return rep().host; }
+  [[nodiscard]] const std::string& path() const { return rep().path; }
+  [[nodiscard]] const std::string& query() const { return rep().query; }
 
-  [[nodiscard]] bool is_https() const { return scheme_ == "https"; }
+  [[nodiscard]] bool is_https() const { return scheme() == "https"; }
 
   [[nodiscard]] std::string str() const;
 
   /// Length of str() without building it — wire-size accounting runs per
   /// request and only needs the byte count.
   [[nodiscard]] std::size_t str_size() const {
-    return scheme_.size() + 3 + host_.size() + path_.size() +
-           (query_.empty() ? 0 : 1 + query_.size());
+    const Rep& r = rep();
+    return r.scheme.size() + 3 + r.host.size() + r.path.size() +
+           (r.query.empty() ? 0 : 1 + r.query.size());
   }
 
   /// Host + path, no query: the replay store keys on this after
@@ -66,33 +97,59 @@ class Url {
   [[nodiscard]] std::string without_query() const;
 
   /// Interned identity of the full URL (scheme/host/path/query),
-  /// precomputed at construction — request paths key hash maps on this
+  /// precomputed by parse/resolve — request paths key hash maps on this
   /// instead of building str() strings.
-  [[nodiscard]] UrlId id() const { return id_; }
+  [[nodiscard]] UrlId id() const { return rep().id; }
 
   /// Interned identity of without_query() (host + path), the key servers
   /// use to resolve cache-busted URLs to the canonical object.
-  [[nodiscard]] UrlId normalized_id() const { return norm_id_; }
+  [[nodiscard]] UrlId normalized_id() const { return rep().norm_id; }
 
   /// Interned identity of host() alone — equals intern_key(host()), so
   /// domain-keyed tables (DNS cache, origin routing) can be probed from a
   /// Url without touching the host string.
-  [[nodiscard]] UrlId host_id() const { return host_id_; }
+  [[nodiscard]] UrlId host_id() const { return rep().host_id; }
 
-  bool operator==(const Url& o) const = default;
+  /// Same record, or equal components. Differing ids prove the
+  /// components differ, so most unequal pairs stop there.
+  bool operator==(const Url& o) const;
 
  private:
-  /// Recompute the interned ids; every mutation path (parse/resolve)
-  /// calls this before handing the Url out.
-  void refresh_ids();
+  /// The shared record. Built once by parse/resolve and never written
+  /// after a Url holds it, so readers on any thread need no lock.
+  struct Rep {
+    std::string scheme = "http";
+    std::string host;
+    std::string path = "/";
+    std::string query;
+    UrlId id;
+    UrlId norm_id;
+    UrlId host_id;
+    std::atomic<std::uint32_t> refs{1};
 
-  std::string scheme_ = "http";
-  std::string host_;
-  std::string path_ = "/";
-  std::string query_;
-  UrlId id_;
-  UrlId norm_id_;
-  UrlId host_id_;
+    /// Compute the interned ids from the components; parse and resolve
+    /// call it before publishing the record.
+    void intern();
+  };
+
+  explicit Url(Rep* rep) noexcept : rep_(rep) {}
+
+  /// The record a default or moved-from Url reads: a function-local
+  /// static, so no count is ever touched on it.
+  static const Rep& default_rep();
+
+  [[nodiscard]] const Rep& rep() const {
+    return rep_ != nullptr ? *rep_ : default_rep();
+  }
+
+  void release() noexcept {
+    if (rep_ != nullptr &&
+        rep_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete rep_;
+    }
+  }
+
+  Rep* rep_ = nullptr;
 };
 
 }  // namespace parcel::net

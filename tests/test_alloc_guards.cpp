@@ -16,6 +16,7 @@
 
 #include "bench/common.hpp"
 #include "core/experiment.hpp"
+#include "net/url.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/scheduler.hpp"
 #include "web/generator.hpp"
@@ -150,6 +151,31 @@ TEST(AllocationGuard, SchedulerCancelDoesNotAllocate) {
   EXPECT_LE(allocs, kAllocBudget) << "cancel or compaction allocates again";
 }
 
+// A Url is one pointer to a shared immutable record: copying, assigning
+// and destroying one moves a count and nothing else. A million cycles on
+// a URL whose host and path outgrow the small-string buffer must make no
+// global allocation; with four strings per Url they made two per copy.
+TEST(AllocationGuard, UrlCopyDoesNotAllocate) {
+  constexpr std::size_t kCycles = 1'000'000;
+  const net::Url a =
+      net::Url::parse("http://static.cdn.example.com/assets/js/app.bundle.js");
+  const net::Url b =
+      net::Url::parse("https://images.example.org/gallery/photo-0001.jpg?s=2");
+  net::Url held = b;
+  std::size_t same = 0;
+  const std::uint64_t before = g_allocations.load();
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    net::Url copy = (i & 1) != 0 ? a : b;
+    held = copy;
+    same += held == copy ? 1 : 0;
+  }
+  const std::uint64_t allocs = g_allocations.load() - before;
+  std::printf("url: %llu allocations for %zu copy/assign/destroy cycles\n",
+              static_cast<unsigned long long>(allocs), kCycles);
+  EXPECT_EQ(same, kCycles);
+  EXPECT_EQ(allocs, 0u) << "copying a Url allocates again";
+}
+
 // Per-load heap traffic, in two parts. Arena routing: a page load must
 // divert a material number of container allocations into the bump
 // allocator — the scheduler heap, trace columns and browser bookkeeping
@@ -158,17 +184,19 @@ TEST(AllocationGuard, SchedulerCancelDoesNotAllocate) {
 // through the operator-new hook, a DIR and a PARCEL(IND) load must each
 // stay within kMaxAllocsPerEvent global allocations per executed event,
 // and the PARCEL(IND) load within kMaxParcelBytes. The budgets sit at most
-// 1.25x above the measured loads (1.16 and 1.77 allocations per event,
-// 704,172 bytes; 1.41 and 2.07 while every response built its content type
+// 1.25x above the measured loads (0.81 and 1.13 allocations per event,
+// 617,834 bytes; 1.16 and 1.77, 704,156 bytes while every Url copy copied
+// four strings; 1.41 and 2.07 while every response built its content type
 // as a std::string and the engine's fetch callback was a copied
-// std::function): a kernel continuation back on std::function, a per-burst
-// closure that skips the callback block cache, or a queue that allocates
-// per element blows them, and so do deep-copied burst callbacks or a
-// bundle built as a string and re-parsed on delivery.
+// std::function): a Url back to copying its strings, a kernel continuation
+// back on std::function, a per-burst closure that skips the callback block
+// cache, or a queue that allocates per element blows them, and so do
+// deep-copied burst callbacks or a bundle built as a string and re-parsed
+// on delivery.
 TEST(AllocationGuard, PageLoadUsesArenaWithinGlobalBudget) {
   constexpr std::size_t kMinSavedAllocs = 100;
-  constexpr double kMaxAllocsPerEvent = 2.2;
-  constexpr std::uint64_t kMaxParcelBytes = 850'000;
+  constexpr double kMaxAllocsPerEvent = 1.40;
+  constexpr std::uint64_t kMaxParcelBytes = 770'000;
   const core::RunConfig cfg = bench::replay_run_config({}, 42);
   const web::WebPage& page = guard_page();
 
@@ -216,15 +244,16 @@ TEST(AllocationGuard, PageLoadUsesArenaWithinGlobalBudget) {
 // loss and 2% origin errors, which arms a retransmission guard per TCP
 // burst and a timeout and retry state per object fetch. Seed 43 is one at
 // which both loads complete (at seed 42 the DIR load does not). The
-// budgets sit 1.25x above the measured loads (1.33 and 2.24 allocations
-// per event; 2.24 and 3.06 when the guard and the retry state were
-// shared_ptrs and every attempt copied the URL into three closures): a
-// per-burst or per-attempt heap object, or a URL copied per closure
-// again, blows them.
+// budgets sit 1.25x above the measured loads (0.79 and 1.10 allocations
+// per event; 1.21 and 1.80 while every Url copy copied four strings; 1.33
+// and 2.24 before that; 2.24 and 3.06 when the guard and the retry state
+// were shared_ptrs and every attempt copied the URL into three closures):
+// a per-burst or per-attempt heap object, or a Url whose copy allocates,
+// blows them.
 TEST(AllocationGuard, FaultedLoadWithinGlobalBudget) {
   constexpr std::uint64_t kSeed = 43;
-  constexpr double kMaxDirAllocsPerEvent = 1.65;
-  constexpr double kMaxParcelAllocsPerEvent = 2.8;
+  constexpr double kMaxDirAllocsPerEvent = 0.98;
+  constexpr double kMaxParcelAllocsPerEvent = 1.37;
   core::RunConfig cfg = bench::replay_run_config({}, kSeed);
   cfg.testbed.heterogeneous_server_delays = true;
   cfg.testbed.fade = lte::FadeProcess::Params{};
@@ -258,12 +287,14 @@ TEST(AllocationGuard, FaultedLoadWithinGlobalBudget) {
 // Arena bytes and simulated joules per scheduler event for one DIR and one
 // PARCEL(IND) load of a 60-object, 1 MiB page. Neither depends on the host,
 // so both are held to fixed ceilings 10% above the recorded loads: a mean
-// of 87,110 arena bytes per load, and 0.00582863178 J per event. More arena
+// of 46,966 arena bytes per load (87,358 while a Url held four strings
+// inline in every arena-backed ledger entry and fetch record), and
+// 0.00582863178 J per event. More arena
 // bytes means a container grew or a per-run structure was added; more
 // joules per event means the energy accounting drifted or the simulation
 // lost events.
 TEST(AllocationGuard, ArenaBytesAndJoulesPerEventWithinCeilings) {
-  constexpr double kMaxArenaBytesPerLoad = 1.10 * 87'110;
+  constexpr double kMaxArenaBytesPerLoad = 1.10 * 46'966;
   constexpr double kMaxJoulesPerEvent = 1.10 * 0.00582863178;
   web::PageSpec spec;
   spec.object_count = 60;
